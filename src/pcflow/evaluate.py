@@ -18,6 +18,11 @@ from .dataio import ScenarioSet
 from .errors import DataError, UsageError
 
 KDE_GRID_POINTS = 512
+# kde_pdf sums over blocks of this many grid points at a time
+KDE_BLOCK = 8
+# kernel terms further than this many bandwidths away are exactly zero:
+# exp(-0.5 * 38.6**2) already underflows to 0.0 in float64
+KDE_CUTOFF = 40.0
 CEV_THRESHOLDS = (0.99, 0.999, 0.9999, 1.0)
 
 
@@ -36,18 +41,36 @@ def silverman_bandwidth(samples):
 
 
 def kde_pdf(samples, grid, bandwidth=None):
-    """Gaussian-kernel density estimate of the samples at the grid points."""
+    """Gaussian-kernel density estimate of the samples at the grid points.
+
+    The sum is exact, not an approximation. Repeated sample values are
+    summed once with their counts, and each block of KDE_BLOCK grid points
+    sees only the sorted values within KDE_CUTOFF bandwidths of it: beyond
+    that distance exp(-z^2 / 2) underflows to exactly 0.0 in float64, so
+    the terms left out are exactly the ones a dense sum would add as zero.
+    Only the order of summation differs. Memory stays bounded by
+    KDE_BLOCK times the number of distinct values, however long the grid.
+    """
     samples = np.asarray(samples, dtype=float).ravel()
     grid = np.asarray(grid, dtype=float)
     if len(samples) < 2:
         raise DataError("KDE needs at least 2 samples")
     if bandwidth is None:
         bandwidth = silverman_bandwidth(samples)
-    elif bandwidth <= 0:
+    elif not bandwidth > 0:  # also rejects NaN, which would empty every window
         raise UsageError("bandwidth must be positive")
-    z = (grid[:, None] - samples[None, :]) / bandwidth
-    kernels = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    return kernels.mean(axis=1) / bandwidth
+    values, counts = np.unique(samples, return_counts=True)
+    counts = counts.astype(float)
+    reach = KDE_CUTOFF * bandwidth
+    lo = np.searchsorted(values, grid - reach, side="left")
+    hi = np.searchsorted(values, grid + reach, side="right")
+    density = np.empty(len(grid))
+    for start in range(0, len(grid), KDE_BLOCK):
+        block = slice(start, start + KDE_BLOCK)
+        window = slice(lo[block].min(), hi[block].max())
+        z = (grid[block, None] - values[window]) / bandwidth
+        density[block] = np.exp(-0.5 * z * z) @ counts[window]
+    return density / (len(samples) * bandwidth * math.sqrt(2.0 * math.pi))
 
 
 def kde_grid(samples, bandwidth=None, points=KDE_GRID_POINTS):
@@ -73,15 +96,32 @@ def ks_statistic(a, b):
 
 
 def kolmogorov_survival(lam, max_terms=100, tol=1e-12):
-    """Q(lambda) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lambda^2), clipped to [0,1]."""
+    """Kolmogorov survival function Q(lambda), clipped to [0, 1].
+
+    For lambda >= 1 the alternating series
+    Q = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lambda^2) converges in a few
+    terms. Below 1 it converges ever more slowly and its truncation is
+    wrong near 0, so there the dual theta series
+    Q = 1 - sqrt(2 pi) / lambda sum_{k>=1} exp(-(2k-1)^2 pi^2 / (8 lambda^2))
+    is used (Marsaglia, Tsang & Wang 2003, J. Stat. Softw. 8(18)).
+    """
     if lam <= 0:
         return 1.0
-    total = 0.0
-    for k in range(1, max_terms + 1):
-        term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
-        total += term
-        if abs(term) < tol:
-            break
+    if lam < 1.0:
+        scale = math.sqrt(2.0 * math.pi) / lam
+        total = 1.0
+        for k in range(1, max_terms + 1):
+            term = scale * math.exp(-(2 * k - 1) ** 2 * math.pi ** 2 / (8.0 * lam * lam))
+            total -= term
+            if term < tol:
+                break
+    else:
+        total = 0.0
+        for k in range(1, max_terms + 1):
+            term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
+            total += term
+            if abs(term) < tol:
+                break
     return min(max(total, 0.0), 1.0)
 
 
@@ -137,16 +177,20 @@ def _window(name, length):
 
 
 def periodogram(signal, sample_rate, window=None):
-    """One-sided periodogram normalized by window energy and sample rate."""
+    """One-sided periodogram normalized by window energy and sample rate.
+
+    Works along the last axis, so a stack of segments is transformed in one
+    batched call.
+    """
     signal = np.asarray(signal, dtype=float)
-    n = len(signal)
+    n = signal.shape[-1]
     if window is None:
         window = np.ones(n)
-    spectrum = np.fft.rfft(signal * window)
+    spectrum = np.fft.rfft(signal * window, axis=-1)
     power = np.abs(spectrum) ** 2 / (sample_rate * np.sum(window ** 2))
-    power[1:] *= 2.0
+    power[..., 1:] *= 2.0
     if n % 2 == 0:
-        power[-1] /= 2.0  # Nyquist bin is not duplicated
+        power[..., -1] /= 2.0  # Nyquist bin is not duplicated
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
     return freqs, power
 
@@ -163,19 +207,13 @@ def welch_psd(scenario_set: ScenarioSet, segment_length=None, overlap_fraction=0
     if not 0.0 <= overlap_fraction <= 0.9:
         raise UsageError("overlap_fraction must lie in [0, 0.9]")
     step = max(int(round(segment_length * (1.0 - overlap_fraction))), 1)
-    starts = range(0, d - segment_length + 1, step)
     win = _window(window, segment_length) if isinstance(window, str) else np.asarray(window)
     sample_rate = 60.0 / scenario_set.interval_minutes  # samples per hour
 
-    freqs = np.fft.rfftfreq(segment_length, d=1.0 / sample_rate)
-    mean_power = np.zeros_like(freqs)
-    for row in data:
-        seg_power = np.zeros_like(freqs)
-        for start in starts:
-            _, power = periodogram(row[start: start + segment_length], sample_rate, win)
-            seg_power += power
-        mean_power += seg_power / len(starts)
-    return freqs, mean_power / data.shape[0]
+    # (rows, segments, segment_length) view of every segment of every row
+    segments = np.lib.stride_tricks.sliding_window_view(data, segment_length, axis=1)[:, ::step]
+    freqs, power = periodogram(segments, sample_rate, win)
+    return freqs, power.mean(axis=(0, 1))
 
 
 # component counts and marginals -----------------------------------------------

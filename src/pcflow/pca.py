@@ -1,11 +1,11 @@
 """PCA of the empirical covariance with an isometric embedding.
 
-The covariance is diagonalized with cyclic Jacobi rotations, which keep the
-eigenvector matrix orthonormal to machine precision. The truncated map
-embeds M latent coordinates into the D-dimensional scenario space; its
-transpose is the exact pseudo-inverse, and because the component matrix is
-semi-orthogonal the embedding is an isometry and contributes nothing to a
-change-of-variables log-density.
+The covariance is diagonalized by LAPACK's symmetric eigensolver
+(``np.linalg.eigh``), whose eigenvector matrix is orthonormal to machine
+precision. The truncated map embeds M latent coordinates into the
+D-dimensional scenario space; its transpose is the exact pseudo-inverse,
+and because the component matrix is semi-orthogonal the embedding is an
+isometry and contributes nothing to a change-of-variables log-density.
 """
 
 from __future__ import annotations
@@ -22,65 +22,6 @@ EIG_CLAMP_REL = 1e-12
 
 # singular values below 1e-12 * sigma_1 do not count towards the rank
 RANK_TOL_REL = 1e-12
-
-
-def jacobi_eigh(matrix, tol_rel=1e-12, max_sweeps=100):
-    """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps stop once the off-diagonal Frobenius norm drops below
-    ``tol_rel`` times the trace. Returns (eigenvalues, eigenvectors) with
-    eigenvectors as columns, unsorted.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise UsageError("jacobi_eigh expects a square matrix")
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    norm_scale = max(abs(np.trace(a)), np.sum(np.abs(a)) / n, 1e-300)
-    thresh = tol_rel * norm_scale
-
-    off_diag = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(off_diag, False)
-    for sweep in range(max_sweeps):
-        # summing the off-diagonal entries directly avoids the cancellation
-        # noise of trace-based formulas, which sits above tol_rel
-        off = np.sqrt(np.sum(a[off_diag] ** 2))
-        if off < thresh:
-            break
-        # annihilating tiny pivots early is wasted work; once the matrix is
-        # nearly diagonal only pivots above the residual target matter
-        skip = 0.2 * off / (n * n) if sweep < 3 else thresh / n
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    phi = diff / (2.0 * apq)
-                    t = 1.0 / (abs(phi) + np.sqrt(phi * phi + 1.0))
-                    if phi < 0.0:
-                        t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                row_p = c * a[p, :] - s * a[q, :]
-                row_q = s * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                vec_p = c * v[:, p] - s * v[:, q]
-                v[:, q] = s * v[:, p] + c * v[:, q]
-                v[:, p] = vec_p
-    else:
-        raise NumericError("Jacobi eigendecomposition did not converge")
-    return np.diag(a).copy(), v
 
 
 @dataclass(frozen=True)
@@ -141,7 +82,15 @@ def fit(train) -> PcaDecomposition:
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
 
-    values, vectors = jacobi_eigh(cov)
+    if not np.all(np.isfinite(cov)):
+        raise NumericError("covariance overflows float64: rescale the data")
+    # an exactly constant column has an exactly zero covariance row and is
+    # its own null direction; keeping it out of the solver keeps its
+    # eigenvalue and its loading on every other component exactly zero
+    live = np.flatnonzero(np.diag(cov) > 0.0)
+    values = np.zeros(len(cov))
+    vectors = np.eye(len(cov))
+    values[live], vectors[np.ix_(live, live)] = np.linalg.eigh(cov[np.ix_(live, live)])
     trace = max(np.trace(cov), 0.0)
     floor = -EIG_CLAMP_REL * max(trace, 1.0)
     if np.any(values < floor):
@@ -153,10 +102,8 @@ def fit(train) -> PcaDecomposition:
     vectors = vectors[:, order]
 
     # deterministic sign: largest-magnitude entry of each component positive
-    for j in range(vectors.shape[1]):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[k, j] < 0:
-            vectors[:, j] = -vectors[:, j]
+    largest = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    vectors[:, largest < 0] *= -1.0
     return PcaDecomposition(mean=mean, singular_values=values, components=vectors)
 
 

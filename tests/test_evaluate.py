@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,12 +52,58 @@ def test_kde_degenerate_sample_needs_bandwidth():
         evaluate.kde_pdf([2.0, 2.0, 2.0], np.array([0.0]))
 
 
+def test_kde_rejects_bad_bandwidth():
+    for bandwidth in (0.0, -1.0, float("nan")):
+        with pytest.raises(UsageError, match="bandwidth"):
+            evaluate.kde_pdf([0.0, 1.0], np.array([0.0]), bandwidth=bandwidth)
+
+
 def test_silverman_formula():
     rng = np.random.default_rng(1)
     samples = rng.normal(size=200)
     q75, q25 = np.percentile(samples, [75, 25])
     want = 0.9 * min(samples.std(), (q75 - q25) / 1.34) * 200 ** -0.2
     assert evaluate.silverman_bandwidth(samples) == pytest.approx(want)
+
+
+def dense_kde(samples, grid, bandwidth):
+    """The dense grid x samples kernel sum that kde_pdf must reproduce."""
+    z = (grid[:, None] - samples[None, :]) / bandwidth
+    kernels = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return kernels.mean(axis=1) / bandwidth
+
+
+def test_kde_matches_dense_formula():
+    rng = np.random.default_rng(10)
+    # half exact zeros, like PV nights, and the rest in (0, 1)
+    samples = np.concatenate([np.zeros(1500), rng.beta(2.0, 3.0, 1500)])
+    rng.shuffle(samples)
+    h = evaluate.silverman_bandwidth(samples)
+    # 513 points span several blocks; the last four lie 30, 41, 50 and
+    # 45 bandwidths from the nearest sample
+    grid = np.concatenate([np.linspace(-0.2, 1.2, 513),
+                           [-30 * h, -41 * h, -50 * h, samples.max() + 45 * h]])
+    for g in (grid, grid[::-1], rng.permutation(grid)):
+        got = evaluate.kde_pdf(samples, g, h)
+        want = dense_kde(samples, g, h)
+        positive = want > 0
+        assert np.sum(~positive) == 3
+        assert np.all(np.abs(got[positive] - want[positive]) <= 1e-12 * want[positive])
+        assert np.all(got[~positive] == 0.0)
+
+
+def test_kde_memory_stays_bounded():
+    rng = np.random.default_rng(11)
+    samples = np.concatenate([np.zeros(100_000), rng.random(100_000)])
+    grid = np.linspace(-0.1, 1.1, 512)
+    tracemalloc.start()
+    try:
+        evaluate.kde_pdf(samples, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense_bytes = 8 * grid.size * samples.size
+    assert peak < dense_bytes / 20
 
 
 # KS test ----------------------------------------------------------------
@@ -149,6 +196,50 @@ def test_kolmogorov_survival_limits():
     assert evaluate.kolmogorov_survival(1.0) == pytest.approx(0.26999967, abs=1e-6)
 
 
+# Q(lambda) to 16 digits (scipy.special.kolmogorov); 1.2238, 1.3581, 1.6276
+# and 1.9495 are the tabulated critical values for 10%, 5%, 1% and 0.1%
+KOLMOGOROV_Q = {
+    1e-4: 1.0, 1e-3: 1.0, 1e-2: 1.0, 0.1: 1.0,
+    0.2: 0.999999999999495, 0.3: 0.9999906941986655,
+    0.5: 0.9639452436648751, 0.75: 0.6271670417762616,
+    0.9: 0.3927307079406543, 1.0: 0.26999967167735456,
+    1.2238: 0.10002342783567782, 1.3581: 0.0499996304316674,
+    1.6276: 0.010001537333060776, 1.9495: 0.0009998019790258981,
+    2.0: 0.0006709252557796953, 3.0: 3.045995948942526e-08,
+}
+
+
+def test_kolmogorov_survival_table():
+    for lam, want in KOLMOGOROV_Q.items():
+        assert evaluate.kolmogorov_survival(lam) == pytest.approx(want, abs=1e-14)
+
+
+def test_kolmogorov_survival_closed_form_tails():
+    # leading terms of the two series: the next term is below 1e-16 here
+    for lam in (0.05, 0.1, 0.2, 0.3):
+        theta = 1.0 - math.sqrt(2 * math.pi) / lam * math.exp(-math.pi ** 2 / (8 * lam ** 2))
+        assert evaluate.kolmogorov_survival(lam) == pytest.approx(theta, abs=1e-15)
+    for lam in (2.0, 2.5, 3.0):
+        alternating = 2 * math.exp(-2 * lam ** 2) - 2 * math.exp(-8 * lam ** 2)
+        assert evaluate.kolmogorov_survival(lam) == pytest.approx(alternating, rel=1e-12)
+
+
+def test_kolmogorov_survival_monotone_and_continuous():
+    lams = np.geomspace(1e-4, 3.0, 400)
+    q = np.array([evaluate.kolmogorov_survival(lam) for lam in lams])
+    assert np.all(np.diff(q) <= 0.0)
+    # the two series meet at lambda = 1, where dQ/dlambda is about -1.07
+    below = evaluate.kolmogorov_survival(1.0 - 1e-14)
+    assert below == pytest.approx(evaluate.kolmogorov_survival(1.0), abs=1e-13)
+
+
+def test_kolmogorov_survival_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for lam in np.geomspace(1e-4, 3.0, 400):
+        assert evaluate.kolmogorov_survival(lam) == pytest.approx(
+            special.kolmogorov(lam), abs=1e-13)
+
+
 # Welch PSD --------------------------------------------------------------
 
 
@@ -213,6 +304,29 @@ def test_welch_argument_validation():
         evaluate.welch_psd(scenario_set, overlap_fraction=0.95)
     with pytest.raises(UsageError, match="window"):
         evaluate.welch_psd(scenario_set, window="hamming")
+
+
+def welch_loop(data, sample_rate, segment_length, step, window):
+    """Per-row, per-segment periodogram average."""
+    starts = range(0, data.shape[1] - segment_length + 1, step)
+    rows = [np.mean([evaluate.periodogram(row[s: s + segment_length], sample_rate, window)[1]
+                     for s in starts], axis=0) for row in data]
+    return np.mean(rows, axis=0)
+
+
+def test_welch_matches_per_segment_loop():
+    rng = np.random.default_rng(12)
+    scenario_set = make_set(rng.standard_normal((25, 96)), interval_minutes=15)
+    custom = rng.random(24) + 0.5
+    # (segment_length, overlap, window, step): 96 - 40 = 56 is no multiple
+    # of 20, 33 is odd, and the last case passes a window array
+    cases = [(40, 0.5, "hann", 20), (33, 0.3, "hann", 23), (24, 0.25, custom, 18)]
+    for length, overlap, window, step in cases:
+        freqs, power = evaluate.welch_psd(scenario_set, length, overlap, window)
+        win = evaluate._window(window, length) if isinstance(window, str) else window
+        assert np.array_equal(freqs, np.fft.rfftfreq(length, d=0.25))
+        want = welch_loop(scenario_set.data, 4.0, length, step, win)
+        np.testing.assert_allclose(power, want, rtol=1e-12, atol=0)
 
 
 # CEV + marginals --------------------------------------------------------

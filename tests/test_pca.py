@@ -1,4 +1,8 @@
-"""Tests for the Jacobi eigendecomposition and the isometric PCA map."""
+"""Tests for the PCA fit and the isometric PCA map."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,49 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcflow import pca
-from pcflow.errors import DataError, UsageError
+from pcflow.errors import DataError, NumericError, UsageError
 
 
 def random_dataset(rng, n, d):
     mixing = rng.standard_normal((d, d))
     return rng.standard_normal((n, d)) @ mixing + rng.normal(0, 3, d)
-
-
-# jacobi_eigh ------------------------------------------------------------
-
-
-def test_jacobi_matches_numpy_on_random_symmetric():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        d = int(rng.integers(2, 40))
-        a = rng.standard_normal((d, d))
-        sym = a + a.T
-        values, vectors = pca.jacobi_eigh(sym)
-        # eigenpair residual, basis-independent
-        assert np.allclose(sym @ vectors, vectors * values, atol=1e-9 * np.abs(sym).max())
-        assert np.allclose(vectors.T @ vectors, np.eye(d), atol=1e-12)
-        assert np.allclose(np.sort(values), np.linalg.eigvalsh(sym), atol=1e-9)
-
-
-def test_jacobi_identity_and_diagonal():
-    values, vectors = pca.jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(sorted(values), [1.0, 2.0, 3.0])
-    assert np.allclose(np.abs(vectors), np.eye(3))
-
-
-def test_jacobi_converges_with_zero_rows():
-    # covariance of data with exactly constant dims: zero rows and columns
-    rng = np.random.default_rng(1)
-    x = np.zeros((80, 24))
-    x[:, 5:12] = rng.standard_normal((80, 7))
-    cov = np.cov(x, rowvar=False)
-    values, vectors = pca.jacobi_eigh(cov)
-    assert np.allclose(np.sort(values)[::-1][7:], 0.0, atol=1e-15)
-
-
-def test_jacobi_rejects_nonsquare():
-    with pytest.raises(UsageError):
-        pca.jacobi_eigh(np.zeros((2, 3)))
 
 
 # fit --------------------------------------------------------------------
@@ -83,6 +50,52 @@ def test_fit_sign_convention_deterministic():
     for j in range(6):
         k = np.argmax(np.abs(dec.components[:, j]))
         assert dec.components[k, j] > 0
+
+
+def test_fit_constant_columns_exact_zero_eigenvalues():
+    # constant dims give exactly zero covariance rows and columns, here both
+    # as one block and scattered between the varying dims
+    rng = np.random.default_rng(1)
+    for varying in (np.r_[5:12], np.r_[0:24:3]):
+        x = np.zeros((80, 24))
+        x[:, varying] = rng.standard_normal((80, len(varying)))
+        dec = pca.fit(x)
+        k = len(varying)
+        assert np.all(dec.singular_values[:k] > 0)
+        assert np.all(dec.singular_values[k:] == 0.0)
+        assert dec.rank == k
+        constant = np.setdiff1d(np.arange(24), varying)
+        assert np.all(dec.components[constant, :k] == 0.0)
+
+
+def test_fit_rejects_overflowing_covariance():
+    with pytest.raises(NumericError), np.errstate(over="ignore"):
+        pca.fit(np.array([[1e200, 0.0], [-1e200, 1.0], [3.0, 1e200]]))
+
+
+FIT_IN_CHILD = """
+import sys
+import numpy as np
+from pcflow import pca
+rng = np.random.default_rng(12)
+x = rng.standard_normal((2000, 96)) @ rng.standard_normal((96, 96))
+x[:, :20] = 0.0
+dec = pca.fit(x)
+sys.stdout.buffer.write(dec.components.tobytes() + dec.singular_values.tobytes())
+"""
+
+
+def test_fit_bytes_independent_of_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", FIT_IN_CHILD], env=env,
+                              capture_output=True, timeout=120, check=True)
+        outputs.append(done.stdout)
+    assert len(outputs[0]) == 8 * (96 * 96 + 96)
+    assert outputs[0] == outputs[1]
 
 
 def test_fit_rejects_nonfinite():
