@@ -21,7 +21,9 @@ KDE_GRID_POINTS = 512
 # kde_pdf sums over blocks of this many grid points at a time
 KDE_BLOCK = 8
 # kernel terms further than this many bandwidths away are exactly zero:
-# exp(-0.5 * 38.6**2) already underflows to 0.0 in float64
+# exp(-0.5 * 38.6**2) already underflows to 0.0 in float64. The window
+# saves work when the grid spans far more than 2 * KDE_CUTOFF bandwidths,
+# as when generated samples stray well outside the historical range.
 KDE_CUTOFF = 40.0
 CEV_THRESHOLDS = (0.99, 0.999, 0.9999, 1.0)
 
@@ -55,6 +57,8 @@ def kde_pdf(samples, grid, bandwidth=None):
     grid = np.asarray(grid, dtype=float)
     if len(samples) < 2:
         raise DataError("KDE needs at least 2 samples")
+    if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(grid))):
+        raise DataError("KDE samples and grid points must be finite")
     if bandwidth is None:
         bandwidth = silverman_bandwidth(samples)
     elif not bandwidth > 0:  # also rejects NaN, which would empty every window

@@ -58,6 +58,16 @@ def test_kde_rejects_bad_bandwidth():
             evaluate.kde_pdf([0.0, 1.0], np.array([0.0]), bandwidth=bandwidth)
 
 
+def test_kde_rejects_non_finite_samples_and_grid():
+    for samples, grid in (([0.0, float("nan"), 1.0], [0.0]),
+                          ([0.0, float("inf"), 1.0], [0.0]),
+                          ([0.0, 1.0], [0.0, float("nan")]),
+                          ([0.0, 1.0], [float("nan")] * 9)):
+        for bandwidth in (None, 1.0):
+            with pytest.raises(DataError, match="finite"):
+                evaluate.kde_pdf(samples, np.array(grid), bandwidth=bandwidth)
+
+
 def test_silverman_formula():
     rng = np.random.default_rng(1)
     samples = rng.normal(size=200)
