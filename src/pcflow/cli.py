@@ -38,7 +38,6 @@ def _train_config(args):
         learning_rate=args.learning_rate,
         seed=args.seed,
         early_stop_patience=args.patience,
-        validation_fraction=args.val_fraction,
     )
 
 
@@ -232,35 +231,40 @@ def build_parser():
 
 
 def _apply_config_file(parser, argv):
-    """Load --config key=value pairs as new defaults, then re-parse."""
+    """Insert --config key=value lines as flags ahead of the command line's own.
+
+    argparse checks their values, and later flags win. Keys of other
+    subcommands are skipped; keys no subcommand defines are usage errors.
+    """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
-    if not known.config:
+    commands = parser._subparsers._group_actions[0].choices
+    if not known.config or not argv or argv[0] not in commands:
         return argv
-    overrides = {}
+    options = {a.dest: a for a in commands[argv[0]]._actions if a.option_strings}
+    all_keys = {a.dest for command in commands.values() for a in command._actions}
+    flags = []
     with open(known.config, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
-            key, val = (part.strip() for part in line.split("=", 1))
+            key, sep, val = (part.strip() for part in line.partition("="))
             key = key.replace("-", "_")
-            if val.lower() in ("true", "false"):
-                overrides[key] = val.lower() == "true"
+            if not sep or key not in all_keys:
+                raise UsageError(f"{known.config}: line {line_no}: unknown key in {line!r}")
+            action = options.get(key)
+            if action is None:
+                continue
+            flag = action.option_strings[-1]
+            if action.nargs == 0:  # a switch; argparse rejects a value other than true/false
+                flags += {"true": [flag], "false": []}.get(val.lower(), [f"{flag}={val}"])
+            elif action.nargs == "*":
+                flags += [flag, *val.split()]
             else:
-                try:
-                    overrides[key] = int(val)
-                except ValueError:
-                    try:
-                        overrides[key] = float(val)
-                    except ValueError:
-                        overrides[key] = val
-    for sub_action in parser._subparsers._group_actions:
-        for sub_parser in sub_action.choices.values():
-            sub_parser.set_defaults(**{k: v for k, v in overrides.items()
-                                       if any(k == a.dest for a in sub_parser._actions)})
-    return argv
+                flags.append(f"{flag}={val}")
+    return [argv[0], *flags, *argv[1:]]
 
 
 def main(argv=None):
@@ -274,7 +278,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

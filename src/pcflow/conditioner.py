@@ -8,19 +8,14 @@ caches activations so the backward pass returns exact gradients of
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from .errors import NumericError, UsageError
 
-
-class GradientTape:
-    """Per-layer activation cache from one forward pass."""
-
-    __slots__ = ("inputs", "activations")
-
-    def __init__(self, inputs, activations):
-        self.inputs = inputs  # input to each affine layer
-        self.activations = activations  # post-activation output of each layer
+# one forward pass: each affine layer's input and post-activation output
+GradientTape = namedtuple("GradientTape", "inputs activations")
 
 
 class DenseNet:
@@ -61,17 +56,7 @@ class DenseNet:
 
     def parameters(self):
         """Flat list [W0, b0, W1, b1, ...]; arrays are live references."""
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend((w, b))
-        return params
-
-    def set_parameters(self, params):
-        if len(params) != 2 * len(self.weights):
-            raise UsageError("parameter count mismatch")
-        for i in range(len(self.weights)):
-            self.weights[i] = np.asarray(params[2 * i], dtype=float)
-            self.biases[i] = np.asarray(params[2 * i + 1], dtype=float)
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def forward(self, x):
         """Evaluate the net; x is (d,) or (n, d). Returns (output, tape)."""

@@ -94,6 +94,8 @@ class ScenarioSet:
             raise DataError("scenario data contains missing or non-finite values")
         if self.scaling not in SCALING_MODES:
             raise UsageError(f"unknown scaling mode {self.scaling!r}")
+        if not 1 <= self.interval_minutes <= 24 * 60:
+            raise DataError(f"interval_minutes must lie in [1, 1440], got {self.interval_minutes}")
         if self.scaling in ("capacity_factor", "minmax"):
             if data.min() < -SCALE_TOL or data.max() > 1.0 + SCALE_TOL:
                 raise DataError("scaled entries must lie in [0, 1]")
@@ -304,26 +306,48 @@ def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
 
 
 def load_scenarios(path) -> ScenarioSet:
-    """Read a scenario CSV and its sidecar metadata file."""
+    """Read a scenario CSV and its sidecar metadata file.
+
+    Malformed lines raise ParseError with the line number, and a sidecar
+    missing period_length or interval_minutes raises SchemaError.
+    """
     rows = []
+    width = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            try:
+                row = list(map(float, line.split(",")))
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {line_no}: {exc}") from None
+            if len(row) != width:
+                if rows:
+                    raise ParseError(f"{path}: line {line_no}: expected {width} fields, "
+                                     f"got {len(row)}")
+                width = len(row)
+            rows.append(row)
+    meta_path = f"{path}.meta"
+    convert = {"period_length": int, "interval_minutes": int, "min": float, "max": float}
     meta = {}
-    with open(f"{path}.meta", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                key, val = line.split("=", 1)
-                meta[key.strip()] = val.strip()
+    with open(meta_path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            key, _, val = (part.strip() for part in line.partition("="))
+            try:
+                meta[key] = convert.get(key, str)(val)
+            except ValueError:
+                raise ParseError(f"{meta_path}: line {line_no}: malformed {key} {val!r}") from None
+    for key in ("period_length", "interval_minutes"):
+        if key not in meta:
+            raise SchemaError(f"{meta_path}: missing key {key!r}")
+    if meta.get("scaling") == "minmax" and not {"min", "max"} <= meta.keys():
+        raise SchemaError(f"{meta_path}: minmax scaling needs both 'min' and 'max'")
     return ScenarioSet(
         data=np.array(rows),
-        period_length=int(meta["period_length"]),
-        interval_minutes=int(meta["interval_minutes"]),
+        period_length=meta["period_length"],
+        interval_minutes=meta["interval_minutes"],
         scaling=meta.get("scaling", "none"),
-        scale_min=float(meta["min"]) if "min" in meta else None,
-        scale_max=float(meta["max"]) if "max" in meta else None,
+        scale_min=meta.get("min"),
+        scale_max=meta.get("max"),
     )

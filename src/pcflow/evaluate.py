@@ -206,8 +206,8 @@ def welch_psd(scenario_set: ScenarioSet, segment_length=None, overlap_fraction=0
     d = data.shape[1]
     if segment_length is None:
         segment_length = max(d // 2, 2)
-    if segment_length > d:
-        raise UsageError(f"segment_length {segment_length} exceeds period length {d}")
+    if not 2 <= segment_length <= d:
+        raise UsageError(f"segment_length must lie in [2, {d}], got {segment_length}")
     if not 0.0 <= overlap_fraction <= 0.9:
         raise UsageError("overlap_fraction must lie in [0, 0.9]")
     step = max(int(round(segment_length * (1.0 - overlap_fraction))), 1)
@@ -278,9 +278,7 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
     gen_pool = generated.data.ravel()
 
     h = bandwidth if bandwidth is not None else silverman_bandwidth(hist_pool)
-    lo = min(hist_pool.min(), gen_pool.min()) - 3 * h
-    hi = max(hist_pool.max(), gen_pool.max()) + 3 * h
-    grid = np.linspace(lo, hi, KDE_GRID_POINTS)
+    grid = kde_grid(np.concatenate([hist_pool, gen_pool]), h)
 
     stat, p_value = ks_two_sample(hist_pool, gen_pool)
     freqs, psd_hist = welch_psd(historical, segment_length, overlap_fraction, window)

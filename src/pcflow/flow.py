@@ -147,9 +147,6 @@ class CouplingLayer:
         g_in = self._join(g_ident + g_ident_s + g_ident_t, g_rest_out * exp_neg_s)
         return s_grads, t_grads, g_in
 
-    def parameters(self):
-        return self.s_net.parameters() + self.t_net.parameters()
-
 
 class FlowModel:
     """Coupling-layer stack with standardizer and optional PCA embedding."""
@@ -171,26 +168,25 @@ class FlowModel:
                 raise UsageError("all coupling layers must act in the flow dimension")
             if i > 0 and layer.swap == self.layers[i - 1].swap:
                 raise UsageError("coupling layer parities must alternate")
+        # one flat vector holds every weight and bias; the nets keep views of it
+        self.params = np.concatenate([p.ravel() for p in self.parameters()] or [np.zeros(0)])
+        pos = 0
+        for layer in self.layers:
+            for net in (layer.s_net, layer.t_net):
+                for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                    net.weights[i] = self.params[pos: pos + w.size].reshape(w.shape)
+                    pos += w.size
+                    net.biases[i] = self.params[pos: pos + b.size]
+                    pos += b.size
 
     @property
     def ambient_dim(self):
         return self.pca.dim if self.pca is not None else self.dim
 
     def parameters(self):
-        params = []
-        for layer in self.layers:
-            params.extend(layer.parameters())
-        return params
-
-    def set_parameters(self, params):
-        pos = 0
-        for layer in self.layers:
-            for net in (layer.s_net, layer.t_net):
-                count = 2 * len(net.weights)
-                net.set_parameters(params[pos: pos + count])
-                pos += count
-        if pos != len(params):
-            raise UsageError("parameter count mismatch")
+        """Views [W0, b0, W1, b1, ...] into ``params`` of each s-net and t-net, layer by layer."""
+        return [p for layer in self.layers for net in (layer.s_net, layer.t_net)
+                for p in net.parameters()]
 
     # density ---------------------------------------------------------------
 
@@ -219,7 +215,7 @@ class FlowModel:
         return float(total[0]) if squeeze else total
 
     def nll_and_grads(self, batch):
-        """Mean NLL over the batch and its exact parameter gradients."""
+        """Mean NLL over the batch and its exact gradients, one new array per parameter."""
         x = np.asarray(batch, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
@@ -239,20 +235,13 @@ class FlowModel:
             bad = int(np.argmax(~np.isfinite(log_prob)))
             raise NumericError(f"non-finite NLL (row {bad})")
 
-        grads = [np.zeros_like(p) for p in self.parameters()]
+        grads = []
         g = u / n  # d nll / d z from the Gaussian term
-        # walk back through the inverse evaluations, most recent first
-        offsets = []
-        pos = 0
-        for layer in self.layers:
-            offsets.append(pos)
-            pos += len(layer.parameters())
-        for idx, layer in enumerate(self.layers):
-            cache = caches[len(self.layers) - 1 - idx]
+        # walk back through the inverse evaluations, most recent first,
+        # which visits the layers in order
+        for layer, cache in zip(self.layers, reversed(caches)):
             s_grads, t_grads, g = layer.backward_inverse(cache, g, s_cotangent_extra=1.0 / n)
-            off = offsets[idx]
-            for j, grad in enumerate(s_grads + t_grads):
-                grads[off + j] += grad
+            grads += s_grads + t_grads
         return nll, grads
 
     # sampling --------------------------------------------------------------
@@ -297,6 +286,8 @@ def build_flow(dim, n_layers=5, hidden_dims=None, seed=0, standardizer=None,
         standardizer = Standardizer.identity(dim)
     if hidden_dims is None:
         hidden_dims = (dim, dim)
+    if any(width < 1 for width in hidden_dims):
+        raise UsageError("hidden widths must be >= 1")
 
     layers = []
     if dim == 1:

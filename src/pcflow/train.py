@@ -31,7 +31,6 @@ class TrainConfig:
     adam_epsilon: float = 1e-8
     seed: int = 0
     early_stop_patience: int = 50
-    validation_fraction: float = 0.2
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -66,45 +65,39 @@ class TrainLog:
                 fh.write(f"# diverged_at_epoch={self.diverged_epoch}\n")
 
 
-def nll_and_grads(model: FlowModel, batch):
-    """Mean negative log-likelihood of the batch and its exact gradients."""
-    return model.nll_and_grads(batch)
-
-
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params):
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(params, grads, state: AdamState, config: TrainConfig):
-    """One in-place Adam update; returns (params, state)."""
-    if len(params) != len(grads):
-        raise UsageError("params/grads length mismatch")
+    """One in-place Adam update of a flat parameter vector; returns (params, state)."""
+    if params.shape != grads.shape:
+        raise UsageError("params/grads shape mismatch")
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
     state.t += 1
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    state.m *= b1
+    state.m += (1.0 - b1) * grads
+    state.v *= b2
+    state.v += (1.0 - b2) * grads * grads
+    params -= config.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + eps)
     return params, state
 
 
 def _clip_gradients(grads, max_norm=GRAD_CLIP_NORM):
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    """Rescale a flat gradient vector to Euclidean norm max_norm if it is longer."""
+    # einsum, not BLAS ddot: ddot's summation order follows the thread count
+    total = math.sqrt(float(np.einsum("i,i", grads, grads)))
     if total > max_norm:
-        factor = max_norm / total
-        grads = [g * factor for g in grads]
+        grads = grads * (max_norm / total)
     return grads
 
 
@@ -116,8 +109,8 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig,
                 allow_divergence: bool):
     """Mini-batch Adam loop; returns the best-validation-epoch parameters."""
     log = TrainLog()
-    params = model.parameters()
-    if not params:
+    params = model.params
+    if params.size == 0:
         # standardizer-only fallback has nothing to optimize
         log.train_nll.append(-float(np.mean(model.log_prob(train_rows))))
         log.val_nll.append(-float(np.mean(model.log_prob(val_rows))))
@@ -128,7 +121,7 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig,
     shuffle_rng = np.random.default_rng(config.seed + 1)
     n = train_rows.shape[0]
     best_val = math.inf
-    best_params = [p.copy() for p in params]
+    best = params.copy()
 
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
@@ -144,8 +137,8 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig,
                     break
                 raise DivergedError("training loss became non-finite", log=log)
             epoch_nll += nll * batch.shape[0]
-            grads = _clip_gradients(grads)
-            adam_step(params, grads, state, config)
+            flat = _clip_gradients(np.concatenate([g.ravel() for g in grads]))
+            adam_step(params, flat, state, config)
         if diverged_here:
             log.diverged = True
             log.diverged_epoch = epoch
@@ -167,14 +160,14 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig,
 
         if val_nll < best_val:
             best_val = val_nll
-            best_params = [p.copy() for p in params]
+            best[:] = params
             log.best_epoch = epoch
         elif epoch - log.best_epoch > config.early_stop_patience:
             break
 
     if log.best_epoch < 0:
         log.best_epoch = 0
-    model.set_parameters(best_params)
+    params[:] = best
     return model, log
 
 

@@ -1,7 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcflow import cli, dataio
 from pcflow.flow import load_model
@@ -191,3 +198,142 @@ def test_config_file_overrides_defaults(prepared, tmp_path):
                 "--out-dir", str(out), "--no-timestamp"]) == 0
     log = (out / "trainlog.csv").read_text()
     assert log.count("\n") == 4  # header + 2 epochs + best-epoch trailer
+
+
+# error contract ---------------------------------------------------------
+
+
+def exit_code(argv):
+    """Exit code and stderr of ``main``, counting argparse's exits too."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def write_scenarios(directory, rows, meta):
+    path = Path(directory) / "scen.csv"
+    # surrogateescape writes "\udcff" as the raw byte 0xff, which is not UTF-8
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8", errors="surrogateescape")
+    Path(f"{path}.meta").write_text("\n".join(meta) + "\n", encoding="utf-8")
+    return path
+
+
+def test_config_file_rejects_unknown_key(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("epoch=3\n", encoding="utf-8")
+    code, err = exit_code(["toy", "--mode", "fsnf", "--config", str(config),
+                           "--out-dir", str(tmp_path / "toy"), "--no-timestamp"])
+    assert code == cli.EXIT_USAGE
+    assert "unknown key in 'epoch=3'" in err
+    assert not (tmp_path / "toy").exists()
+
+
+def test_config_file_serves_every_subcommand(prepared, tmp_path):
+    # eval ignores the training keys and train ignores the eval keys
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs=2\ncomponents=2\nbandwidth=0.05\n", encoding="utf-8")
+    assert run(["train", "--data", str(prepared), "--config", str(config),
+                "--out-dir", str(tmp_path / "run"), "--no-timestamp"]) == 0
+    assert run(["eval", "--historical", str(prepared), "--generated", str(prepared),
+                "--config", str(config), "--out-dir", str(tmp_path / "report"),
+                "--no-timestamp"]) == 0
+    assert "kde_bandwidth: 0.05" in (tmp_path / "report" / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("line", ["epochs=2.5", "mode=nope", "no_timestamp=maybe", "garbage"])
+def test_config_file_bad_values_are_usage_errors(prepared, tmp_path, line):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    argv = ["train", "--data", str(prepared), "--config", str(config),
+            "--out-dir", str(tmp_path / "run")]
+    assert exit_code(argv)[0] == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("length", ["0", "-4", "1"])
+def test_eval_rejects_segment_length_below_two(prepared, tmp_path, length):
+    code, err = exit_code(["eval", "--historical", str(prepared), "--generated", str(prepared),
+                           f"--segment-length={length}", "--out-dir", str(tmp_path / "r")])
+    assert code == cli.EXIT_USAGE
+    assert "segment_length" in err and "Traceback" not in err
+    assert not (tmp_path / "r" / "psd.csv").exists()
+
+
+@pytest.mark.parametrize("rows, meta, match", [
+    (["0.1,0.2", "0.3"], ["period_length=2", "interval_minutes=720"], "line 2"),
+    (["0.1,0.2", "0.3,x"], ["period_length=2", "interval_minutes=720"], "line 2"),
+    (["0.1,0.2", "0.3,0.4"], ["interval_minutes=720"], "period_length"),
+    (["0.1,0.2", "0.3,\udcff"], ["period_length=2", "interval_minutes=720"], "utf-8"),
+])
+def test_eval_malformed_scenarios_exit_3(tmp_path, rows, meta, match):
+    path = write_scenarios(tmp_path, rows, meta)
+    code, err = exit_code(["eval", "--historical", str(path), "--generated", str(path),
+                           "--out-dir", str(tmp_path / "r")])
+    assert code == cli.EXIT_DATA
+    assert match in err and "Traceback" not in err
+
+
+# malformed-input fuzzing ------------------------------------------------
+
+
+GOOD_ROWS = [",".join(repr(float(v)) for v in row)
+             for row in np.random.default_rng(0).uniform(size=(8, 4))]
+GOOD_META = ["period_length=4", "interval_minutes=360", "scaling=none"]
+CONFIG_KEYS = sorted({a.dest for p in cli.build_parser()._subparsers._group_actions[0]
+                      .choices.values() for a in p._actions})
+
+TEXT = st.text(alphabet="0123456789abcdefinxyz+-.e_ =,#", max_size=8)
+CELL = st.one_of(st.floats().map(repr), TEXT)
+ROW = st.lists(CELL, max_size=6).map(",".join)
+META_LINE = st.one_of(
+    TEXT,
+    st.tuples(st.sampled_from(["period_length", "interval_minutes", "scaling", "min", "max"]),
+              st.one_of(TEXT, st.integers(-5, 2000).map(str), st.floats().map(repr)))
+    .map("=".join),
+)
+CONFIG_LINE = st.one_of(
+    TEXT,
+    st.tuples(st.one_of(st.sampled_from(CONFIG_KEYS), TEXT),
+              st.one_of(TEXT, st.integers(-5, 10).map(str), st.floats().map(repr)))
+    .map("=".join),
+)
+
+
+def eval_exit(rows=GOOD_ROWS, meta=GOOD_META, config=()):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenarios(tmp, rows, meta)
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("\n".join(config) + "\n", encoding="utf-8")
+        code, err = exit_code(["eval", "--historical", str(path), "--generated", str(path),
+                               "--config", str(cfg), "--out-dir", str(Path(tmp) / "r"),
+                               "--no-timestamp"])
+    assert code in (0, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC), err
+    assert "Traceback" not in err
+    return code
+
+
+def test_fuzz_baseline_inputs_evaluate_cleanly():
+    # the fuzz tests below each break one part of these inputs
+    assert eval_exit(config=["bandwidth=0.1", "epochs=3"]) == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(row=ROW, at=st.integers(0, len(GOOD_ROWS)))
+def test_fuzz_malformed_scenario_row(row, at):
+    eval_exit(rows=GOOD_ROWS[:at] + [row] + GOOD_ROWS[at:])
+
+
+@settings(max_examples=50, deadline=None)
+@given(line=META_LINE, drop=st.sampled_from([None, 0, 1, 2]))
+def test_fuzz_malformed_meta_line(line, drop):
+    meta = [m for i, m in enumerate(GOOD_META) if i != drop]
+    eval_exit(meta=meta + [line])
+
+
+@settings(max_examples=50, deadline=None)
+@given(lines=st.lists(CONFIG_LINE, min_size=1, max_size=3))
+def test_fuzz_malformed_config_lines(lines):
+    eval_exit(config=lines)

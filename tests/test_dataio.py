@@ -279,6 +279,42 @@ def test_save_with_comment_header(tmp_path):
     assert dataio.load_scenarios(path).n_scenarios == 2
 
 
+def write_scenario_files(tmp_path, rows, meta):
+    path = tmp_path / "scen.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "scen.csv.meta").write_text("\n".join(meta) + "\n", encoding="utf-8")
+    return path
+
+
+GOOD_META = ["period_length=2", "interval_minutes=720", "scaling=none"]
+
+
+@pytest.mark.parametrize("rows, match", [
+    (["0.1,0.2", "0.3", "0.5,0.6"], r"scen\.csv: line 2: expected 2 fields, got 1"),
+    (["0.1,0.2", "0.3,0.4", "0.5,abc"], r"scen\.csv: line 3: .*'abc'"),
+    (["0.1,0.2", "0.3,,0.4"], r"scen\.csv: line 2: "),
+])
+def test_load_scenarios_bad_row_is_parse_error(tmp_path, rows, match):
+    path = write_scenario_files(tmp_path, rows, GOOD_META)
+    with pytest.raises(ParseError, match=match):
+        dataio.load_scenarios(path)
+
+
+@pytest.mark.parametrize("meta, error, match", [
+    (["interval_minutes=720"], SchemaError, "missing key 'period_length'"),
+    (["period_length=2"], SchemaError, "missing key 'interval_minutes'"),
+    (GOOD_META[:2] + ["scaling=minmax", "min=0.0"], SchemaError, "both 'min' and 'max'"),
+    (["period_length=two", "interval_minutes=720"], ParseError, "meta: line 1: .*period_length"),
+    (GOOD_META + ["min=low", "max=1.0"], ParseError, "meta: line 4: malformed min 'low'"),
+    (GOOD_META[:2] + ["scaling=log"], UsageError, "scaling"),
+    (["period_length=2", "interval_minutes=0"], DataError, "interval_minutes"),
+])
+def test_load_scenarios_bad_meta(tmp_path, meta, error, match):
+    path = write_scenario_files(tmp_path, ["0.1,0.2", "0.3,0.4"], meta)
+    with pytest.raises(error, match=match):
+        dataio.load_scenarios(path)
+
+
 def test_scenario_set_is_readonly():
     scenario_set = make_set(np.zeros((2, 4)))
     with pytest.raises(ValueError):

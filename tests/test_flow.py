@@ -112,6 +112,8 @@ def test_logdet_matches_numerical_jacobian():
 def test_coupling_net_shape_validation():
     with pytest.raises(UsageError):
         CouplingLayer(4, zero_net(3, 1), zero_net(2, 2))
+    with pytest.raises(UsageError, match="hidden widths"):
+        build_flow(4, hidden_dims=(3, 0))
 
 
 # flow model densities ---------------------------------------------------
@@ -235,6 +237,22 @@ def test_dim_one_fallback_warns():
     with pytest.warns(UserWarning, match="dimension 1"):
         model = build_flow(1)
     assert model.layers == []
+    assert model.params.size == 0
+
+
+# flat parameter vector --------------------------------------------------
+
+
+def test_params_vector_backs_every_weight():
+    model = build_flow(3, n_layers=2, hidden_dims=(4,), seed=22)
+    views = model.parameters()
+    assert model.params.size == sum(p.size for p in views)
+    x = np.random.default_rng(23).standard_normal((5, 3))
+    before = model.log_prob(x)
+    model.params[:] += 0.1
+    assert not np.allclose(model.log_prob(x), before)
+    assert np.array_equal(np.concatenate([p.ravel() for p in views]), model.params)
+    assert all(np.shares_memory(p, model.params) for p in views)
 
 
 # save / load ------------------------------------------------------------
@@ -271,6 +289,7 @@ def test_model_roundtrip_bit_exact_parameters(tmp_path):
     back = load_model(path)
     for a, b in zip(model.parameters(), back.parameters()):
         assert np.array_equal(a, b)
+    assert back.params.tobytes() == model.params.tobytes()
 
 
 def test_corrupted_magic(tmp_path):

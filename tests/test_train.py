@@ -8,13 +8,14 @@ import pytest
 from pcflow import dataio, toy
 from pcflow.flow import LOG_2PI, build_flow
 from pcflow.train import (
+    GRAD_CLIP_NORM,
     AdamState,
     TrainConfig,
     TrainLog,
+    _clip_gradients,
     adam_step,
     fit_fsnf,
     fit_pcf,
-    nll_and_grads,
 )
 from pcflow.errors import UsageError
 
@@ -33,9 +34,8 @@ def gaussian_sets(seed=0, n=300, d=2):
 
 def test_identity_flow_nll_at_origin():
     model = build_flow(2, n_layers=2, seed=0)
-    for net in [n for layer in model.layers for n in (layer.s_net, layer.t_net)]:
-        net.set_parameters([np.zeros_like(p) for p in net.parameters()])
-    nll, _ = nll_and_grads(model, np.zeros((1, 2)))
+    model.params[:] = 0.0
+    nll, _ = model.nll_and_grads(np.zeros((1, 2)))
     assert nll == pytest.approx(LOG_2PI)
 
 
@@ -77,36 +77,51 @@ def test_nll_invariant_under_row_duplication():
 
 
 def test_adam_zero_gradient_leaves_params():
-    params = [np.array([1.0, 2.0])]
+    params = np.array([1.0, 2.0])
     state = AdamState.for_params(params)
-    adam_step(params, [np.zeros(2)], state, TrainConfig())
-    assert np.array_equal(params[0], [1.0, 2.0])
+    adam_step(params, np.zeros(2), state, TrainConfig())
+    assert np.array_equal(params, [1.0, 2.0])
 
 
 def test_adam_first_step_hand_value():
     # t=1, g=1: m_hat = 1, v_hat = 1 -> update = -lr / (1 + eps) ~ -9.99999e-4
-    params = [np.array([0.0])]
+    params = np.array([0.0])
     state = AdamState.for_params(params)
-    adam_step(params, [np.ones(1)], state, TrainConfig(learning_rate=1e-3))
-    assert params[0][0] == pytest.approx(-9.99999990e-4, rel=1e-8)
+    adam_step(params, np.ones(1), state, TrainConfig(learning_rate=1e-3))
+    assert params[0] == pytest.approx(-9.99999990e-4, rel=1e-8)
 
 
 def test_adam_tiny_learning_rate_is_noop():
-    params = [np.array([1.0])]
+    params = np.array([1.0])
     state = AdamState.for_params(params)
-    adam_step(params, [np.ones(1)], state, TrainConfig(learning_rate=1e-16))
-    assert params[0][0] == pytest.approx(1.0, abs=1e-15)
+    adam_step(params, np.ones(1), state, TrainConfig(learning_rate=1e-16))
+    assert params[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_adam_deterministic():
     def run():
-        params = [np.full(3, 0.5)]
+        params = np.full(3, 0.5)
         state = AdamState.for_params(params)
         for _ in range(2):
-            adam_step(params, [np.full(3, 0.3)], state, TrainConfig())
-        return params[0].copy()
+            adam_step(params, np.full(3, 0.3), state, TrainConfig())
+        return params.copy()
 
     assert np.array_equal(run(), run())
+
+
+def test_clip_gradients_caps_the_norm():
+    grads = np.random.default_rng(8).standard_normal(130)
+    big = grads * (3.0 * GRAD_CLIP_NORM / np.linalg.norm(grads))
+    clipped = _clip_gradients(big)
+    assert isinstance(clipped, np.ndarray) and clipped.shape == big.shape
+    assert np.linalg.norm(clipped) == pytest.approx(GRAD_CLIP_NORM, rel=1e-12)
+    assert np.allclose(clipped * 3.0, big, rtol=1e-12)
+    # norms exactly at and below the cap pass through untouched
+    for value in (GRAD_CLIP_NORM / 2, GRAD_CLIP_NORM / 4):
+        small = np.full(4, value)
+        before = small.copy()
+        assert np.array_equal(_clip_gradients(small), before)
+        assert np.array_equal(small, before)
 
 
 def test_config_validation():
