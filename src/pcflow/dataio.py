@@ -10,8 +10,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field, replace
-from datetime import datetime
+from datetime import datetime, timezone
+from itertools import compress, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,6 +35,13 @@ SCALING_MODES = ("none", "capacity_factor", "minmax")
 
 # entries of a scaled set may exceed [0, 1] by at most this much
 SCALE_TOL = 1e-9
+
+# load_csv parses the raw CSV this many rows at a time
+READ_BLOCK = 8192
+# a column of a block holding a longer cell is parsed cell by cell
+_BULK_CELL_CHARS = 64
+# the first second fromisoformat can read
+_FIRST_SECOND = np.datetime64("0001-01-01T00:00:00", "s")
 
 
 @dataclass(frozen=True)
@@ -107,9 +117,12 @@ class ScenarioSet:
 
 def _parse_timestamp(text, line_no):
     try:
-        return np.datetime64(datetime.fromisoformat(text.strip()), "s")
-    except ValueError:
+        stamp = datetime.fromisoformat(text.strip())
+        if stamp.tzinfo is not None:
+            stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
+    except (ValueError, OverflowError):
         raise ParseError(f"line {line_no}: malformed timestamp {text!r}") from None
+    return np.datetime64(stamp, "s")
 
 
 def _parse_value(text, line_no, what):
@@ -122,44 +135,117 @@ def _parse_value(text, line_no, what):
         raise ParseError(f"line {line_no}: malformed {what} {text!r}") from None
 
 
+def _bulk_timestamps(cells):
+    """numpy's parse of every cell, and a mask of the cells to parse one by one.
+
+    numpy also reads spellings that fromisoformat rejects ("2019", "today",
+    "NaT", year 0), so a value is kept only where it prints back as the
+    stripped cell itself. A numpy text array would drop trailing NULs and
+    pad every cell to the longest one, so such blocks are not given to it.
+    """
+    retry_all = np.empty(len(cells), "datetime64[s]"), np.ones(len(cells), bool)
+    if "\0" in "".join(cells) or max(map(len, cells)) > _BULK_CELL_CHARS:
+        return retry_all
+    text = np.char.strip(np.array(cells))
+    with warnings.catch_warnings():  # numpy warns about each "Z" or offset
+        warnings.simplefilter("ignore")
+        try:
+            stamps = text.astype("datetime64[s]")
+        except ValueError:
+            return retry_all
+    printed = np.datetime_as_string(stamps, unit="s")
+    exact = text == printed
+    if not exact.all():  # "YYYY-MM-DD hh:mm:ss" prints with a "T"
+        exact |= text == np.char.replace(printed, "T", " ")
+    return stamps, ~exact | np.isnat(stamps) | (stamps < _FIRST_SECOND)
+
+
+def _floats(cells):
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+
+
+def _bulk_values(cells):
+    """float of every cell, and a mask of the cells to parse one by one.
+
+    float() reads a cell as _parse_value does unless it is a missing
+    marker, so only a block that fails is searched for markers.
+    """
+    values = _floats(cells)
+    if values is None:
+        values = _floats([math.nan if c.strip().lower() in MISSING_MARKERS else c
+                          for c in cells])
+    if values is None:
+        return np.empty(len(cells)), np.ones(len(cells), bool)
+    return values, np.zeros(len(cells), bool)
+
+
+def _parse_block(rows, line_nos, picks):
+    """Parse full-width, non-blank rows into one array per picked column.
+
+    Each column is parsed at once. The cells the bulk parse may read
+    otherwise go through the per-cell parsers, row by row and in column
+    order, so the fault raised is the first in file order.
+    """
+    cells = [list(map(itemgetter(i), rows)) for i in picks]
+    parsed = [_bulk_timestamps(cells[0])] + [_bulk_values(column) for column in cells[1:]]
+    whats = (None, "value", "capacity")
+    for row in np.flatnonzero(np.logical_or.reduce([retry for _, retry in parsed])):
+        line_no = int(line_nos[row])
+        for column, (array, retry), what in zip(cells, parsed, whats):
+            if retry[row]:
+                text = column[row]
+                array[row] = (_parse_value(text, line_no, what) if what
+                              else _parse_timestamp(text, line_no))
+    return [array for array, _ in parsed]
+
+
+def _read_blocks(reader, width, picks):
+    """Parse the data rows ``READ_BLOCK`` at a time, skipping blank rows."""
+    line_no = 2  # of the first row in the block; the header is line 1
+    while rows := list(islice(reader, READ_BLOCK)):
+        nonblank = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
+        short = nonblank & (np.fromiter(map(len, rows), np.intp, len(rows)) < width)
+        end = int(np.argmax(short)) if short.any() else len(rows)
+        kept = np.flatnonzero(nonblank[:end])
+        if len(kept):
+            yield _parse_block(list(compress(rows, nonblank[:end])), line_no + kept, picks)
+        if end < len(rows):
+            raise ParseError(f"line {line_no + end}: expected {width} fields, got {len(rows[end])}")
+        line_no += len(rows)
+
+
 def load_csv(path, time_col="time", value_col="value", capacity_col=None):
     """Read a UTF-8 CSV with a header row into a RawSeries.
 
-    Empty cells and the usual NaN spellings become missing markers.
+    Empty cells and the usual NaN spellings become missing markers. Rows
+    are parsed ``READ_BLOCK`` at a time, so memory stays bounded.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        columns = {}
-        for name in (time_col, value_col) + ((capacity_col,) if capacity_col else ()):
-            if name not in header:
-                raise SchemaError(f"{path}: column {name!r} not found in header {header}")
-            columns[name] = header.index(name)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            picks = []
+            for name in (time_col, value_col) + ((capacity_col,) if capacity_col else ()):
+                if name not in header:
+                    raise SchemaError(f"{path}: column {name!r} not found in header {header}")
+                picks.append(header.index(name))
+            blocks = list(_read_blocks(reader, len(header), picks))
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
-        timestamps, values, capacities = [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < len(header):
-                raise ParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            timestamps.append(_parse_timestamp(row[columns[time_col]], line_no))
-            values.append(_parse_value(row[columns[value_col]], line_no, "value"))
-            if capacity_col:
-                capacities.append(_parse_value(row[columns[capacity_col]], line_no, "capacity"))
-
-    if not timestamps:
+    if not blocks:
         raise DataError(f"{path}: no data rows")
-    ts = np.array(timestamps, dtype="datetime64[s]")
-    if len(ts) >= 2 and not np.all(ts[1:] > ts[:-1]):
-        raise DataError("timestamps not increasing")
+    columns = [np.concatenate(parts) for parts in zip(*blocks)]
     return RawSeries(
-        timestamps=ts,
-        values=np.array(values),
-        capacity=np.array(capacities) if capacity_col else None,
+        timestamps=columns[0],
+        values=columns[1],
+        capacity=columns[2] if capacity_col else None,
     )
 
 
@@ -180,32 +266,24 @@ def clean_and_slice(series: RawSeries, period_length: int) -> ScenarioSet:
     offsets = (ts - days) / np.timedelta64(1, "m")
     expected = np.arange(period_length) * float(interval)
 
-    rows, indices = [], []
-    dropped = 0
-    unique_days = np.unique(days)
-    for day in unique_days:
-        idx = np.nonzero(days == day)[0]
-        ok = (
-            len(idx) == period_length
-            and np.array_equal(offsets[idx], expected)
-            and np.all(np.isfinite(series.values[idx]))
-        )
-        if ok:
-            rows.append(series.values[idx])
-            indices.append(idx)
-        else:
-            dropped += 1
+    # timestamps increase strictly, so each day's rows are contiguous
+    unique_days, starts, counts = np.unique(days, return_index=True, return_counts=True)
+    index = starts[counts == period_length, None] + np.arange(period_length)
+    ok = np.all(offsets[index] == expected, axis=1) & np.all(
+        np.isfinite(series.values[index]), axis=1)
+    index = index[ok]
+    dropped = len(unique_days) - len(index)
     if dropped:
         logger.info("dropped %d of %d days (missing values or irregular grid)", dropped, len(unique_days))
-    if len(rows) < 2:
+    if len(index) < 2:
         raise InsufficientDataError(
-            f"only {len(rows)} complete days survive cleaning; need at least 2"
+            f"only {len(index)} complete days survive cleaning; need at least 2"
         )
     return ScenarioSet(
-        data=np.array(rows),
+        data=series.values[index],
         period_length=period_length,
         interval_minutes=interval,
-        source_index=np.array(indices),
+        source_index=index,
     )
 
 
@@ -290,8 +368,8 @@ def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
     with open(path, "w", encoding="utf-8") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        for row in scenario_set.data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in scenario_set.data.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
     meta = {
         "period_length": scenario_set.period_length,
         "interval_minutes": scenario_set.interval_minutes,

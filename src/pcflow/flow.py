@@ -260,6 +260,8 @@ class FlowModel:
         return x
 
     def sample(self, n, seed) -> ScenarioSet:
+        if n < 2:  # a ScenarioSet holds at least two scenarios
+            raise UsageError(f"n must be >= 2 to draw a scenario set, got {n}")
         data = self.sample_array(n, seed)
         return ScenarioSet(
             data=data,

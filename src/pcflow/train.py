@@ -35,8 +35,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise UsageError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise UsageError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise UsageError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.early_stop_patience < 0:
+            raise UsageError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise UsageError("Adam betas must lie in (0, 1)")
 

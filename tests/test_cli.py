@@ -18,7 +18,7 @@ def run(argv):
     return cli.main(argv)
 
 
-def write_raw_csv(path, n_days=12, period_length=24, with_capacity=False, seed=0):
+def raw_csv_lines(n_days=12, period_length=24, with_capacity=False, seed=0):
     rng = np.random.default_rng(seed)
     interval = (24 * 60) // period_length
     lines = ["time,value" + (",cap" if with_capacity else "")]
@@ -31,7 +31,11 @@ def write_raw_csv(path, n_days=12, period_length=24, with_capacity=False, seed=0
             if with_capacity:
                 row += ",100.0"
             lines.append(row)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return lines
+
+
+def write_raw_csv(path, **kwargs):
+    path.write_text("\n".join(raw_csv_lines(**kwargs)) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -253,6 +257,38 @@ def test_config_file_bad_values_are_usage_errors(prepared, tmp_path, line):
     assert exit_code(argv)[0] == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag", ["--learning-rate=nan", "--learning-rate=inf",
+                                  "--learning-rate=0", "--patience=-1"])
+def test_train_and_toy_reject_bad_optimiser_flags(prepared, tmp_path, flag):
+    name = "early_stop_patience" if "patience" in flag else "learning_rate"
+    for argv in (train_args(prepared, tmp_path / "run", [flag]),
+                 ["toy", "--mode", "fsnf", "--n", "50", "--epochs", "2", flag,
+                  "--out-dir", str(tmp_path / "toy")]):
+        code, err = exit_code(argv)
+        assert code == cli.EXIT_USAGE, err
+        assert name in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "toy").exists()
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_sample_n_below_two_is_usage_error(prepared, tmp_path, n):
+    out = tmp_path / "run"
+    assert run(train_args(prepared, out, ["--mode", "pcf", "--components", "2"])) == 0
+    code, err = exit_code(["sample", "--model", str(out / "model.pcf"), f"--n={n}",
+                           "--out-dir", str(tmp_path / "s")])
+    assert code == cli.EXIT_USAGE
+    assert f"n must be >= 2 to draw a scenario set, got {n}" in err
+    assert "Traceback" not in err and not (tmp_path / "s").exists()
+
+
+def test_prepare_non_utf8_raw_file_exits_3(tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(b"time,value\n2013-01-01T00:00:00,1.0\n2013-01-01T01:00:00,\xff\n")
+    code, err = exit_code(["prepare", "--input", str(raw), "--out-dir", str(tmp_path / "p")])
+    assert code == cli.EXIT_DATA
+    assert "utf-8" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("length", ["0", "-4", "1"])
 def test_eval_rejects_segment_length_below_two(prepared, tmp_path, length):
     code, err = exit_code(["eval", "--historical", str(prepared), "--generated", str(prepared),
@@ -337,3 +373,46 @@ def test_fuzz_malformed_meta_line(line, drop):
 @given(lines=st.lists(CONFIG_LINE, min_size=1, max_size=3))
 def test_fuzz_malformed_config_lines(lines):
     eval_exit(config=lines)
+
+
+GOOD_RAW = raw_csv_lines(n_days=4, period_length=4, with_capacity=True)
+RAW_TEXT = st.text(alphabet="0123456789-:TZ .+naeiul\"\t,", max_size=24)
+RAW_CELL = st.one_of(
+    RAW_TEXT,
+    st.floats().map(repr),
+    st.sampled_from(["2013-01-02T06:00:00", "2013-01-02 06:00:00", "2013-01-02T06:00:00Z",
+                     "2013-01-02T07:00:00+01:00", "20130102T060000", "2013", "today", "NaT",
+                     "0000-01-01T00:00:00", "", "NULL", "none", " na "]),
+)
+
+
+def prepare_exit(lines, scaling="capacity_factor"):
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = Path(tmp) / "raw.csv"
+        raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, err = exit_code(["prepare", "--input", str(raw), "--period-length", "4",
+                               "--scaling", scaling, "--capacity-col", "cap",
+                               "--out-dir", str(Path(tmp) / "p"), "--no-timestamp"])
+    assert code in (0, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC), err
+    assert "Traceback" not in err
+    return code
+
+
+def test_fuzz_baseline_raw_csv_prepares_cleanly():
+    # the fuzz tests below each break one part of this file
+    assert prepare_exit(GOOD_RAW) == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(row=st.lists(RAW_CELL, max_size=5).map(",".join), at=st.integers(1, len(GOOD_RAW)),
+       scaling=st.sampled_from(dataio.SCALING_MODES))
+def test_fuzz_malformed_raw_row(row, at, scaling):
+    prepare_exit(GOOD_RAW[:at] + [row] + GOOD_RAW[at:], scaling)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cell=RAW_CELL, row=st.integers(0, len(GOOD_RAW) - 1), column=st.integers(0, 2))
+def test_fuzz_malformed_raw_cell(cell, row, column):
+    lines = [line.split(",") for line in GOOD_RAW]
+    lines[row][column] = cell
+    prepare_exit([",".join(cells) for cells in lines])

@@ -1,5 +1,11 @@
 """Tests for CSV ingestion, cleaning, scaling, splitting, and persistence."""
 
+import csv
+import logging
+import tracemalloc
+import warnings
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +16,7 @@ from pcflow.errors import (
     DataError,
     InsufficientDataError,
     ParseError,
+    PcflowError,
     ScalingError,
     SchemaError,
     UsageError,
@@ -90,6 +97,209 @@ def test_load_csv_capacity_column(tmp_path):
     assert series.capacity.tolist() == [200.0]
 
 
+def test_load_csv_offsets_become_utc_without_warning(tmp_path):
+    rows = ["2013-01-01T01:00:00+01:00,1.0", "2013-01-01T00:15:00Z,2.0",
+            "2012-12-31T19:00:00-05:30,3.0", "2013-01-01 00:45:00,4.0"]
+    path = write_csv(tmp_path / "a.csv", rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = dataio.load_csv(path)
+    expected = ["2013-01-01T00:00:00", "2013-01-01T00:15:00",
+                "2013-01-01T00:30:00", "2013-01-01T00:45:00"]
+    assert series.timestamps.tolist() == np.array(expected, "datetime64[s]").tolist()
+
+
+@pytest.mark.parametrize("cell", ["2019", "today", "NaT", "", "0000-01-01T00:00:00",
+                                  "2013-02-29T00:00:00", "0001-01-01T00:00:00+01:00"])
+def test_load_csv_rejects_what_fromisoformat_rejects(tmp_path, cell):
+    # numpy's parser reads the first five; the last is out of datetime's range
+    rows = ["2012-01-01T00:00:00,1.0", f"{cell},2.0"]
+    with pytest.raises(ParseError, match=r"line 3: malformed timestamp"):
+        dataio.load_csv(write_csv(tmp_path / "a.csv", rows))
+
+
+def test_load_csv_cell_too_large_is_parse_error(tmp_path):
+    rows = ["2013-01-01T00:00:00,1.0", "2013-01-01T00:15:00," + "1" * 200_000]
+    with pytest.raises(ParseError, match="field larger than field limit"):
+        dataio.load_csv(write_csv(tmp_path / "a.csv", rows))
+
+
+def reference_load_csv(path, time_col="time", value_col="value", capacity_col=None):
+    """The per-row loop that load_csv replaced, kept as its oracle.
+
+    It shares load_csv's cell parsers, which define the accepted spellings
+    and the error messages.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        columns = {}
+        for name in (time_col, value_col) + ((capacity_col,) if capacity_col else ()):
+            if name not in header:
+                raise SchemaError(f"{path}: column {name!r} not found in header {header}")
+            columns[name] = header.index(name)
+
+        timestamps, values, capacities = [], [], []
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) < len(header):
+                raise ParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+            timestamps.append(dataio._parse_timestamp(row[columns[time_col]], line_no))
+            values.append(dataio._parse_value(row[columns[value_col]], line_no, "value"))
+            if capacity_col:
+                capacities.append(
+                    dataio._parse_value(row[columns[capacity_col]], line_no, "capacity"))
+
+    if not timestamps:
+        raise DataError(f"{path}: no data rows")
+    ts = np.array(timestamps, dtype="datetime64[s]")
+    if len(ts) >= 2 and not np.all(ts[1:] > ts[:-1]):
+        raise DataError("timestamps not increasing")
+    return dataio.RawSeries(
+        timestamps=ts,
+        values=np.array(values),
+        capacity=np.array(capacities) if capacity_col else None,
+    )
+
+
+def outcome(load, path, capacity_col):
+    """The bytes of every array load returns, or its exception class and message."""
+    try:
+        series = load(path, capacity_col=capacity_col)
+    except PcflowError as exc:
+        return type(exc), str(exc)
+    capacity = None if series.capacity is None else series.capacity.tobytes()
+    return series.timestamps.tobytes(), series.values.tobytes(), capacity
+
+
+def assert_loads_like_reference(path, capacity_col=None):
+    expected = outcome(reference_load_csv, path, capacity_col)
+    assert outcome(dataio.load_csv, path, capacity_col) == expected
+    return expected
+
+
+START = datetime(2019, 3, 30, 22, 0)
+STAMP_SPELLINGS = {
+    "canonical": lambda t: t.isoformat(),
+    "space": lambda t: t.isoformat(sep=" "),
+    "padded": lambda t: f" {t.isoformat()}\t",
+    "zulu": lambda t: t.isoformat() + "Z",
+    "offset": lambda t: (t + timedelta(hours=2)).isoformat() + "+02:00",
+    "negative offset": lambda t: (t - timedelta(hours=5, minutes=30)).isoformat() + "-05:30",
+    "basic": lambda t: t.strftime("%Y%m%dT%H%M%S"),
+    "fraction": lambda t: t.isoformat() + ".250",
+    "minutes": lambda t: t.isoformat(timespec="minutes"),
+    "date": lambda t: t.date().isoformat(),
+    "lower t": lambda t: t.isoformat(sep="t"),
+    "year": lambda t: str(t.year),
+    "today": lambda t: "today",
+    "nat": lambda t: "NaT",
+    "empty": lambda t: "",
+    "year zero": lambda t: t.replace(year=1).isoformat().replace("0001", "0000", 1),
+    "nul": lambda t: t.isoformat() + "\0",
+    "two nuls": lambda t: t.isoformat() + "\0\0",
+}
+NUMBER_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "nan", "NaN", " NAN ", "null", "NULL", "na", "NA", "None",
+                     "none", "-nan", "inf", "-Infinity", " 7.5 ", "1_000", "1e500", "+.5"]),
+    st.sampled_from(["abc", "1.0.0", "1e", "--1", "0x10", "1d0", "nan(1)", "1\0", "n/a"]),
+)
+ROW_EDITS = st.one_of(
+    st.tuples(st.just("stamp"), st.sampled_from(sorted(STAMP_SPELLINGS))),
+    st.tuples(st.sampled_from(["value", "capacity"]), NUMBER_CELLS),
+    st.tuples(st.just("row"), st.sampled_from(["", ",", " , ,", "\t", "short", "extra",
+                                              "repeat"])),
+)
+
+
+def render_rows(n_rows, with_capacity, edits):
+    """n_rows good rows 15 minutes apart, with each edit applied to one row."""
+    rows = [[(START + timedelta(minutes=15 * i)).isoformat(), repr(0.5 * i), "40.0"]
+            [: 3 if with_capacity else 2] for i in range(n_rows)]
+    for at, (kind, what) in edits:
+        row = rows[at % n_rows]
+        if kind == "stamp":
+            row[0] = STAMP_SPELLINGS[what](START + timedelta(minutes=15 * (at % n_rows)))
+        elif kind in ("value", "capacity"):
+            column = 1 if kind == "value" else 2
+            if column < len(row):  # an earlier edit may have shortened the row
+                row[column] = what
+        elif what == "short":
+            del row[1:]
+        elif what == "extra":
+            row.append("ignored")
+        elif what == "repeat":
+            row[0] = START.isoformat()
+        else:
+            row[:] = [what]
+    return [",".join(row) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_rows=st.integers(1, 30),
+    with_capacity=st.booleans(),
+    edits=st.lists(st.tuples(st.integers(0, 10**6), ROW_EDITS), max_size=4),
+    block=st.sampled_from([1, 2, 3, 7, dataio.READ_BLOCK]),
+)
+def test_load_csv_matches_per_row_reference(tmp_path_factory, n_rows, with_capacity, edits,
+                                            block):
+    rows = render_rows(n_rows, with_capacity, edits)
+    header = "time,value,capacity" if with_capacity else "time,value"
+    path = write_csv(tmp_path_factory.mktemp("csv") / "a.csv", rows, header=header)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "READ_BLOCK", block)
+        assert_loads_like_reference(path, "capacity" if with_capacity else None)
+
+
+@pytest.mark.parametrize("edits, error", [
+    ([], None),
+    ([(50, ("value", "abc"))], "line 8244: malformed value 'abc'"),
+    ([(90, ("stamp", "zulu")), (95, ("capacity", "NULL"))], None),
+    ([(80, ("row", "short")), (70, ("capacity", "x")), (60, ("stamp", "basic"))],
+     "line 8264: malformed capacity 'x'"),
+    ([(80, ("row", "short")), (85, ("stamp", "year"))], "line 8274: expected 3 fields, got 1"),
+    ([(20, ("stamp", "year")), (20, ("value", "1.0.0"))], "line 8214: malformed timestamp"),
+    ([(40, ("row", "repeat"))], "timestamps not increasing"),
+])
+def test_load_csv_matches_reference_past_first_block(tmp_path, edits, error):
+    # every edit lands in the second block; "at" counts from its first row
+    n_rows = dataio.READ_BLOCK + 100
+    edits = [(dataio.READ_BLOCK + at, edit) for at, edit in edits]
+    path = write_csv(tmp_path / "a.csv", render_rows(n_rows, True, edits),
+                     header="time,value,capacity")
+    result = assert_loads_like_reference(path, "capacity")
+    if error is None:
+        assert len(result[1]) == 8 * n_rows
+    else:
+        assert error in result[1]
+
+
+def test_load_csv_memory_stays_bounded(tmp_path):
+    # reading the whole file at once costs about 640 B per row, ~190 MB here
+    n_rows = 300_000
+    stamps = np.datetime_as_string(
+        np.datetime64("2013-01-01T00:00:00") + np.arange(n_rows) * np.timedelta64(15, "m"))
+    values = np.char.mod("%.4f", np.random.default_rng(0).uniform(0, 40, n_rows))
+    lines = np.char.add(np.char.add(np.char.add(stamps, ","), values), ",40.0\n")
+    path = tmp_path / "big.csv"
+    path.write_text("time,value,capacity\n" + "".join(lines.tolist()), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        series = dataio.load_csv(path, capacity_col="capacity")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == n_rows
+    assert peak < 30e6, peak
+
+
 # clean_and_slice --------------------------------------------------------
 
 
@@ -135,6 +345,116 @@ def test_slice_preserves_values_bit_exactly(tmp_path):
     series = dataio.load_csv(write_csv(tmp_path / "a.csv", rows))
     scenario_set = dataio.clean_and_slice(series, 96)
     assert np.array_equal(scenario_set.data.ravel(), vals)
+
+
+def reference_clean_and_slice(series, period_length):
+    """The per-day loop that clean_and_slice replaced, kept as its oracle."""
+    if period_length < 2:
+        raise UsageError("period_length must be >= 2")
+    if (24 * 60) % period_length != 0:
+        raise UsageError(f"period_length {period_length} does not divide a whole day")
+    interval = (24 * 60) // period_length
+
+    ts = series.timestamps
+    days = ts.astype("datetime64[D]")
+    offsets = (ts - days) / np.timedelta64(1, "m")
+    expected = np.arange(period_length) * float(interval)
+
+    rows, indices = [], []
+    dropped = 0
+    unique_days = np.unique(days)
+    for day in unique_days:
+        idx = np.nonzero(days == day)[0]
+        ok = (
+            len(idx) == period_length
+            and np.array_equal(offsets[idx], expected)
+            and np.all(np.isfinite(series.values[idx]))
+        )
+        if ok:
+            rows.append(series.values[idx])
+            indices.append(idx)
+        else:
+            dropped += 1
+    if dropped:
+        dataio.logger.info("dropped %d of %d days (missing values or irregular grid)",
+                           dropped, len(unique_days))
+    if len(rows) < 2:
+        raise InsufficientDataError(
+            f"only {len(rows)} complete days survive cleaning; need at least 2"
+        )
+    return dataio.ScenarioSet(
+        data=np.array(rows),
+        period_length=period_length,
+        interval_minutes=interval,
+        source_index=np.array(indices),
+    )
+
+
+def slice_outcome(slice_fn, series, period_length):
+    """The data and index bytes and the log lines of slice_fn, or its exception."""
+    handler = logging.Handler()
+    records = []
+    handler.emit = records.append
+    level = dataio.logger.level
+    dataio.logger.addHandler(handler)
+    dataio.logger.setLevel(logging.INFO)
+    try:
+        result = slice_fn(series, period_length)
+    except PcflowError as exc:
+        return type(exc), str(exc)
+    finally:
+        dataio.logger.removeHandler(handler)
+        dataio.logger.setLevel(level)
+    messages = [record.getMessage() for record in records]
+    return (result.data.tobytes(), result.source_index.tobytes(),
+            result.source_index.dtype, messages)
+
+
+# how one day of the generated series departs from the full grid
+DAY_KINDS = ["full", "full", "full", "absent", "head", "tail", "hole", "off grid",
+             "extra sample", "missing value", "infinite value"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    period_length=st.sampled_from([2, 4, 24]),
+    days=st.lists(st.tuples(st.sampled_from(DAY_KINDS), st.integers(0, 10**6)),
+                  min_size=1, max_size=8),
+    first_day=st.sampled_from(["1969-12-30", "2013-03-30", "2019-12-31"]),
+)
+def test_clean_and_slice_matches_per_day_reference(period_length, days, first_day):
+    interval = (24 * 60) // period_length
+    stamps, values = [], []
+    for d, (kind, pick) in enumerate(days):
+        day = np.datetime64(first_day, "m") + np.timedelta64(d, "D")
+        minutes = list(range(0, 24 * 60, interval))
+        day_values = [float(d * 100 + i) for i in range(period_length)]
+        at = pick % period_length
+        if kind == "absent":
+            continue
+        if kind == "head":
+            minutes, day_values = minutes[: at + 1], day_values[: at + 1]
+        elif kind == "tail":
+            minutes, day_values = minutes[at:], day_values[at:]
+        elif kind == "hole":
+            del minutes[at], day_values[at]
+        elif kind == "off grid":
+            minutes[at] += 1
+        elif kind == "extra sample":
+            minutes.insert(at + 1, minutes[at] + 1)
+            day_values.insert(at + 1, 0.5)
+        elif kind == "missing value":
+            day_values[at] = np.nan
+        elif kind == "infinite value":
+            day_values[at] = -np.inf
+        stamps += [day + np.timedelta64(m, "m") for m in minutes]
+        values += day_values
+    if not stamps:
+        return
+    series = dataio.RawSeries(timestamps=np.array(stamps, "datetime64[s]"),
+                              values=np.array(values))
+    assert (slice_outcome(dataio.clean_and_slice, series, period_length)
+            == slice_outcome(reference_clean_and_slice, series, period_length))
 
 
 def test_slice_rejects_bad_period_length():

@@ -233,6 +233,14 @@ def test_sample_returns_scenario_set():
     assert scenario_set.interval_minutes == 360
 
 
+def test_sample_needs_two_rows_but_sample_array_takes_one():
+    model = build_flow(4, n_layers=2, seed=14, interval_minutes=360)
+    for n in (1, 0):
+        with pytest.raises(UsageError, match=rf"n must be >= 2 .*got {n}"):
+            model.sample(n, seed=15)
+    assert model.sample_array(1, seed=15).shape == (1, 4)
+
+
 def test_dim_one_fallback_warns():
     with pytest.warns(UserWarning, match="dimension 1"):
         model = build_flow(1)

@@ -133,6 +133,18 @@ def test_config_validation():
         TrainConfig(adam_beta1=1.0)
 
 
+@pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, 0.0])
+def test_config_rejects_non_finite_learning_rate(learning_rate):
+    with pytest.raises(UsageError, match="learning_rate must be finite and positive"):
+        TrainConfig(learning_rate=learning_rate)
+
+
+def test_config_rejects_negative_patience():
+    with pytest.raises(UsageError, match="early_stop_patience must be >= 0, got -1"):
+        TrainConfig(early_stop_patience=-1)
+    assert TrainConfig(early_stop_patience=0).early_stop_patience == 0
+
+
 # training loops ---------------------------------------------------------
 
 
