@@ -42,13 +42,13 @@ def _train_config(args):
 
 
 def cmd_prepare(args):
+    if args.scaling == "capacity_factor" and not args.capacity_col:
+        raise UsageError("capacity_factor scaling requires --capacity-col")
     series = dataio.load_csv(
         args.input, time_col=args.time_col, value_col=args.value_col,
         capacity_col=args.capacity_col,
     )
     scenario_set = dataio.clean_and_slice(series, args.period_length)
-    if args.scaling == "capacity_factor" and series.capacity is None:
-        raise UsageError("capacity_factor scaling requires --capacity-col")
     scenario_set = dataio.scale(scenario_set, args.scaling, capacity=series.capacity)
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "scenarios.csv")

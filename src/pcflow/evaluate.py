@@ -20,10 +20,11 @@ from .errors import DataError, UsageError
 KDE_GRID_POINTS = 512
 # kde_pdf sums over blocks of this many grid points at a time
 KDE_BLOCK = 8
-# kernel terms further than this many bandwidths away are exactly zero:
-# exp(-0.5 * 38.6**2) already underflows to 0.0 in float64. The window
-# saves work when the grid spans far more than 2 * KDE_CUTOFF bandwidths,
-# as when generated samples stray well outside the historical range.
+# kde_pdf leaves out kernel terms whose sum is below this fraction of the
+# terms it keeps at the same grid point
+KDE_REL_TOL = 2.0 ** -52
+# no KDE window reaches further than this many bandwidths: beyond
+# exp(-0.5 * 38.6**2) every term underflows to exactly 0.0 in float64
 KDE_CUTOFF = 40.0
 CEV_THRESHOLDS = (0.99, 0.999, 0.9999, 1.0)
 
@@ -42,16 +43,34 @@ def silverman_bandwidth(samples):
     return 0.9 * spread * n ** (-0.2)
 
 
+def _bandwidth(bandwidth, samples):
+    """The given bandwidth, checked, or Silverman's for the samples."""
+    if bandwidth is None:
+        return silverman_bandwidth(samples)
+    if not (bandwidth > 0 and math.isfinite(bandwidth)):  # also rejects NaN
+        raise UsageError(f"bandwidth must be finite and positive, got {bandwidth!r}")
+    return bandwidth
+
+
 def kde_pdf(samples, grid, bandwidth=None):
     """Gaussian-kernel density estimate of the samples at the grid points.
 
-    The sum is exact, not an approximation. Repeated sample values are
-    summed once with their counts, and each block of KDE_BLOCK grid points
-    sees only the sorted values within KDE_CUTOFF bandwidths of it: beyond
-    that distance exp(-z^2 / 2) underflows to exactly 0.0 in float64, so
-    the terms left out are exactly the ones a dense sum would add as zero.
-    Only the order of summation differs. Memory stays bounded by
-    KDE_BLOCK times the number of distinct values, however long the grid.
+    Within 2^-52 relative of the full sum at every grid point, apart from
+    the rounding of the summation, and exactly 0.0 where the full sum
+    underflows to 0.0. Repeated sample values are
+    summed once with their counts. In bandwidth units, let delta be the
+    distance from a grid point to its nearest sample and n the sample
+    count; the point sees only the sorted values within
+    r = min(sqrt(delta^2 + 2 ln(n / KDE_REL_TOL)), KDE_CUTOFF) of it.
+    Below the cap, each of the at most n terms left out is under
+    exp(-r^2 / 2) = (KDE_REL_TOL / n) exp(-delta^2 / 2), and the nearest
+    term exp(-delta^2 / 2) is kept, so the mass left out is below
+    KDE_REL_TOL times the mass kept. At the cap every term left out
+    underflows to exactly 0.0, so a point is 0.0 exactly when its nearest
+    term is. Inside the data r is about 10 bandwidths. Each block of
+    KDE_BLOCK grid points sums over the union of its points' windows, so
+    memory stays bounded by KDE_BLOCK times the number of distinct values,
+    however long the grid.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     grid = np.asarray(grid, dtype=float)
@@ -59,21 +78,26 @@ def kde_pdf(samples, grid, bandwidth=None):
         raise DataError("KDE needs at least 2 samples")
     if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(grid))):
         raise DataError("KDE samples and grid points must be finite")
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(samples)
-    elif not bandwidth > 0:  # also rejects NaN, which would empty every window
-        raise UsageError("bandwidth must be positive")
+    bandwidth = _bandwidth(bandwidth, samples)
     values, counts = np.unique(samples, return_counts=True)
     counts = counts.astype(float)
-    reach = KDE_CUTOFF * bandwidth
-    lo = np.searchsorted(values, grid - reach, side="left")
-    hi = np.searchsorted(values, grid + reach, side="right")
-    density = np.empty(len(grid))
-    for start in range(0, len(grid), KDE_BLOCK):
-        block = slice(start, start + KDE_BLOCK)
-        window = slice(lo[block].min(), hi[block].max())
-        z = (grid[block, None] - values[window]) / bandwidth
-        density[block] = np.exp(-0.5 * z * z) @ counts[window]
+    # with a tiny bandwidth, distances in bandwidth units overflow to inf,
+    # which the cap absorbs, and the kernel of such a term is exactly 0.0
+    with np.errstate(over="ignore"):
+        right = np.minimum(np.searchsorted(values, grid), len(values) - 1)
+        left = np.maximum(right - 1, 0)
+        delta = np.minimum(np.abs(grid - values[left]), np.abs(grid - values[right])) / bandwidth
+        radius = np.minimum(np.sqrt(delta * delta + 2.0 * math.log(len(samples) / KDE_REL_TOL)),
+                            KDE_CUTOFF)
+        reach = radius * bandwidth
+        lo = np.searchsorted(values, grid - reach, side="left")
+        hi = np.searchsorted(values, grid + reach, side="right")
+        density = np.empty(len(grid))
+        for start in range(0, len(grid), KDE_BLOCK):
+            block = slice(start, start + KDE_BLOCK)
+            window = slice(lo[block].min(), hi[block].max())
+            z = (grid[block, None] - values[window]) / bandwidth
+            density[block] = np.exp(-0.5 * z * z) @ counts[window]
     return density / (len(samples) * bandwidth * math.sqrt(2.0 * math.pi))
 
 
@@ -277,7 +301,7 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
     hist_pool = historical.data.ravel()
     gen_pool = generated.data.ravel()
 
-    h = bandwidth if bandwidth is not None else silverman_bandwidth(hist_pool)
+    h = _bandwidth(bandwidth, hist_pool)
     grid = kde_grid(np.concatenate([hist_pool, gen_pool]), h)
 
     stat, p_value = ks_two_sample(hist_pool, gen_pool)

@@ -9,6 +9,7 @@ zero to the log-density.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import warnings
 
@@ -37,8 +38,9 @@ class Standardizer:
         self.scale = np.asarray(scale, dtype=float)
         if self.shift.shape != self.scale.shape or self.shift.ndim != 1:
             raise UsageError("shift and scale must be 1-D and equally long")
-        if np.any(self.scale <= 0):
-            raise UsageError("standardizer scales must be positive")
+        if not (np.all(np.isfinite(self.shift)) and np.all(np.isfinite(self.scale))
+                and np.all(self.scale > 0)):
+            raise UsageError("standardizer shifts and scales must be finite, scales positive")
 
     @classmethod
     def from_data(cls, data):
@@ -78,6 +80,8 @@ class CouplingLayer:
             raise UsageError(f"s_net must map {id_dim} -> {tr_dim}")
         if t_net.input_dim != id_dim or t_net.output_dim != tr_dim:
             raise UsageError(f"t_net must map {id_dim} -> {tr_dim}")
+        if not (s_cap > 0 and math.isfinite(s_cap)):
+            raise UsageError(f"s_cap must be finite and positive, got {s_cap!r}")
         self.dim = dim
         self.id_dim = id_dim
         self.swap = bool(swap)
@@ -157,6 +161,8 @@ class FlowModel:
         self.standardizer = standardizer
         self.pca = pca
         self.dim = len(standardizer.shift)
+        if self.dim < 1:
+            raise UsageError("flow dimension must be >= 1")
         self.interval_minutes = int(interval_minutes)
         self.scaling = scaling
         self.scale_min = scale_min
@@ -335,11 +341,12 @@ def _read(fh, fmt):
 
 
 def _read_array(fh, shape):
-    count = int(np.prod(shape))
-    buf = fh.read(8 * count)
-    if len(buf) != 8 * count:
-        raise ModelFormatError("truncated model file")
-    return np.frombuffer(buf, dtype="<f8").astype(float).reshape(shape)
+    # the declared size is checked before reading, so a corrupt header that
+    # declares a huge array is a format error, not a huge allocation
+    size = 8 * math.prod(shape)
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ModelFormatError(f"truncated model file: {shape} array runs past the end")
+    return np.frombuffer(fh.read(size), dtype="<f8").astype(float).reshape(shape)
 
 
 def _write_net(fh, net: DenseNet):
@@ -391,6 +398,14 @@ def save_model(model: FlowModel, path):
 
 
 def load_model(path) -> FlowModel:
+    """Read a model file; any inconsistency in it raises ModelFormatError."""
+    try:
+        return _read_model(path)
+    except UsageError as exc:  # the constructors' shape and scale checks
+        raise ModelFormatError(f"{path}: inconsistent model file: {exc}") from None
+
+
+def _read_model(path) -> FlowModel:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import io
+import struct
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcflow import cli, dataio
-from pcflow.flow import load_model
+from pcflow.flow import load_model, save_model
 
 
 def run(argv):
@@ -289,6 +291,44 @@ def test_prepare_non_utf8_raw_file_exits_3(tmp_path):
     assert "utf-8" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("lines", [
+    ["time,value", "2013-01-01T00:00:00,1.0", "2013-01-01T01:00:00,x"],
+    ["time,value", "2013-01-01T00:00:00,1.0"],
+])
+def test_prepare_capacity_factor_needs_column_whatever_the_file(tmp_path, lines):
+    # the flag is checked before the file is read, so a malformed file or one
+    # with no complete day does not turn the usage error into a data error
+    raw = tmp_path / "raw.csv"
+    raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, err = exit_code(["prepare", "--input", str(raw), "--scaling", "capacity_factor",
+                           "--out-dir", str(tmp_path / "p")])
+    assert code == cli.EXIT_USAGE
+    assert "capacity_factor scaling requires --capacity-col" in err and "Traceback" not in err
+
+
+def eval_exit_without_warnings(prepared, out, *flags):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = exit_code(["eval", "--historical", str(prepared), "--generated",
+                               str(prepared), *flags, "--out-dir", str(out)])
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, err
+
+
+@pytest.mark.parametrize("bandwidth", ["0", "-1", "nan", "inf"])
+def test_eval_rejects_bad_bandwidth(prepared, tmp_path, bandwidth):
+    code, err = eval_exit_without_warnings(prepared, tmp_path / "r", f"--bandwidth={bandwidth}")
+    assert code == cli.EXIT_USAGE
+    assert "bandwidth must be finite and positive" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_eval_tiny_bandwidth_runs_quietly(prepared, tmp_path):
+    code, err = eval_exit_without_warnings(prepared, tmp_path / "r", "--bandwidth=1e-300")
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("length", ["0", "-4", "1"])
 def test_eval_rejects_segment_length_below_two(prepared, tmp_path, length):
     code, err = exit_code(["eval", "--historical", str(prepared), "--generated", str(prepared),
@@ -416,3 +456,108 @@ def test_fuzz_malformed_raw_cell(cell, row, column):
     lines = [line.split(",") for line in GOOD_RAW]
     lines[row][column] = cell
     prepare_exit([",".join(cells) for cells in lines])
+
+
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory):
+    """Bytes of a small trained pcf model: PCA block, two coupling layers."""
+    tmp = tmp_path_factory.mktemp("model")
+    raw = write_raw_csv(tmp / "raw.csv")
+    assert run(["prepare", "--input", raw, "--period-length", "24",
+                "--out-dir", str(tmp / "prep"), "--no-timestamp"]) == 0
+    assert run(["train", "--data", str(tmp / "prep" / "scenarios.csv"), "--components", "2",
+                "--layers", "2", "--hidden", "3", "--epochs", "3",
+                "--out-dir", str(tmp / "run"), "--no-timestamp"]) == 0
+    return (tmp / "run" / "model.pcf").read_bytes()
+
+
+def model_fields(model):
+    """Offset and struct format of the scalar fields of a model file with a PCA block."""
+    d, m = struct.unpack_from("<II", model, 37)
+    at = 45 + 8 * (2 * d + d * m)  # past the mean, singular values and components
+    (dim,) = struct.unpack_from("<I", model, at + 8)
+    layers = at + 12 + 16 * dim  # the layer count, after cev, dim, shift and scale
+    return {
+        "flags": (12, "<I"), "interval_minutes": (16, "<I"), "d": (37, "<I"), "m": (41, "<I"),
+        "cev": (at, "<d"), "dim": (at + 8, "<I"), "scale": (at + 12 + 8 * dim, "<d"),
+        "n_layers": (layers, "<I"), "s_cap": (layers + 5, "<d"), "depth": (layers + 13, "<I"),
+        "rows": (layers + 17, "<I"), "cols": (layers + 21, "<I"),
+    }
+
+
+def overwrite(model, **values):
+    raw = bytearray(model)
+    fields = model_fields(model)
+    for name, value in values.items():
+        struct.pack_into(fields[name][1], raw, fields[name][0], value)
+    return bytes(raw)
+
+
+def sample_exit(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.pcf"
+        path.write_bytes(model)
+        code, err = exit_code(["sample", "--model", str(path), "--n", "4",
+                               "--out-dir", str(Path(tmp) / "s"), "--no-timestamp"])
+    assert code in (0, cli.EXIT_DATA, cli.EXIT_NUMERIC), err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_fuzz_baseline_model_samples_cleanly(trained_model):
+    # the fuzz tests below each break this file
+    assert sample_exit(trained_model)[0] == 0
+    assert sample_exit(overwrite(trained_model, s_cap=5.0, scale=1.0))[0] == 0
+
+
+@pytest.mark.parametrize("values, match", [
+    ({"d": 2**32 - 1, "m": 2**32 - 1}, "truncated"),
+    ({"rows": 2**32 - 1, "cols": 2**32 - 1}, "truncated"),
+    ({"m": 0}, "inconsistent PcaMap dimensions"),
+    ({"scale": 0.0}, "scales must be finite, scales positive"),
+    ({"scale": float("nan")}, "scales must be finite, scales positive"),
+    ({"s_cap": 0.0}, "s_cap must be finite and positive"),
+])
+def test_sample_corrupt_model_is_format_error(trained_model, values, match):
+    code, err = sample_exit(overwrite(trained_model, **values))
+    assert code == cli.EXIT_DATA
+    assert match in err
+
+
+def test_sample_non_chaining_net_is_format_error(trained_model, tmp_path):
+    path = tmp_path / "model.pcf"
+    path.write_bytes(trained_model)
+    model = load_model(path)
+    net = model.layers[0].s_net
+    net.weights[1] = np.zeros((net.weights[1].shape[0] + 1, net.weights[1].shape[1]))
+    save_model(model, path)
+    code, err = sample_exit(path.read_bytes())
+    assert code == cli.EXIT_DATA
+    assert "inconsistent model file: layer 0 output dim does not chain" in err
+
+
+@settings(max_examples=50, deadline=None)
+@given(cut=st.integers(0, 10**6))
+def test_fuzz_truncated_model(trained_model, cut):
+    sample_exit(trained_model[: cut % len(trained_model)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+                      min_size=1, max_size=3))
+def test_fuzz_flipped_model_bytes(trained_model, flips):
+    raw = bytearray(trained_model)
+    for at, mask in flips:
+        raw[at % len(raw)] ^= mask
+    sample_exit(bytes(raw))
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=st.sampled_from(["flags", "interval_minutes", "d", "m", "cev", "dim", "scale",
+                             "n_layers", "s_cap", "depth", "rows", "cols"]),
+       data=st.data())
+def test_fuzz_overwritten_model_field(trained_model, name, data):
+    integer = model_fields(trained_model)[name][1] == "<I"
+    value = data.draw(st.integers(0, 2**32 - 1) | st.sampled_from([0, 1, 2, 3]) if integer
+                      else st.floats())
+    sample_exit(overwrite(trained_model, **{name: value}))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_kde_degenerate_sample_needs_bandwidth():
 
 
 def test_kde_rejects_bad_bandwidth():
-    for bandwidth in (0.0, -1.0, float("nan")):
+    for bandwidth in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(UsageError, match="bandwidth"):
             evaluate.kde_pdf([0.0, 1.0], np.array([0.0]), bandwidth=bandwidth)
 
@@ -114,6 +115,79 @@ def test_kde_memory_stays_bounded():
         tracemalloc.stop()
     dense_bytes = 8 * grid.size * samples.size
     assert peak < dense_bytes / 20
+
+
+def kde_without_warnings(samples, grid, bandwidth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return evaluate.kde_pdf(samples, grid, bandwidth)
+
+
+def assert_matches_dense(got, samples, grid, bandwidth):
+    with np.errstate(over="ignore"):
+        want = dense_kde(samples, grid, bandwidth)
+    positive = want > 0
+    assert np.array_equal(got > 0, positive)
+    assert np.all(got[~positive] == 0.0)
+    assert np.all(np.abs(got[positive] - want[positive]) <= 1e-12 * want[positive])
+
+
+# In bandwidth units: a heavy cluster of identical values at 0 (exact zeros
+# when the offset is 0), a spread cluster, and lone values 5 to 35 out.
+KDE_CASE = st.fixed_dictionaries({
+    "cluster": st.integers(2, 2000),
+    "spread": st.lists(st.floats(-3.0, 3.0), max_size=50),
+    "lone": st.lists(st.floats(5.0, 35.0).flatmap(lambda d: st.sampled_from([d, -d])),
+                     max_size=3),
+    "in_span": st.lists(st.floats(0.0, 1.0), max_size=20),
+    # distances past the outermost value, on both sides of the band where the
+    # kernel terms are subnormal
+    "outside": st.lists(st.one_of(st.floats(0.0, 37.0), st.floats(38.61, 80.0))
+                        .flatmap(lambda d: st.sampled_from([d, -d])), max_size=8),
+    "bandwidth": st.floats(-300.0, 3.0).map(lambda e: 10.0 ** e),
+    "offset": st.sampled_from([0.0, 1.0, -3.5]),
+    "order": st.randoms(use_true_random=False),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=KDE_CASE)
+def test_kde_within_bound_of_dense_formula(case):
+    units = np.concatenate([np.zeros(case["cluster"]), case["spread"], case["lone"]])
+    lo, hi = units.min(), units.max()
+    outside = np.array(case["outside"])
+    grid_units = np.concatenate([units[:10], lo + (hi - lo) * np.array(case["in_span"]),
+                                 np.where(outside < 0, lo + outside, hi + outside)])
+    case["order"].shuffle(grid_units)
+    h = case["bandwidth"]
+    samples = case["offset"] + h * units
+    grid = case["offset"] + h * grid_units
+    # Nearer than 37 bandwidths the nearest kernel term is a normal float;
+    # past 38.61 every term underflows to 0.0. In between the terms are
+    # subnormal, with too few bits for a 1e-12 comparison, so points whose
+    # rounded distance falls there are left out.
+    delta = np.min(np.abs(grid[:, None] - samples[None, :]), axis=1) / h
+    grid = grid[(delta < 37.0) | (delta > 38.61)]
+    assert_matches_dense(kde_without_warnings(samples, grid, h), samples, grid, h)
+
+
+def test_kde_lone_sample_shields_far_cluster():
+    # the grid point at 0 sees the lone sample 3 bandwidths away; its window
+    # reaches sqrt(9 + 2 ln(n / 2^-52)) = 10.2 bandwidths, and those of the
+    # points at -1 and -2 (in the same block) reach less far, so the 10^5
+    # values at 10.5 bandwidths, nearly all of the samples, fall outside
+    h = 0.01
+    samples = np.concatenate([[3.0 * h], np.full(100_000, 10.5 * h)])
+    grid = np.array([0.0, -h, -2.0 * h])
+    assert_matches_dense(kde_without_warnings(samples, grid, h), samples, grid, h)
+
+
+def test_kde_tiny_bandwidth_does_not_overflow_noisily():
+    # distances of order 1 are ~1e300 bandwidths: their terms are exactly 0.0
+    samples = np.array([0.0, 0.0, 0.5, 1.0])
+    grid = np.linspace(-0.5, 1.5, 17)
+    h = 1e-300
+    assert_matches_dense(kde_without_warnings(samples, grid, h), samples, grid, h)
 
 
 # KS test ----------------------------------------------------------------
@@ -416,6 +490,15 @@ def test_evaluate_sets_identical_inputs():
     assert report.ks_statistic == 0.0
     assert report.ks_p_value == 1.0
     assert np.array_equal(report.psd_historical, report.psd_generated)
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf")])
+def test_evaluate_sets_rejects_bad_bandwidth(bandwidth):
+    hist = make_set(np.random.default_rng(13).uniform(size=(5, 24)), interval_minutes=60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(UsageError, match="bandwidth must be finite and positive"):
+            evaluate.evaluate_sets(hist, hist, bandwidth=bandwidth)
 
 
 def test_evaluate_sets_dimension_mismatch():
