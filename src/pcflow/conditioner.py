@@ -1,8 +1,13 @@
 """Fully connected conditioner networks with exact reverse-mode gradients.
 
 The architecture family is fixed: affine layers with tanh on the hidden
-layers and identity on the output. Forward passes can be batched; the tape
-caches activations so the backward pass returns exact gradients of
+layers and identity on the output. ``forward`` and ``backward`` are the one
+implementation of the net. They take weights shaped (in, out) with biases
+(out,), one net, or a stack of k nets with identical shapes, weights
+(k, in, out) and biases (k, 1, out), which matmul broadcasting evaluates
+together; each slice of a stack is computed by the same BLAS call as the
+net on its own, so the results are bit-identical. The tape caches
+activations so the backward pass returns exact gradients of
 <cotangent, output> with respect to every parameter and the input.
 """
 
@@ -16,6 +21,60 @@ from .errors import NumericError, UsageError
 
 # one forward pass: each affine layer's input and post-activation output
 GradientTape = namedtuple("GradientTape", "inputs activations")
+
+
+def forward(weights, biases, x):
+    """Evaluate the net(s) on x, (d,) or (n, d); returns (output, tape).
+
+    The output is (out,) or (n, out) for one net, and (k, out) or
+    (k, n, out) for a stack of k nets.
+    """
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    h = x[None, :] if squeeze else x
+    if h.shape[-1] != weights[0].shape[-2]:
+        raise UsageError(f"expected input dim {weights[0].shape[-2]}, got {h.shape[-1]}")
+    inputs, activations = [], []
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        inputs.append(h)
+        h = h @ w
+        h += b
+        if i < last:
+            np.tanh(h, out=h)
+        activations.append(h)
+    # one check suffices: NaN passes through matmul and tanh, and tanh maps
+    # +-inf to +-1, so a hidden layer is non-finite only if the output is
+    if not np.isfinite(h).all():
+        for net in np.ndindex(h.shape[:-2]):  # each net of a stack in turn
+            for i, act in enumerate(activations):
+                if not np.all(np.isfinite(act[net])):
+                    raise NumericError(f"non-finite activation in layer {i}")
+    return (h[..., 0, :] if squeeze else h), GradientTape(inputs, activations)
+
+
+def backward(weights, tape: GradientTape, cotangent, grads):
+    """Gradients of <cotangent, output> w.r.t. parameters and input.
+
+    The parameter gradients are written into ``grads``, arrays shaped like
+    [W0, b0, W1, b1, ...], summed over the batch; the input cotangent is
+    returned and keeps the batch shape.
+    """
+    g = np.asarray(cotangent, dtype=float)
+    if len(tape.activations) != len(weights):
+        raise NumericError("tape does not match network depth")
+    squeeze = g.ndim < tape.activations[-1].ndim  # the forward input was (d,)
+    if squeeze:
+        g = g[..., None, :]
+    for i in range(len(weights) - 1, -1, -1):
+        if i < len(weights) - 1:
+            act = tape.activations[i]
+            g = g * (1.0 - act * act)  # through tanh
+        db = grads[2 * i + 1]
+        np.matmul(tape.inputs[i].swapaxes(-1, -2), g, out=grads[2 * i])
+        np.add.reduce(g, axis=-2, out=db, keepdims=db.ndim == g.ndim)
+        g = g @ weights[i].swapaxes(-1, -2)
+    return g[..., 0, :] if squeeze else g
 
 
 class DenseNet:
@@ -60,43 +119,13 @@ class DenseNet:
 
     def forward(self, x):
         """Evaluate the net; x is (d,) or (n, d). Returns (output, tape)."""
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        h = x[None, :] if squeeze else x
-        if h.shape[1] != self.input_dim:
-            raise UsageError(f"expected input dim {self.input_dim}, got {h.shape[1]}")
-        inputs, activations = [], []
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            inputs.append(h)
-            h = h @ w + b
-            if i < last:
-                h = np.tanh(h)
-            if not np.all(np.isfinite(h)):
-                raise NumericError(f"non-finite activation in layer {i}")
-            activations.append(h)
-        tape = GradientTape(inputs, activations)
-        out = activations[-1]
-        return (out[0] if squeeze else out), tape
+        return forward(self.weights, self.biases, x)
 
     def backward(self, tape: GradientTape, cotangent):
         """Gradients of <cotangent, output> w.r.t. parameters and input.
 
         For batched tapes the parameter gradients are summed over the batch;
-        the input cotangent keeps the batch shape.
+        the input cotangent keeps the batch shape. Returns (grads, g_in).
         """
-        g = np.asarray(cotangent, dtype=float)
-        squeeze = g.ndim == 1
-        if squeeze:
-            g = g[None, :]
-        if len(tape.activations) != len(self.weights):
-            raise NumericError("tape does not match network depth")
-        grads = [None] * (2 * len(self.weights))
-        for i in range(len(self.weights) - 1, -1, -1):
-            if i < len(self.weights) - 1:
-                act = tape.activations[i]
-                g = g * (1.0 - act * act)  # through tanh
-            grads[2 * i] = tape.inputs[i].T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
-            g = g @ self.weights[i].T
-        return grads, (g[0] if squeeze else g)
+        grads = [np.empty_like(p) for p in self.parameters()]
+        return grads, backward(self.weights, tape, cotangent, grads)

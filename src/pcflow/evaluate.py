@@ -32,13 +32,20 @@ CEV_THRESHOLDS = (0.99, 0.999, 0.9999, 1.0)
 # kernel density estimation ---------------------------------------------------
 
 def silverman_bandwidth(samples):
-    """h = 0.9 * min(std, IQR/1.34) * n^(-1/5)."""
+    """h = 0.9 * min(std, IQR/1.34) * n^(-1/5).
+
+    When the middle half of the sorted values is one value, as when more
+    than 75% of PV values are night-time zeros, the IQR is 0 and the std
+    alone sets the spread, as in R's ``bw.nrd0``; only a constant sample
+    (whose std may round to a tiny positive value) is degenerate.
+    """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     std = samples.std()
     q75, q25 = np.percentile(samples, [75, 25])
-    spread = min(std, (q75 - q25) / 1.34)
-    if spread <= 0:
+    iqr = q75 - q25
+    spread = min(std, iqr / 1.34) if iqr > 0 else std
+    if spread <= 0 or samples.min() == samples.max():
         raise DataError("degenerate sample (zero spread): give a bandwidth explicitly")
     return 0.9 * spread * n ** (-0.2)
 

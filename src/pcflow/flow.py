@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 
 from . import pca as pca_mod
+from . import conditioner
 from .conditioner import DenseNet
 from .dataio import ScenarioSet
 from .errors import ModelFormatError, ModelVersionError, NumericError, UsageError
@@ -71,6 +72,8 @@ class CouplingLayer:
     One block of coordinates passes through unchanged and conditions an
     element-wise affine map of the other block. ``swap`` selects which block
     is the identity one; the scale output is squashed to (-s_cap, s_cap).
+    The s-net and the t-net have identical shapes, so training can evaluate
+    them as one stack (``stacked_inverse``).
     """
 
     def __init__(self, dim, s_net: DenseNet, t_net: DenseNet, swap=False, s_cap=DEFAULT_S_CAP):
@@ -80,6 +83,8 @@ class CouplingLayer:
             raise UsageError(f"s_net must map {id_dim} -> {tr_dim}")
         if t_net.input_dim != id_dim or t_net.output_dim != tr_dim:
             raise UsageError(f"t_net must map {id_dim} -> {tr_dim}")
+        if [p.shape for p in s_net.parameters()] != [p.shape for p in t_net.parameters()]:
+            raise UsageError("s_net and t_net must have identical layer shapes")
         if not (s_cap > 0 and math.isfinite(s_cap)):
             raise UsageError(f"s_cap must be finite and positive, got {s_cap!r}")
         self.dim = dim
@@ -100,16 +105,16 @@ class CouplingLayer:
             return np.concatenate([transformed, ident], axis=-1)
         return np.concatenate([ident, transformed], axis=-1)
 
-    def _scale(self, ident):
-        raw, tape = self.s_net.forward(ident)
-        s = self.s_cap * np.tanh(raw / self.s_cap)
-        return s, tape
+    def _cap(self, raw):
+        # a subnormal s_cap overflows raw / s_cap to +-inf, which tanh maps to +-1
+        with np.errstate(over="ignore"):
+            return self.s_cap * np.tanh(raw / self.s_cap)
 
     def forward(self, z):
         """z -> x; returns (x, logdet) with logdet = sum of scale outputs."""
         z = np.asarray(z, dtype=float)
         ident, rest = self._split(z)
-        s, _ = self._scale(ident)
+        s = self._cap(self.s_net.forward(ident)[0])
         t, _ = self.t_net.forward(ident)
         x_rest = np.exp(s) * rest + t
         if not np.all(np.isfinite(x_rest)):
@@ -122,34 +127,52 @@ class CouplingLayer:
         return z, logdet_inv
 
     def inverse_with_tape(self, x):
-        x = np.asarray(x, dtype=float)
-        ident, rest = self._split(x)
-        s, s_tape = self._scale(ident)
+        """``inverse`` with the s-net and the t-net evaluated one at a time.
+
+        Returns (z, logdet_inv, cache); the cache holds the two nets' tapes.
+        """
+        ident, rest = self._split(np.asarray(x, dtype=float))
+        raw, s_tape = self.s_net.forward(ident)
         t, t_tape = self.t_net.forward(ident)
+        return self._invert(ident, rest, raw, t, (s_tape, t_tape))
+
+    def stacked_inverse(self, x, weights, biases):
+        """``inverse_with_tape`` with both nets evaluated in one stacked pass.
+
+        ``weights`` and ``biases`` hold the two nets' arrays stacked, shaped
+        (2, in, out) and (2, 1, out), as ``FlowModel`` views them. The cache
+        is what ``backward_inverse`` takes.
+        """
+        ident, rest = self._split(x)
+        (raw, t), tape = conditioner.forward(weights, biases, ident)
+        return self._invert(ident, rest, raw, t, (tape, weights))
+
+    def _invert(self, ident, rest, raw, t, nets):
+        s = self._cap(raw)
         exp_neg_s = np.exp(-s)
         z_rest = (rest - t) * exp_neg_s
-        if not np.all(np.isfinite(z_rest)):
+        if not np.isfinite(z_rest).all():
             raise NumericError("non-finite coupling inverse")
-        cache = (s, s_tape, t_tape, exp_neg_s, z_rest)
-        return self._join(ident, z_rest), -s.sum(axis=-1), cache
+        return self._join(ident, z_rest), -s.sum(axis=-1), (s, exp_neg_s, z_rest, nets)
 
-    def backward_inverse(self, cache, g_out, s_cotangent_extra=0.0):
-        """Backward pass through ``inverse_with_tape``.
+    def backward_inverse(self, cache, g_out, grads, s_cotangent_extra=0.0):
+        """Backward pass through ``stacked_inverse``.
 
         ``g_out`` is the cotangent on the inverse output; a constant extra
         cotangent on each scale output (from the log-det term of the loss)
-        can be folded in via ``s_cotangent_extra``. Returns
-        (s_grads, t_grads, g_in).
+        can be folded in via ``s_cotangent_extra``. Both nets' parameter
+        gradients are written into ``grads``, [dW0, db0, dW1, db1, ...]
+        stacked like the weights. Returns the cotangent on the input.
         """
-        s, s_tape, t_tape, exp_neg_s, z_rest = cache
-        g_ident, g_rest_out = self._split(np.asarray(g_out, dtype=float))
+        s, exp_neg_s, z_rest, (tape, weights) = cache
+        g_ident, g_rest_out = self._split(g_out)
+        g_rest_in = g_rest_out * exp_neg_s
         cot_s = -g_rest_out * z_rest + s_cotangent_extra
-        cot_raw = cot_s * (1.0 - (s / self.s_cap) ** 2)  # through the tanh cap
-        cot_t = -g_rest_out * exp_neg_s
-        s_grads, g_ident_s = self.s_net.backward(s_tape, cot_raw)
-        t_grads, g_ident_t = self.t_net.backward(t_tape, cot_t)
-        g_in = self._join(g_ident + g_ident_s + g_ident_t, g_rest_out * exp_neg_s)
-        return s_grads, t_grads, g_in
+        cot = np.empty((2, *s.shape))  # the cotangents on the s-net and t-net outputs
+        np.multiply(cot_s, 1.0 - (s / self.s_cap) ** 2, out=cot[0])  # through the tanh cap
+        np.negative(g_rest_in, out=cot[1])
+        g_nets = conditioner.backward(weights, tape, cot, grads)
+        return self._join(g_ident + g_nets[0] + g_nets[1], g_rest_in)
 
 
 class FlowModel:
@@ -176,14 +199,39 @@ class FlowModel:
                 raise UsageError("coupling layer parities must alternate")
         # one flat vector holds every weight and bias; the nets keep views of it
         self.params = np.concatenate([p.ravel() for p in self.parameters()] or [np.zeros(0)])
-        pos = 0
+        arrays, stacks = self._carve(self.params)
+        views = iter(arrays)
         for layer in self.layers:
             for net in (layer.s_net, layer.t_net):
-                for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                    net.weights[i] = self.params[pos: pos + w.size].reshape(w.shape)
-                    pos += w.size
-                    net.biases[i] = self.params[pos: pos + b.size]
-                    pos += b.size
+                for i in range(len(net.weights)):
+                    net.weights[i], net.biases[i] = next(views), next(views)
+        self._stacks = [(stack[0::2], stack[1::2]) for stack in stacks]
+        self._grad_out = self._grad_views = None
+
+    def _carve(self, flat):
+        """Views into a vector laid out like ``params``.
+
+        Returns the per-array views in ``parameters()`` order and, per layer,
+        the list [W0, b0, W1, b1, ...] of its two nets' arrays stacked,
+        shaped (2, in, out) and (2, 1, out). A layer's s-net and t-net have
+        identical shapes and are stored one after the other, so its block is
+        a (2, S) slab, S the size of one net, and each stacked array is a
+        reshaped column range of the slab.
+        """
+        arrays, stacks = [], []
+        start = 0
+        for layer in self.layers:
+            shapes = [p.shape for p in layer.s_net.parameters()]
+            size = sum(math.prod(shape) for shape in shapes)
+            slab = flat[start: start + 2 * size].reshape(2, size)
+            stack, col = [], 0
+            for shape in shapes:
+                stack.append(slab[:, col: col + math.prod(shape)].reshape(2, -1, shape[-1]))
+                col += math.prod(shape)
+            arrays += [v[j].reshape(shape) for j in (0, 1) for v, shape in zip(stack, shapes)]
+            stacks.append(stack)
+            start += 2 * size
+        return arrays, stacks
 
     @property
     def ambient_dim(self):
@@ -220,19 +268,31 @@ class FlowModel:
             raise NumericError("non-finite log-density")
         return float(total[0]) if squeeze else total
 
-    def nll_and_grads(self, batch):
-        """Mean NLL over the batch and its exact gradients, one new array per parameter."""
+    def nll_and_grads(self, batch, out=None):
+        """Mean NLL over the batch and its exact gradients.
+
+        The gradients are written into ``out``, a float vector shaped like
+        ``params`` (a new one when None). Returns (nll, views of it in
+        ``parameters()`` order).
+        """
         x = np.asarray(batch, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
         if x.shape[0] == 0:
             raise UsageError("empty batch")
+        if out is None:
+            out = np.empty_like(self.params)
+        if out is not self._grad_out:  # the training loop passes one vector every step
+            if out.shape != self.params.shape or out.dtype != float or not out.flags.c_contiguous:
+                raise UsageError("out must be a contiguous float vector shaped like params")
+            self._grad_out, self._grad_views = out, self._carve(out)
+        arrays, grad_stacks = self._grad_views
         n = x.shape[0]
         u = self.standardizer.standardize(self._to_latent(x))
         caches = []
         total = np.full(n, self.standardizer.log_det)
-        for layer in reversed(self.layers):
-            u, logdet_inv, cache = layer.inverse_with_tape(u)
+        for layer, (weights, biases) in zip(reversed(self.layers), reversed(self._stacks)):
+            u, logdet_inv, cache = layer.stacked_inverse(u, weights, biases)
             caches.append(cache)
             total = total + logdet_inv
         log_prob = total - 0.5 * np.sum(u * u, axis=-1) - 0.5 * self.dim * LOG_2PI
@@ -241,14 +301,12 @@ class FlowModel:
             bad = int(np.argmax(~np.isfinite(log_prob)))
             raise NumericError(f"non-finite NLL (row {bad})")
 
-        grads = []
         g = u / n  # d nll / d z from the Gaussian term
         # walk back through the inverse evaluations, most recent first,
         # which visits the layers in order
-        for layer, cache in zip(self.layers, reversed(caches)):
-            s_grads, t_grads, g = layer.backward_inverse(cache, g, s_cotangent_extra=1.0 / n)
-            grads += s_grads + t_grads
-        return nll, grads
+        for layer, cache, grads in zip(self.layers, reversed(caches), grad_stacks):
+            g = layer.backward_inverse(cache, g, grads, s_cotangent_extra=1.0 / n)
+        return nll, arrays
 
     # sampling --------------------------------------------------------------
 
@@ -401,7 +459,7 @@ def load_model(path) -> FlowModel:
     """Read a model file; any inconsistency in it raises ModelFormatError."""
     try:
         return _read_model(path)
-    except UsageError as exc:  # the constructors' shape and scale checks
+    except (UsageError, NumericError) as exc:  # the constructors' shape and value checks
         raise ModelFormatError(f"{path}: inconsistent model file: {exc}") from None
 
 
@@ -426,6 +484,9 @@ def _read_model(path) -> FlowModel:
             singular = _read_array(fh, (d,))
             components = _read_array(fh, (d, m))
             (cev,) = _read(fh, "<d")
+            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(singular))
+                    and np.all(np.isfinite(components)) and math.isfinite(cev)):
+                raise ModelFormatError(f"{path}: non-finite value in the PCA block")
             pca_map = PcaMap(mean=mean, components=components,
                              singular_values=singular, n_components=m, cev=cev)
         (dim,) = _read(fh, "<I")

@@ -78,9 +78,11 @@ def fit(train) -> PcaDecomposition:
     if not np.all(np.isfinite(x)):
         raise DataError("PCA input contains non-finite values")
     n = x.shape[0]
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (n - 1)
+    # data near the float64 limit overflows here; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        centered = x - mean
+        cov = centered.T @ centered / (n - 1)
 
     if not np.all(np.isfinite(cov)):
         raise NumericError("covariance overflows float64: rescale the data")

@@ -124,6 +124,7 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig,
     n = train_rows.shape[0]
     best_val = math.inf
     best = params.copy()
+    grads = np.empty_like(params)
 
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
@@ -132,15 +133,14 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig,
         for start in range(0, n, config.batch_size):
             batch = train_rows[perm[start: start + config.batch_size]]
             try:
-                nll, grads = model.nll_and_grads(batch)
+                nll, _ = model.nll_and_grads(batch, out=grads)
             except NumericError:
                 if allow_divergence:
                     diverged_here = True
                     break
                 raise DivergedError("training loss became non-finite", log=log)
             epoch_nll += nll * batch.shape[0]
-            flat = _clip_gradients(np.concatenate([g.ravel() for g in grads]))
-            adam_step(params, flat, state, config)
+            adam_step(params, _clip_gradients(grads), state, config)
         if diverged_here:
             log.diverged = True
             log.diverged_epoch = epoch

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcflow import cli, dataio
+from pcflow.conditioner import DenseNet
 from pcflow.flow import load_model, save_model
 
 
@@ -329,6 +330,26 @@ def test_eval_tiny_bandwidth_runs_quietly(prepared, tmp_path):
     assert code == 0, err
 
 
+def test_eval_winter_pv_needs_no_bandwidth(tmp_path):
+    # sun in 20 of 96 steps: 79% exact zeros, so the pooled IQR is 0
+    meta = ["period_length=96", "interval_minutes=15", "scaling=none"]
+    sets = []
+    for seed in (0, 1):
+        rows = np.zeros((200, 96))
+        rows[:, 38:58] = np.random.default_rng(seed).uniform(0.0, 0.4, (200, 20))
+        (tmp_path / f"set{seed}").mkdir()
+        sets.append(write_scenarios(tmp_path / f"set{seed}",
+                                    [",".join(map(repr, row)) for row in rows.tolist()], meta))
+    code, err = exit_code(["eval", "--historical", str(sets[0]), "--generated", str(sets[1]),
+                           "--out-dir", str(tmp_path / "r"), "--no-timestamp"])
+    assert code == 0, err
+    flat = write_scenarios(tmp_path, ["0.0,0.0,0.0,0.0"] * 8, GOOD_META)
+    code, err = exit_code(["eval", "--historical", str(flat), "--generated", str(flat),
+                           "--out-dir", str(tmp_path / "r2")])
+    assert code == cli.EXIT_DATA
+    assert "zero spread" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("length", ["0", "-4", "1"])
 def test_eval_rejects_segment_length_below_two(prepared, tmp_path, length):
     code, err = exit_code(["eval", "--historical", str(prepared), "--generated", str(prepared),
@@ -472,16 +493,23 @@ def trained_model(tmp_path_factory):
 
 
 def model_fields(model):
-    """Offset and struct format of the scalar fields of a model file with a PCA block."""
+    """Offset and struct format of fields of a model file with a PCA block.
+
+    The array fields are each array's first value; the net fields are those
+    of the first layer of the first s-net.
+    """
     d, m = struct.unpack_from("<II", model, 37)
     at = 45 + 8 * (2 * d + d * m)  # past the mean, singular values and components
     (dim,) = struct.unpack_from("<I", model, at + 8)
     layers = at + 12 + 16 * dim  # the layer count, after cev, dim, shift and scale
+    rows, cols = struct.unpack_from("<II", model, layers + 17)
     return {
         "flags": (12, "<I"), "interval_minutes": (16, "<I"), "d": (37, "<I"), "m": (41, "<I"),
+        "mean": (45, "<d"), "singular": (45 + 8 * d, "<d"), "component": (45 + 16 * d, "<d"),
         "cev": (at, "<d"), "dim": (at + 8, "<I"), "scale": (at + 12 + 8 * dim, "<d"),
         "n_layers": (layers, "<I"), "s_cap": (layers + 5, "<d"), "depth": (layers + 13, "<I"),
-        "rows": (layers + 17, "<I"), "cols": (layers + 21, "<I"),
+        "rows": (layers + 17, "<I"), "cols": (layers + 21, "<I"), "weight": (layers + 25, "<d"),
+        "bias": (layers + 25 + 8 * rows * cols, "<d"),
     }
 
 
@@ -536,6 +564,28 @@ def test_sample_non_chaining_net_is_format_error(trained_model, tmp_path):
     assert "inconsistent model file: layer 0 output dim does not chain" in err
 
 
+@pytest.mark.parametrize("name", ["mean", "singular", "component", "cev", "weight", "bias"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_sample_non_finite_model_value_is_format_error(trained_model, name, value):
+    code, err = sample_exit(overwrite(trained_model, **{name: value}))
+    assert code == cli.EXIT_DATA
+    assert "model.pcf: " in err and "non-finite" in err, err
+
+
+def test_sample_nets_of_different_widths_is_format_error(trained_model, tmp_path):
+    path = tmp_path / "model.pcf"
+    path.write_bytes(trained_model)
+    model = load_model(path)
+    layer = model.layers[0]
+    widths = tuple(w.shape[1] + 1 for w in layer.t_net.weights[:-1])
+    layer.t_net = DenseNet.create(layer.id_dim, layer.dim - layer.id_dim, widths,
+                                  np.random.default_rng(0))
+    save_model(model, path)
+    code, err = sample_exit(path.read_bytes())
+    assert code == cli.EXIT_DATA
+    assert "inconsistent model file: s_net and t_net must have identical layer shapes" in err
+
+
 @settings(max_examples=50, deadline=None)
 @given(cut=st.integers(0, 10**6))
 def test_fuzz_truncated_model(trained_model, cut):
@@ -553,8 +603,9 @@ def test_fuzz_flipped_model_bytes(trained_model, flips):
 
 
 @settings(max_examples=50, deadline=None)
-@given(name=st.sampled_from(["flags", "interval_minutes", "d", "m", "cev", "dim", "scale",
-                             "n_layers", "s_cap", "depth", "rows", "cols"]),
+@given(name=st.sampled_from(["flags", "interval_minutes", "d", "m", "mean", "singular",
+                             "component", "cev", "dim", "scale", "n_layers", "s_cap", "depth",
+                             "rows", "cols", "weight", "bias"]),
        data=st.data())
 def test_fuzz_overwritten_model_field(trained_model, name, data):
     integer = model_fields(trained_model)[name][1] == "<I"

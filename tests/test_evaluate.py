@@ -77,6 +77,19 @@ def test_silverman_formula():
     assert evaluate.silverman_bandwidth(samples) == pytest.approx(want)
 
 
+def test_silverman_falls_back_to_std_when_iqr_is_zero():
+    # 200 days of 96 steps with sun in 20 of them: 79% of the values are exact zeros
+    days = np.zeros((200, 96))
+    days[:, 38:58] = np.random.default_rng(11).uniform(0.0, 0.4, (200, 20))
+    samples = days.ravel()
+    q75, q25 = np.percentile(samples, [75, 25])
+    assert q75 == q25 == 0.0
+    want = 0.9 * samples.std() * samples.size ** -0.2
+    assert evaluate.silverman_bandwidth(samples) == want > 0
+    with pytest.raises(DataError, match="zero spread"):
+        evaluate.silverman_bandwidth(np.full(50, 0.3))
+
+
 def dense_kde(samples, grid, bandwidth):
     """The dense grid x samples kernel sum that kde_pdf must reproduce."""
     z = (grid[:, None] - samples[None, :]) / bandwidth

@@ -112,6 +112,11 @@ def test_logdet_matches_numerical_jacobian():
 def test_coupling_net_shape_validation():
     with pytest.raises(UsageError):
         CouplingLayer(4, zero_net(3, 1), zero_net(2, 2))
+    rng = np.random.default_rng(3)
+    with pytest.raises(UsageError, match="identical layer shapes"):
+        CouplingLayer(4, DenseNet.create(2, 2, (4,), rng), DenseNet.create(2, 2, (5,), rng))
+    with pytest.raises(UsageError, match="identical layer shapes"):
+        CouplingLayer(4, DenseNet.create(2, 2, (4,), rng), DenseNet.create(2, 2, (), rng))
     with pytest.raises(UsageError, match="hidden widths"):
         build_flow(4, hidden_dims=(3, 0))
 
@@ -261,6 +266,76 @@ def test_params_vector_backs_every_weight():
     assert not np.allclose(model.log_prob(x), before)
     assert np.array_equal(np.concatenate([p.ravel() for p in views]), model.params)
     assert all(np.shares_memory(p, model.params) for p in views)
+
+
+def per_net_nll_and_grads(model, batch):
+    """Mean NLL and gradients with the s-net and t-net evaluated one at a time."""
+    n = batch.shape[0]
+    u = model.standardizer.standardize(batch)
+    total = np.full(n, model.standardizer.log_det)
+    caches = []
+    for layer in reversed(model.layers):
+        u, logdet_inv, cache = layer.inverse_with_tape(u)
+        caches.append(cache)
+        total = total + logdet_inv
+    nll = -float((total - 0.5 * np.sum(u * u, axis=-1) - 0.5 * model.dim * LOG_2PI).mean())
+    grads, g = [], u / n
+    for layer, cache in zip(model.layers, reversed(caches)):
+        s, exp_neg_s, z_rest, (s_tape, t_tape) = cache
+        g_ident, g_rest_out = layer._split(g)
+        cot_raw = (-g_rest_out * z_rest + 1.0 / n) * (1.0 - (s / layer.s_cap) ** 2)
+        s_grads, g_s = layer.s_net.backward(s_tape, cot_raw)
+        t_grads, g_t = layer.t_net.backward(t_tape, -g_rest_out * exp_neg_s)
+        g = layer._join(g_ident + g_s + g_t, g_rest_out * exp_neg_s)
+        grads += s_grads + t_grads
+    return nll, grads
+
+
+def test_stacked_nll_and_grads_match_per_net_route_bit_for_bit():
+    rng = np.random.default_rng(24)
+    for trial in range(30):
+        dim = int(rng.integers(2, 8))
+        hidden = tuple(int(rng.integers(1, 6)) for _ in range(int(rng.integers(0, 3))))
+        model = build_flow(dim, n_layers=int(rng.integers(1, 5)), hidden_dims=hidden,
+                           seed=trial, standardizer=Standardizer(rng.standard_normal(dim),
+                                                                 rng.uniform(0.5, 2, dim)))
+        model.params[:] = rng.standard_normal(model.params.size)
+        batch = rng.standard_normal((int(rng.integers(1, 70)), dim))
+        nll, grads = model.nll_and_grads(batch)
+        want_nll, want = per_net_nll_and_grads(model, batch)
+        assert nll == want_nll
+        assert len(grads) == len(want)
+        for got, exp in zip(grads, want):
+            assert got.shape == exp.shape and got.tobytes() == exp.tobytes()
+
+
+def test_nll_and_grads_writes_into_out():
+    model = build_flow(5, n_layers=3, hidden_dims=(4, 3), seed=25)
+    batch = np.random.default_rng(26).standard_normal((7, 5))
+    out = np.full_like(model.params, np.nan)
+    nll, grads = model.nll_and_grads(batch, out=out)
+    assert all(np.shares_memory(g, out) for g in grads)
+    fresh_nll, fresh = model.nll_and_grads(batch)
+    assert nll == fresh_nll
+    assert out.tobytes() == np.concatenate([g.ravel() for g in fresh]).tobytes()
+    for bad in (np.zeros(model.params.size + 1), np.zeros(2 * model.params.size)[::2],
+                np.zeros(model.params.size, dtype=np.float32)):
+        with pytest.raises(UsageError, match="shaped like params"):
+            model.nll_and_grads(batch, out=bad)
+
+
+def test_subnormal_s_cap_is_quiet_and_finite():
+    rng = np.random.default_rng(27)
+    layer = CouplingLayer(4, DenseNet.create(2, 2, (3,), rng), DenseNet.create(2, 2, (3,), rng),
+                          s_cap=5e-324)
+    model = FlowModel([layer], Standardizer.identity(4))
+    x = 1e3 * rng.standard_normal((6, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.all(np.isfinite(model.log_prob(x)))
+        assert np.all(np.isfinite(model.sample_array(6, seed=1)))
+        nll, _ = model.nll_and_grads(x)
+    assert math.isfinite(nll)
 
 
 # save / load ------------------------------------------------------------

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -69,8 +70,11 @@ def test_fit_constant_columns_exact_zero_eigenvalues():
 
 
 def test_fit_rejects_overflowing_covariance():
-    with pytest.raises(NumericError), np.errstate(over="ignore"):
-        pca.fit(np.array([[1e200, 0.0], [-1e200, 1.0], [3.0, 1e200]]))
+    for rows in ([[1e200, 0.0], [-1e200, 1.0], [3.0, 1e200]],
+                 [[1.7e308, 0.0], [1.7e308, 1.0], [-1.7e308, 1e200]]):  # the mean overflows too
+        with pytest.raises(NumericError), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pca.fit(np.array(rows))
 
 
 FIT_IN_CHILD = """

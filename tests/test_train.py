@@ -1,6 +1,9 @@
 """Tests for the Adam optimizer, the training loop, and the two fit modes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -218,3 +221,30 @@ def test_trainlog_csv_roundtrip(tmp_path):
     assert "epoch,train_nll,val_nll" in text
     assert "1,1.2,1.4" in text
     assert "# best_epoch=1" in text
+
+
+TRAIN_IN_CHILD = """
+import sys
+import numpy as np
+from pcflow.flow import save_model
+from pcflow.train import TrainConfig, fit_fsnf
+rng = np.random.default_rng(5)
+steps = np.arange(96)
+bell = np.clip(np.sin(np.pi * (steps - 24) / 48), 0.0, None)  # zero at night
+rows = rng.uniform(0.2, 1.0, (300, 1)) * bell + 0.01 * rng.standard_normal((300, 96)) * (bell > 0)
+model, _ = fit_fsnf(rows[:240], rows[240:], config=TrainConfig(epochs=3, seed=1))
+save_model(model, sys.argv[1])
+"""
+
+
+def test_training_bytes_independent_of_blas_threads(tmp_path):
+    models = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = tmp_path / f"threads{threads}.pcf"
+        subprocess.run([sys.executable, "-c", TRAIN_IN_CHILD, str(path)], env=env,
+                       capture_output=True, timeout=120, check=True)
+        models.append(path.read_bytes())
+    assert models[0] == models[1]
