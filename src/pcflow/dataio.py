@@ -383,12 +383,8 @@ def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
             fh.write(f"{key}={val}\n")
 
 
-def load_scenarios(path) -> ScenarioSet:
-    """Read a scenario CSV and its sidecar metadata file.
-
-    Malformed lines raise ParseError with the line number, and a sidecar
-    missing period_length or interval_minutes raises SchemaError.
-    """
+def _read_rows_by_line(path):
+    """Parse a scenario CSV line by line; every fault names its line."""
     rows = []
     width = None
     with open(path, encoding="utf-8") as fh:
@@ -406,12 +402,48 @@ def load_scenarios(path) -> ScenarioSet:
                                      f"got {len(row)}")
                 width = len(row)
             rows.append(row)
+    return np.array(rows)
+
+
+def _read_rows(path):
+    """The data rows of a scenario CSV, as _read_rows_by_line reads them.
+
+    numpy's C parser reads the lines that are not comments. It rejects
+    every spelling float() reads differently (``1_0``, non-ASCII digits,
+    NUL, a ``#`` inside a line, a blank line holding whitespace) and every
+    ragged row. Whatever it rejects, and a file it finds empty, is read
+    again line by line, so each fault keeps its class, message and line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = [line for line in fh if not line.strip().startswith("#")]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data"
+                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if rows.size:
+                return rows
+        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+            pass
+    return _read_rows_by_line(path)
+
+
+def load_scenarios(path) -> ScenarioSet:
+    """Read a scenario CSV and its sidecar metadata file.
+
+    Malformed lines raise ParseError with the line number, and a sidecar
+    missing period_length or interval_minutes, or naming an unknown
+    scaling mode, raises SchemaError.
+    """
+    data = _read_rows(path)
     meta_path = f"{path}.meta"
     convert = {"period_length": int, "interval_minutes": int, "min": float, "max": float}
     meta = {}
+    scaling_line = None
     with open(meta_path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             key, _, val = (part.strip() for part in line.partition("="))
+            if key == "scaling":
+                scaling_line = line_no
             try:
                 meta[key] = convert.get(key, str)(val)
             except ValueError:
@@ -419,10 +451,13 @@ def load_scenarios(path) -> ScenarioSet:
     for key in ("period_length", "interval_minutes"):
         if key not in meta:
             raise SchemaError(f"{meta_path}: missing key {key!r}")
+    if meta.get("scaling", "none") not in SCALING_MODES:
+        raise SchemaError(f"{meta_path}: line {scaling_line}: "
+                          f"unknown scaling mode {meta['scaling']!r}")
     if meta.get("scaling") == "minmax" and not {"min", "max"} <= meta.keys():
         raise SchemaError(f"{meta_path}: minmax scaling needs both 'min' and 'max'")
     return ScenarioSet(
-        data=np.array(rows),
+        data=data,
         period_length=meta["period_length"],
         interval_minutes=meta["interval_minutes"],
         scaling=meta.get("scaling", "none"),

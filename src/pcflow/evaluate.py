@@ -15,7 +15,7 @@ import numpy as np
 
 from . import pca as pca_mod
 from .dataio import ScenarioSet
-from .errors import DataError, UsageError
+from .errors import DataError, NumericError, UsageError
 
 KDE_GRID_POINTS = 512
 # kde_pdf sums over blocks of this many grid points at a time
@@ -41,9 +41,11 @@ def silverman_bandwidth(samples):
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
-    std = samples.std()
-    q75, q25 = np.percentile(samples, [75, 25])
-    iqr = q75 - q25
+    # data near the float64 limit overflows here; welch_psd or PCA reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = samples.std()
+        q75, q25 = np.percentile(samples, [75, 25])
+        iqr = q75 - q25
     spread = min(std, iqr / 1.34) if iqr > 0 else std
     if spread <= 0 or samples.min() == samples.max():
         raise DataError("degenerate sample (zero spread): give a bandwidth explicitly")
@@ -222,8 +224,9 @@ def periodogram(signal, sample_rate, window=None):
     if window is None:
         window = np.ones(n)
     spectrum = np.fft.rfft(signal * window, axis=-1)
-    power = np.abs(spectrum) ** 2 / (sample_rate * np.sum(window ** 2))
-    power[..., 1:] *= 2.0
+    with np.errstate(over="ignore"):  # welch_psd reports an overflow
+        power = np.abs(spectrum) ** 2 / (sample_rate * np.sum(window ** 2))
+        power[..., 1:] *= 2.0
     if n % 2 == 0:
         power[..., -1] /= 2.0  # Nyquist bin is not duplicated
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
@@ -248,7 +251,11 @@ def welch_psd(scenario_set: ScenarioSet, segment_length=None, overlap_fraction=0
     # (rows, segments, segment_length) view of every segment of every row
     segments = np.lib.stride_tricks.sliding_window_view(data, segment_length, axis=1)[:, ::step]
     freqs, power = periodogram(segments, sample_rate, win)
-    return freqs, power.mean(axis=(0, 1))
+    with np.errstate(over="ignore"):
+        power = power.mean(axis=(0, 1))
+    if not np.all(np.isfinite(power)):
+        raise NumericError("power spectrum overflows float64: rescale the data")
+    return freqs, power
 
 
 # component counts and marginals -----------------------------------------------
@@ -275,7 +282,8 @@ def marginal_stats(scenario_set: ScenarioSet, start_minute=0, end_minute=None):
     if len(cols) == 0:
         raise UsageError("clock window selects no time steps")
     block = scenario_set.data[:, cols]
-    return minutes[cols], block.mean(axis=0), block.var(axis=0, ddof=1)
+    with np.errstate(over="ignore"):  # welch_psd or PCA reports an overflow
+        return minutes[cols], block.mean(axis=0), block.var(axis=0, ddof=1)
 
 
 # report -----------------------------------------------------------------------

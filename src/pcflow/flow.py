@@ -46,7 +46,11 @@ class Standardizer:
     @classmethod
     def from_data(cls, data):
         data = np.asarray(data, dtype=float)
-        std = data.std(axis=0)
+        # data near the float64 limit overflows here; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            std = data.std(axis=0)
+        if not np.all(np.isfinite(std)):  # also when the mean overflows
+            raise NumericError("per-dimension variance overflows float64: rescale the data")
         scale = np.where(std > STD_FLOOR, std, 1.0)
         return cls(data.mean(axis=0), scale)
 

@@ -373,6 +373,28 @@ def test_eval_malformed_scenarios_exit_3(tmp_path, rows, meta, match):
     assert match in err and "Traceback" not in err
 
 
+# per-column variances of about 1e600: float64 overflows in every stage's spread
+OVERFLOWING_ROWS = [",".join([repr(1e300 if i % 2 else -1e300)] * 4) for i in range(10)]
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--mode", "fsnf", "--epochs", "2"],
+    ["train", "--mode", "pcf", "--epochs", "2"],
+    ["eval"],
+])
+def test_overflowing_variance_is_numeric_error_without_warnings(tmp_path, command):
+    path = str(write_scenarios(tmp_path, OVERFLOWING_ROWS, GOOD_META))
+    inputs = (["--data", path] if command[0] == "train"
+              else ["--historical", path, "--generated", path])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = exit_code([*command, *inputs, "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_NUMERIC, err
+    assert "overflows float64: rescale the data" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 # malformed-input fuzzing ------------------------------------------------
 
 
@@ -434,6 +456,38 @@ def test_fuzz_malformed_meta_line(line, drop):
 @given(lines=st.lists(CONFIG_LINE, min_size=1, max_size=3))
 def test_fuzz_malformed_config_lines(lines):
     eval_exit(config=lines)
+
+
+TRAIN_MODES = st.sampled_from(["pcf", "fsnf"])
+
+
+def train_exit(rows=GOOD_ROWS, meta=GOOD_META, mode="pcf"):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenarios(tmp, rows, meta)
+        code, err = exit_code(["train", "--data", str(path), "--mode", mode, "--epochs", "2",
+                               "--val-fraction", "0.25", "--out-dir", str(Path(tmp) / "t"),
+                               "--no-timestamp"])
+    assert code in (0, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC), err
+    assert "Traceback" not in err
+    return code
+
+
+@pytest.mark.parametrize("mode", ["pcf", "fsnf"])
+def test_fuzz_baseline_inputs_train_cleanly(mode):
+    assert train_exit(mode=mode) == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(row=ROW, at=st.integers(0, len(GOOD_ROWS)), mode=TRAIN_MODES)
+def test_fuzz_train_malformed_scenario_row(row, at, mode):
+    train_exit(rows=GOOD_ROWS[:at] + [row] + GOOD_ROWS[at:], mode=mode)
+
+
+@settings(max_examples=50, deadline=None)
+@given(line=META_LINE, drop=st.sampled_from([None, 0, 1, 2]), mode=TRAIN_MODES)
+def test_fuzz_train_malformed_meta_line(line, drop, mode):
+    meta = [m for i, m in enumerate(GOOD_META) if i != drop]
+    train_exit(meta=meta + [line], mode=mode)
 
 
 GOOD_RAW = raw_csv_lines(n_days=4, period_length=4, with_capacity=True)

@@ -626,7 +626,7 @@ def test_load_scenarios_bad_row_is_parse_error(tmp_path, rows, match):
     (GOOD_META[:2] + ["scaling=minmax", "min=0.0"], SchemaError, "both 'min' and 'max'"),
     (["period_length=two", "interval_minutes=720"], ParseError, "meta: line 1: .*period_length"),
     (GOOD_META + ["min=low", "max=1.0"], ParseError, "meta: line 4: malformed min 'low'"),
-    (GOOD_META[:2] + ["scaling=log"], UsageError, "scaling"),
+    (GOOD_META[:2] + ["scaling=log"], SchemaError, "meta: line 3: unknown scaling"),
     (["period_length=2", "interval_minutes=0"], DataError, "interval_minutes"),
 ])
 def test_load_scenarios_bad_meta(tmp_path, meta, error, match):
@@ -639,3 +639,131 @@ def test_scenario_set_is_readonly():
     scenario_set = make_set(np.zeros((2, 4)))
     with pytest.raises(ValueError):
         scenario_set.data[0, 0] = 1.0
+
+
+def reference_read_rows(path):
+    """The line loop that load_scenarios replaced with a bulk parse, kept as its oracle."""
+    rows = []
+    width = None
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                row = list(map(float, line.split(",")))
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {line_no}: {exc}") from None
+            if len(row) != width:
+                if rows:
+                    raise ParseError(f"{path}: line {line_no}: expected {width} fields, "
+                                     f"got {len(row)}")
+                width = len(row)
+            rows.append(row)
+    return np.array(rows)
+
+
+def rows_outcome(read, path):
+    """Shape, dtype and bytes of what read returns, or its exception class and message."""
+    try:
+        rows = read(path)
+    except (PcflowError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        return type(exc), str(exc)
+    return rows.shape, rows.dtype, rows.tobytes()
+
+
+def assert_reads_like_reference(tmp_path, text, width):
+    """load_scenarios reads text as the line loop does, rows and the set built from them."""
+    path = tmp_path / "scen.csv"
+    # surrogateescape writes "\udcff" as the raw byte 0xff, which is not UTF-8
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    (tmp_path / "scen.csv.meta").write_text(
+        f"period_length={width}\ninterval_minutes=1\nscaling=none\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = rows_outcome(dataio._read_rows, path)
+    assert not caught  # numpy's "input contained no data" is not printed
+    assert got == rows_outcome(reference_read_rows, path)
+
+    def reference_load(path):
+        return dataio.ScenarioSet(data=reference_read_rows(path), period_length=width,
+                                  interval_minutes=1).data
+
+    def load(path):
+        return dataio.load_scenarios(path).data
+
+    assert rows_outcome(load, path) == rows_outcome(reference_load, path)
+
+
+# spellings float() and numpy's parser may read differently, or not at all
+ODD_CELLS = ["", " ", "\t", "\u3000", "nan", "-nan", "NaN", "inf", "-Infinity", "1e400",
+             "-1e400", " 7.5 ", "\xa07.5\x85", "+.5", "5.", "-0", "1_0", "1__0", "\u0661",
+             "\u0661.5", "0x1p3", "0x10", "1\0", "\0", "1 \0", "1#2", "1 # x", "#", "1e", "1d0",
+             "nan(1)", "--1", "abc", "1j", "\ufeff1", "\udcff"]
+ROW_CELL = st.one_of(st.floats().map(repr), st.sampled_from(ODD_CELLS))
+SPECIAL_LINES = st.sampled_from(["", " ", " \t ", "\u3000", "# generated", "  # indented",
+                                 "#", "1.0 # note", "\0", "\x0c"])
+
+
+@st.composite
+def scenario_texts(draw):
+    """A width and a scenario CSV text: mostly full rows, some odd cells and lines."""
+    width = draw(st.integers(1, 4))
+    good = st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    min_size=width, max_size=width)
+    odd = st.lists(ROW_CELL, min_size=width, max_size=width)
+    ragged = st.lists(ROW_CELL, min_size=1, max_size=width + 2)
+    rows = st.one_of(good, good, good, odd, ragged).map(",".join)
+    lines = draw(st.lists(st.one_of(rows, rows, rows, SPECIAL_LINES), max_size=8))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    end = draw(st.sampled_from(["", newline, newline + newline]))
+    return width, newline.join(lines) + end
+
+
+@settings(max_examples=300, deadline=None)
+@given(file=scenario_texts())
+def test_load_scenarios_matches_line_loop(tmp_path_factory, file):
+    width, text = file
+    assert_reads_like_reference(tmp_path_factory.mktemp("scen"), text, width)
+
+
+@pytest.mark.parametrize("text, width", [
+    ("# generated\n0.5,0.25\n  # indented\n0.75,1.0\n", 2),  # comment lines
+    ("0.5,0.25 # note\n0.75,1.0\n", 2),  # a "#" inside a line
+    ("0.5,0.25\n\n0.75,1.0\n\n", 2),  # blank lines
+    ("0.5,0.25\n \t \n0.75,1.0\n", 2),  # a whitespace-only line
+    ("0.5,0.25\r\n0.75,1.0\r\n", 2),  # CRLF
+    ("0.5,0.25\r0.75,1.0\r", 2),  # CR
+    ("0.5,0.25\n0.75,1.0\0\n", 2),  # NUL
+    ("0.5,0.25\n0.75,1_0\n", 2),  # underscore
+    ("0.5,0.25\n0.75,\u0661\n", 2),  # Arabic-Indic digit one
+    ("0.5,0.25\n0.75,0x1p3\n", 2),  # hex float
+    ("0.5,nan\n0.75,inf\n", 2),
+    ("0.5,0.25\n0.75,1e400\n", 2),
+    ("0.5,0.25,\n0.75,1.0,\n", 2),  # trailing comma
+    ("0.5,0.25\n0.75\n", 2),  # ragged row
+    ("0.5,0.25,0.125\n0.75,1.0\n", 2),
+    ("0.5,0.25\n", 2),  # a single row
+    ("0.5\n0.25\n0.75\n", 1),  # a single column
+    ("", 2),  # an empty file
+    ("# generated\n# nothing else\n", 2),  # comments only
+    ("0.5,0.25\n0.75,\udcff\n", 2),  # not UTF-8
+])
+def test_load_scenarios_matches_line_loop_on_named_inputs(tmp_path, text, width):
+    assert_reads_like_reference(tmp_path, text, width)
+
+
+@pytest.mark.parametrize("comment", [None, "generated 2026-01-01T00:00:00+00:00"])
+def test_load_scenarios_reads_saved_files_in_bulk(tmp_path, monkeypatch, comment):
+    data = np.random.default_rng(5).uniform(size=(40, 24))
+    data[:, :6] = 0.0
+    scenario_set = make_set(data, scaling="minmax", scale_min=0.0, scale_max=3.5)
+    path = tmp_path / "scen.csv"
+    dataio.save_scenarios(scenario_set, path, header_comment=comment)
+
+    def line_loop(path):
+        raise AssertionError("a saved file fell back to the line loop")
+
+    monkeypatch.setattr(dataio, "_read_rows_by_line", line_loop)
+    assert dataio.load_scenarios(path).data.tobytes() == data.tobytes()
+

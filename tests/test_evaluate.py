@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcflow import dataio, evaluate, pca
-from pcflow.errors import DataError, UsageError
+from pcflow.errors import DataError, NumericError, UsageError
 
 
 def make_set(data, interval_minutes=None):
@@ -391,6 +391,16 @@ def test_white_noise_psd_is_flat():
     expected = 2.0 / 4.0
     interior = power[1:-1]
     assert np.abs(interior - expected).max() < 3 * expected / math.sqrt(400)
+
+
+def test_welch_overflow_is_numeric_error_without_warnings():
+    # the PSD overflows float64 a little below where the covariance does
+    data = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 96)) * 2e153
+    assert np.all(np.isfinite(pca.fit(make_set(data)).singular_values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="power spectrum overflows float64"):
+            evaluate.welch_psd(make_set(data, interval_minutes=15))
 
 
 def test_welch_argument_validation():
