@@ -8,15 +8,8 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
-from . import dataio, evaluate, pca as pca_mod, toy
-from .errors import (
-    DataError,
-    NumericError,
-    PcflowError,
-    UsageError,
-)
+from . import dataio, evaluate, toy
+from .errors import NumericError, PcflowError, UsageError
 from .flow import load_model, save_model
 from .train import TrainConfig, fit_fsnf, fit_pcf
 
@@ -31,14 +24,21 @@ def _timestamp_comment(args):
     return f"generated {datetime.now(timezone.utc).isoformat(timespec='seconds')}"
 
 
-def _train_config(args):
-    return TrainConfig(
+def _fit(args, full, cev_target, n_components=None, hidden_dims=None):
+    """Split the set, then train the flow that --mode names."""
+    train_set, val_set = dataio.split(full, args.val_fraction, args.seed)
+    config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         seed=args.seed,
         early_stop_patience=args.patience,
     )
+    if args.mode == "pcf":
+        return fit_pcf(train_set, val_set, cev_target=cev_target, n_components=n_components,
+                       n_layers=args.layers, hidden_dims=hidden_dims, config=config)
+    return fit_fsnf(train_set, val_set, n_layers=args.layers, hidden_dims=hidden_dims,
+                    config=config)
 
 
 def cmd_prepare(args):
@@ -62,16 +62,8 @@ def cmd_train(args):
     if args.cev is not None and args.components is not None:
         raise UsageError("--cev and --components are mutually exclusive")
     full = dataio.load_scenarios(args.data)
-    train_set, val_set = dataio.split(full, args.val_fraction, args.seed)
-    config = _train_config(args)
-    if args.mode == "pcf":
-        cev = args.cev if (args.cev is not None or args.components is not None) else 0.99
-        model, log = fit_pcf(train_set, val_set, cev_target=cev,
-                             n_components=args.components, n_layers=args.layers,
-                             hidden_dims=args.hidden, config=config)
-    else:
-        model, log = fit_fsnf(train_set, val_set, n_layers=args.layers,
-                              hidden_dims=args.hidden, config=config)
+    cev = args.cev if (args.cev is not None or args.components is not None) else 0.99
+    model, log = _fit(args, full, cev, args.components, args.hidden)
 
     os.makedirs(args.out_dir, exist_ok=True)
     model_path = os.path.join(args.out_dir, "model.pcf")
@@ -122,13 +114,7 @@ def cmd_eval(args):
 
 def cmd_toy(args):
     full = toy.make_toy_set(args.shape, args.n, args.seed + 2)
-    train_set, val_set = dataio.split(full, args.val_fraction, args.seed)
-    config = _train_config(args)
-    if args.mode == "pcf":
-        model, log = fit_pcf(train_set, val_set, cev_target=args.cev,
-                             n_layers=args.layers, config=config)
-    else:
-        model, log = fit_fsnf(train_set, val_set, n_layers=args.layers, config=config)
+    model, log = _fit(args, full, args.cev)
 
     samples = model.sample(args.n, args.seed + 2)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -142,17 +128,23 @@ def cmd_toy(args):
     if args.shape == "curve1d":
         distances = toy.distance_to_curve(samples.data)
         lines.append(f"mean_distance_to_manifold={float(distances.mean())!r}")
-        lines.append(f"fraction_within_0.05={toy.fraction_on_curve(samples.data)!r}")
-    with open(os.path.join(args.out_dir, "metrics.txt"), "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        lines.append(f"fraction_within_{toy.ON_CURVE_TOLERANCE}="
+                     f"{toy.fraction_on_curve(samples.data)!r}")
+    with dataio.open_output(os.path.join(args.out_dir, "metrics.txt"), comment) as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 
 
 def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master seed; named streams are derived from it")
+    def seed(text):  # argparse names the function in its "invalid seed value" message
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+
+    parser.add_argument("--seed", type=seed, default=0,
+                        help="master seed (>= 0); named streams are derived from it")
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--config", default=None, help="key=value file overriding flags")
     parser.add_argument("--no-timestamp", action="store_true",
@@ -275,18 +267,11 @@ def main(argv=None):
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (PcflowError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except PcflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        if isinstance(exc, UsageError):
+            return EXIT_USAGE
+        return EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -115,6 +115,19 @@ class ScenarioSet:
         return self.data.shape[0]
 
 
+def as_rows(data):
+    """The data matrix of a ScenarioSet, or an array-like as a float array."""
+    return data.data if isinstance(data, ScenarioSet) else np.asarray(data, dtype=float)
+
+
+def open_output(path, header_comment=None):
+    """Open a UTF-8 text file for writing; a header comment becomes its first line."""
+    fh = open(path, "w", encoding="utf-8")
+    if header_comment:
+        fh.write(f"# {header_comment}\n")
+    return fh
+
+
 def _parse_timestamp(text, line_no):
     try:
         stamp = datetime.fromisoformat(text.strip())
@@ -306,7 +319,8 @@ def scale(scenario_set: ScenarioSet, mode: str, capacity=None) -> ScenarioSet:
         cap = capacity[scenario_set.source_index]
         if np.any(~np.isfinite(cap)) or np.any(cap <= 0):
             raise ScalingError("capacity must be positive at every used timestamp")
-        scaled = data / cap
+        with np.errstate(over="ignore"):  # ScenarioSet rejects a factor that overflows
+            scaled = data / cap
         return replace(scenario_set, data=scaled, scaling="capacity_factor")
 
     lo, hi = float(data.min()), float(data.max())
@@ -365,9 +379,7 @@ def split(scenario_set: ScenarioSet, validation_fraction: float, seed: int):
 
 def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
     """Write one scenario per row plus a sidecar ``<path>.meta`` text file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
+    with open_output(path, header_comment) as fh:
         for row in scenario_set.data.tolist():
             fh.write(",".join(map(repr, row)) + "\n")
     meta = {
@@ -430,9 +442,10 @@ def _read_rows(path):
 def load_scenarios(path) -> ScenarioSet:
     """Read a scenario CSV and its sidecar metadata file.
 
-    Malformed lines raise ParseError with the line number, and a sidecar
-    missing period_length or interval_minutes, or naming an unknown
-    scaling mode, raises SchemaError.
+    Malformed lines raise ParseError with the line number. A sidecar
+    missing period_length or interval_minutes, naming an unknown scaling
+    mode, or giving minmax bounds that are not finite with min < max,
+    raises SchemaError.
     """
     data = _read_rows(path)
     meta_path = f"{path}.meta"
@@ -454,8 +467,12 @@ def load_scenarios(path) -> ScenarioSet:
     if meta.get("scaling", "none") not in SCALING_MODES:
         raise SchemaError(f"{meta_path}: line {scaling_line}: "
                           f"unknown scaling mode {meta['scaling']!r}")
-    if meta.get("scaling") == "minmax" and not {"min", "max"} <= meta.keys():
-        raise SchemaError(f"{meta_path}: minmax scaling needs both 'min' and 'max'")
+    if meta.get("scaling") == "minmax":
+        if not {"min", "max"} <= meta.keys():
+            raise SchemaError(f"{meta_path}: minmax scaling needs both 'min' and 'max'")
+        if not -math.inf < meta["min"] < meta["max"] < math.inf:  # False for NaN too
+            raise SchemaError(f"{meta_path}: minmax needs finite min < max, "
+                              f"got min={meta['min']!r}, max={meta['max']!r}")
     return ScenarioSet(
         data=data,
         period_length=meta["period_length"],

@@ -34,11 +34,7 @@ class NumericError(PcflowError):
 
 
 class DivergedError(NumericError):
-    """Training loss became non-finite; carries the partial training log."""
-
-    def __init__(self, message, log=None):
-        super().__init__(message)
-        self.log = log
+    """Training loss became non-finite."""
 
 
 class ModelFormatError(PcflowError):

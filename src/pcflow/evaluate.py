@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pca as pca_mod
-from .dataio import ScenarioSet
+from .dataio import ScenarioSet, open_output
 from .errors import DataError, NumericError, UsageError
 
 KDE_GRID_POINTS = 512
@@ -27,6 +27,11 @@ KDE_REL_TOL = 2.0 ** -52
 # exp(-0.5 * 38.6**2) every term underflows to exactly 0.0 in float64
 KDE_CUTOFF = 40.0
 CEV_THRESHOLDS = (0.99, 0.999, 0.9999, 1.0)
+# the Kolmogorov series stop after this many terms, or at a term below KS_TOL
+KS_MAX_TERMS = 100
+KS_TOL = 1e-12
+# evaluate_sets tabulates the marginals over clock minutes 0 to 240, both included
+MARGINAL_WINDOW = (0, 240)
 
 
 # kernel density estimation ---------------------------------------------------
@@ -110,12 +115,13 @@ def kde_pdf(samples, grid, bandwidth=None):
     return density / (len(samples) * bandwidth * math.sqrt(2.0 * math.pi))
 
 
-def kde_grid(samples, bandwidth=None, points=KDE_GRID_POINTS):
-    """Uniform evaluation grid spanning [min - 3h, max + 3h]."""
+def kde_grid(samples, bandwidth=None):
+    """KDE_GRID_POINTS evenly spaced points spanning [min - 3h, max + 3h]."""
     samples = np.asarray(samples, dtype=float).ravel()
     if bandwidth is None:
         bandwidth = silverman_bandwidth(samples)
-    return np.linspace(samples.min() - 3 * bandwidth, samples.max() + 3 * bandwidth, points)
+    return np.linspace(samples.min() - 3 * bandwidth, samples.max() + 3 * bandwidth,
+                       KDE_GRID_POINTS)
 
 
 # Kolmogorov-Smirnov -----------------------------------------------------------
@@ -132,7 +138,7 @@ def ks_statistic(a, b):
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def kolmogorov_survival(lam, max_terms=100, tol=1e-12):
+def kolmogorov_survival(lam):
     """Kolmogorov survival function Q(lambda), clipped to [0, 1].
 
     For lambda >= 1 the alternating series
@@ -147,17 +153,17 @@ def kolmogorov_survival(lam, max_terms=100, tol=1e-12):
     if lam < 1.0:
         scale = math.sqrt(2.0 * math.pi) / lam
         total = 1.0
-        for k in range(1, max_terms + 1):
+        for k in range(1, KS_MAX_TERMS + 1):
             term = scale * math.exp(-(2 * k - 1) ** 2 * math.pi ** 2 / (8.0 * lam * lam))
             total -= term
-            if term < tol:
+            if term < KS_TOL:
                 break
     else:
         total = 0.0
-        for k in range(1, max_terms + 1):
+        for k in range(1, KS_MAX_TERMS + 1):
             term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
             total += term
-            if abs(term) < tol:
+            if abs(term) < KS_TOL:
                 break
     return min(max(total, 0.0), 1.0)
 
@@ -235,7 +241,11 @@ def periodogram(signal, sample_rate, window=None):
 
 def welch_psd(scenario_set: ScenarioSet, segment_length=None, overlap_fraction=0.5,
               window="hann"):
-    """Mean Welch PSD over all scenarios, frequencies in cycles per hour."""
+    """Mean Welch PSD over all scenarios, frequencies in cycles per hour.
+
+    ``window`` names the taper: "hann", or "rect" (also "rectangular",
+    "boxcar").
+    """
     data = scenario_set.data
     d = data.shape[1]
     if segment_length is None:
@@ -245,7 +255,7 @@ def welch_psd(scenario_set: ScenarioSet, segment_length=None, overlap_fraction=0
     if not 0.0 <= overlap_fraction <= 0.9:
         raise UsageError("overlap_fraction must lie in [0, 0.9]")
     step = max(int(round(segment_length * (1.0 - overlap_fraction))), 1)
-    win = _window(window, segment_length) if isinstance(window, str) else np.asarray(window)
+    win = _window(window, segment_length)
     sample_rate = 60.0 / scenario_set.interval_minutes  # samples per hour
 
     # (rows, segments, segment_length) view of every segment of every row
@@ -260,9 +270,9 @@ def welch_psd(scenario_set: ScenarioSet, segment_length=None, overlap_fraction=0
 
 # component counts and marginals -----------------------------------------------
 
-def cev_report(decomposition, thresholds=CEV_THRESHOLDS):
-    """Component count needed for each explained-variance threshold."""
-    return pca_mod.cev_table(decomposition, thresholds)
+def cev_report(decomposition):
+    """Component count needed for each threshold in CEV_THRESHOLDS."""
+    return pca_mod.cev_table(decomposition, CEV_THRESHOLDS)
 
 
 def marginal_stats(scenario_set: ScenarioSet, start_minute=0, end_minute=None):
@@ -309,7 +319,7 @@ class EvalReport:
 
 def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
                   bandwidth=None, segment_length=None, overlap_fraction=0.5,
-                  window="hann", marginal_window=(0, 240)) -> EvalReport:
+                  window="hann") -> EvalReport:
     """Run the full comparison suite on two scenario sets."""
     if historical.period_length != generated.period_length:
         raise UsageError("sets must have equal period length")
@@ -322,8 +332,8 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
     stat, p_value = ks_two_sample(hist_pool, gen_pool)
     freqs, psd_hist = welch_psd(historical, segment_length, overlap_fraction, window)
     _, psd_gen = welch_psd(generated, segment_length, overlap_fraction, window)
-    minutes, m_hist, v_hist = marginal_stats(historical, *marginal_window)
-    _, m_gen, v_gen = marginal_stats(generated, *marginal_window)
+    minutes, m_hist, v_hist = marginal_stats(historical, *MARGINAL_WINDOW)
+    _, m_gen, v_gen = marginal_stats(generated, *MARGINAL_WINDOW)
 
     return EvalReport(
         kde_grid=grid,
@@ -342,7 +352,7 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
         marginal_var_generated=v_gen,
         options={
             "kde_bandwidth": h,
-            "welch_window": window if isinstance(window, str) else "custom",
+            "welch_window": window,
             "welch_overlap": overlap_fraction,
             "welch_segment_length": segment_length,
             "ks_pooling": "all time steps of all scenarios flattened",
@@ -355,10 +365,7 @@ def write_report(report: EvalReport, out_dir, header_comment=None):
     os.makedirs(out_dir, exist_ok=True)
 
     def _open(name):
-        fh = open(os.path.join(out_dir, name), "w", encoding="utf-8")
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        return fh
+        return open_output(os.path.join(out_dir, name), header_comment)
 
     with _open("kde.csv") as fh:
         fh.write("value,density_historical,density_generated\n")

@@ -237,10 +237,6 @@ class FlowModel:
             start += 2 * size
         return arrays, stacks
 
-    @property
-    def ambient_dim(self):
-        return self.pca.dim if self.pca is not None else self.dim
-
     def parameters(self):
         """Views [W0, b0, W1, b1, ...] into ``params`` of each s-net and t-net, layer by layer."""
         return [p for layer in self.layers for net in (layer.s_net, layer.t_net)
@@ -255,6 +251,8 @@ class FlowModel:
             raise UsageError(f"expected dimension {self.dim}, got {x.shape[-1]}")
         return x
 
+    # an overflow leaves a non-finite value, which the checks report
+    @np.errstate(over="ignore", invalid="ignore")
     def log_prob(self, x):
         """Exact log-density at x; x is (D,) or (n, D)."""
         x = np.asarray(x, dtype=float)
@@ -314,6 +312,8 @@ class FlowModel:
 
     # sampling --------------------------------------------------------------
 
+    # a layer's check reports an overflow, and ScenarioSet one in the output
+    @np.errstate(over="ignore", invalid="ignore")
     def sample_array(self, n, seed):
         """n ambient-space samples as an (n, D) array."""
         if n < 1:
@@ -331,18 +331,12 @@ class FlowModel:
         if n < 2:  # a ScenarioSet holds at least two scenarios
             raise UsageError(f"n must be >= 2 to draw a scenario set, got {n}")
         data = self.sample_array(n, seed)
-        return ScenarioSet(
-            data=data,
-            period_length=data.shape[1],
-            interval_minutes=self.interval_minutes,
-            scaling="none",
-            scale_min=None,
-            scale_max=None,
-        )
+        return ScenarioSet(data=data, period_length=data.shape[1],
+                           interval_minutes=self.interval_minutes)
 
 
 def build_flow(dim, n_layers=5, hidden_dims=None, seed=0, standardizer=None,
-               pca: PcaMap | None = None, s_cap=DEFAULT_S_CAP, **model_kwargs) -> FlowModel:
+               pca: PcaMap | None = None, **model_kwargs) -> FlowModel:
     """Construct an untrained flow with alternating coupling parities.
 
     A one-dimensional flow cannot hold coupling layers; it degrades to the
@@ -373,7 +367,7 @@ def build_flow(dim, n_layers=5, hidden_dims=None, seed=0, standardizer=None,
         for k in range(n_layers):
             s_net = DenseNet.create(id_dim, tr_dim, hidden_dims, rng)
             t_net = DenseNet.create(id_dim, tr_dim, hidden_dims, rng)
-            layers.append(CouplingLayer(dim, s_net, t_net, swap=bool(k % 2), s_cap=s_cap))
+            layers.append(CouplingLayer(dim, s_net, t_net, swap=bool(k % 2)))
     return FlowModel(layers, standardizer, pca=pca, **model_kwargs)
 
 
@@ -481,6 +475,10 @@ def _read_model(path) -> FlowModel:
         if scaling_code not in _SCALING_NAME:
             raise ModelFormatError(f"unknown scaling code {scaling_code}")
         scale_min, scale_max = _read(fh, "<dd")
+        scaling = _SCALING_NAME[scaling_code]
+        if scaling == "minmax" and not -math.inf < scale_min < scale_max < math.inf:
+            raise ModelFormatError(f"{path}: minmax scaling needs finite scale_min < scale_max, "
+                                   f"got {scale_min!r} and {scale_max!r}")
         pca_map = None
         if flags & 1:
             d, m = _read(fh, "<II")
@@ -507,7 +505,7 @@ def _read_model(path) -> FlowModel:
             raise ModelFormatError("trailing bytes in model file")
     return FlowModel(
         layers, Standardizer(shift, scale), pca=pca_map,
-        interval_minutes=interval_minutes, scaling=_SCALING_NAME[scaling_code],
+        interval_minutes=interval_minutes, scaling=scaling,
         scale_min=None if math.isnan(scale_min) else scale_min,
         scale_max=None if math.isnan(scale_max) else scale_max,
     )

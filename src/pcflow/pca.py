@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import ScenarioSet
+from .dataio import as_rows
 from .errors import DataError, NumericError, UsageError
 
 # eigenvalues in (-1e-12 * trace, 0) are clamped to zero; below that we fail
@@ -64,15 +64,9 @@ class PcaMap:
         return len(self.mean)
 
 
-def _as_matrix(data):
-    if isinstance(data, ScenarioSet):
-        return data.data
-    return np.asarray(data, dtype=float)
-
-
 def fit(train) -> PcaDecomposition:
     """Eigendecomposition of the empirical covariance of the training rows."""
-    x = _as_matrix(train)
+    x = as_rows(train)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DataError("PCA needs at least 2 rows")
     if not np.all(np.isfinite(x)):
@@ -116,6 +110,7 @@ def truncate(decomposition: PcaDecomposition, cev_threshold=None, n_components=N
     numerical rank; zero singular values never count.
     """
     sv = decomposition.singular_values
+    total = sv.sum()
     d = decomposition.dim
     rank = max(decomposition.rank, 1)
 
@@ -128,18 +123,14 @@ def truncate(decomposition: PcaDecomposition, cev_threshold=None, n_components=N
             raise UsageError("cev_threshold must lie in (0, 1]")
         if cev_threshold >= 1.0:
             m = rank
+        elif total <= 0.0:
+            m = 1
         else:
-            total = sv.sum()
-            if total <= 0.0:
-                m = 1
-            else:
-                ratios = np.cumsum(sv) / total
-                m = int(np.searchsorted(ratios, cev_threshold) + 1)
-                m = min(m, rank)
+            ratios = np.cumsum(sv) / total
+            m = min(int(np.searchsorted(ratios, cev_threshold) + 1), rank)
     else:
         raise UsageError("give either cev_threshold or n_components")
 
-    total = sv.sum()
     cev = float(sv[:m].sum() / total) if total > 0 else 1.0
     return PcaMap(
         mean=decomposition.mean,
@@ -166,6 +157,6 @@ def embed(pca_map: PcaMap, latent):
     return latent @ pca_map.components.T + pca_map.mean
 
 
-def cev_table(decomposition: PcaDecomposition, thresholds=(0.99, 0.999, 0.9999, 1.0)):
+def cev_table(decomposition: PcaDecomposition, thresholds):
     """Component counts needed to reach each CEV threshold."""
     return {t: truncate(decomposition, cev_threshold=t).n_components for t in thresholds}

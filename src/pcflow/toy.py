@@ -25,6 +25,11 @@ CURVE_RIPPLE = 0.0133
 CURVE_RIPPLE_CYCLES = 12.0
 CURVE_TAPER = 0.95
 
+# distance_to_curve measures against this many evenly spaced curve points
+CURVE_DISCRETIZATION = 4000
+# fraction_on_curve counts the points within this distance of the curve
+ON_CURVE_TOLERANCE = 0.05
+
 KITE_VERTICES = np.array([
     [0.0, 1.8],
     [1.2, 0.0],
@@ -99,6 +104,8 @@ def make_pv_like(n, seed, period_length=24, night_hours=6):
 
 
 def make_toy_set(shape, n, seed) -> ScenarioSet:
+    if n < 2:  # a ScenarioSet holds at least two scenarios
+        raise UsageError(f"n must be >= 2 to draw a scenario set, got {n}")
     if shape == "curve1d":
         data = make_curve1d(n, seed)
     elif shape == "kite2d":
@@ -109,14 +116,18 @@ def make_toy_set(shape, n, seed) -> ScenarioSet:
     return ScenarioSet(data=data, period_length=2, interval_minutes=720)
 
 
-def distance_to_curve(points, discretization=4000):
-    """Distance from each point to a dense discretization of the arc."""
-    curve = curve_point(np.linspace(0.0, 1.0, discretization))
+def distance_to_curve(points):
+    """Distance from each point to a dense discretization of the arc.
+
+    A point further than about 1e154 from the arc is at distance inf.
+    """
+    curve = curve_point(np.linspace(0.0, 1.0, CURVE_DISCRETIZATION))
     points = np.asarray(points, dtype=float)
     diffs = points[:, None, :] - curve[None, :, :]
-    return np.sqrt((diffs ** 2).sum(axis=-1)).min(axis=1)
+    with np.errstate(over="ignore"):
+        return np.sqrt((diffs ** 2).sum(axis=-1)).min(axis=1)
 
 
-def fraction_on_curve(points, tolerance=0.05):
-    """Fraction of points within ``tolerance`` of the arc."""
-    return float(np.mean(distance_to_curve(points) <= tolerance))
+def fraction_on_curve(points):
+    """Fraction of points within ON_CURVE_TOLERANCE of the arc."""
+    return float(np.mean(distance_to_curve(points) <= ON_CURVE_TOLERANCE))

@@ -14,11 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pca as pca_mod
-from .dataio import ScenarioSet
+from .dataio import ScenarioSet, as_rows, open_output
 from .errors import DivergedError, NumericError, UsageError
 from .flow import FlowModel, Standardizer, build_flow
 
 GRAD_CLIP_NORM = 100.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -26,9 +29,6 @@ class TrainConfig:
     epochs: int = 1000
     batch_size: int = 64
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
     early_stop_patience: int = 50
 
@@ -39,8 +39,6 @@ class TrainConfig:
             raise UsageError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.early_stop_patience < 0:
             raise UsageError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise UsageError("Adam betas must lie in (0, 1)")
 
 
 @dataclass
@@ -56,9 +54,7 @@ class TrainLog:
         return len(self.train_nll)
 
     def write_csv(self, path, header_comment=None):
-        with open(path, "w", encoding="utf-8") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
+        with open_output(path, header_comment) as fh:
             fh.write("epoch,train_nll,val_nll\n")
             for i, (tr, va) in enumerate(zip(self.train_nll, self.val_nll)):
                 fh.write(f"{i},{tr!r},{va!r}\n")
@@ -79,10 +75,10 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState, config: TrainConfig):
-    """One in-place Adam update of a flat parameter vector; returns (params, state)."""
+    """One in-place Adam update of a flat parameter vector."""
     if params.shape != grads.shape:
         raise UsageError("params/grads shape mismatch")
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.t += 1
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
@@ -90,26 +86,26 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
     state.m += (1.0 - b1) * grads
     state.v *= b2
     state.v += (1.0 - b2) * grads * grads
-    params -= config.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + eps)
-    return params, state
+    params -= config.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPSILON)
 
 
-def _clip_gradients(grads, max_norm=GRAD_CLIP_NORM):
-    """Rescale a flat gradient vector to Euclidean norm max_norm if it is longer."""
+def _clip_gradients(grads):
+    """Rescale a flat gradient vector to Euclidean norm GRAD_CLIP_NORM if it is longer."""
     # einsum, not BLAS ddot: ddot's summation order follows the thread count
     total = math.sqrt(float(np.einsum("i,i", grads, grads)))
-    if total > max_norm:
-        grads = grads * (max_norm / total)
+    if total > GRAD_CLIP_NORM:
+        grads = grads * (GRAD_CLIP_NORM / total)
     return grads
 
 
-def _as_rows(data):
-    return data.data if isinstance(data, ScenarioSet) else np.asarray(data, dtype=float)
+# a step that overflows leaves a non-finite loss or activation, which the
+# checks in nll_and_grads and log_prob report as a divergence
+@np.errstate(over="ignore", invalid="ignore")
+def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig):
+    """Mini-batch Adam loop; returns the best-validation-epoch parameters.
 
-
-def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig,
-                allow_divergence: bool):
-    """Mini-batch Adam loop; returns the best-validation-epoch parameters."""
+    A non-finite loss ends the loop and is recorded in the log.
+    """
     log = TrainLog()
     params = model.params
     if params.size == 0:
@@ -129,36 +125,27 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig,
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
         epoch_nll = 0.0
-        diverged_here = False
-        for start in range(0, n, config.batch_size):
-            batch = train_rows[perm[start: start + config.batch_size]]
-            try:
+        try:
+            for start in range(0, n, config.batch_size):
+                batch = train_rows[perm[start: start + config.batch_size]]
                 nll, _ = model.nll_and_grads(batch, out=grads)
+                epoch_nll += nll * batch.shape[0]
+                adam_step(params, _clip_gradients(grads), state, config)
+        except NumericError:
+            diverged = True  # the epoch is not logged
+        else:
+            try:
+                val_nll = -float(np.mean(model.log_prob(val_rows)))
             except NumericError:
-                if allow_divergence:
-                    diverged_here = True
-                    break
-                raise DivergedError("training loss became non-finite", log=log)
-            epoch_nll += nll * batch.shape[0]
-            adam_step(params, _clip_gradients(grads), state, config)
-        if diverged_here:
+                val_nll = math.nan
+            train_nll = epoch_nll / n
+            log.train_nll.append(train_nll)
+            log.val_nll.append(val_nll)
+            diverged = not (math.isfinite(train_nll) and math.isfinite(val_nll))
+        if diverged:
             log.diverged = True
             log.diverged_epoch = epoch
             break
-
-        try:
-            val_nll = -float(np.mean(model.log_prob(val_rows)))
-        except NumericError:
-            val_nll = math.nan
-        train_nll = epoch_nll / n
-        log.train_nll.append(train_nll)
-        log.val_nll.append(val_nll)
-        if not (math.isfinite(train_nll) and math.isfinite(val_nll)):
-            if allow_divergence:
-                log.diverged = True
-                log.diverged_epoch = epoch
-                break
-            raise DivergedError("training loss became non-finite", log=log)
 
         if val_nll < best_val:
             best_val = val_nll
@@ -174,14 +161,16 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig,
 
 
 def fit_pcf(train_set, val_set, cev_target=None, n_components=None,
-            n_layers=5, hidden_dims=None, config: TrainConfig | None = None,
-            **model_kwargs):
-    """Fit PCA on the training rows only, then train the flow in latent space."""
+            n_layers=5, hidden_dims=None, config: TrainConfig | None = None):
+    """Fit PCA on the training rows only, then train the flow in latent space.
+
+    A non-finite loss raises DivergedError.
+    """
     config = config or TrainConfig()
     if cev_target is None and n_components is None:
         raise UsageError("give either cev_target or n_components")
-    train_rows = _as_rows(train_set)
-    val_rows = _as_rows(val_set)
+    train_rows = as_rows(train_set)
+    val_rows = as_rows(val_set)
 
     decomposition = pca_mod.fit(train_rows)
     pca_map = pca_mod.truncate(decomposition, cev_threshold=cev_target,
@@ -191,34 +180,34 @@ def fit_pcf(train_set, val_set, cev_target=None, n_components=None,
     model = build_flow(
         pca_map.n_components, n_layers=n_layers, hidden_dims=hidden_dims,
         seed=config.seed, standardizer=Standardizer.from_data(train_lat),
-        pca=pca_map, **_set_metadata(train_set, model_kwargs),
+        pca=pca_map, **_set_metadata(train_set),
     )
-    return _train_loop(model, train_rows, val_rows, config, allow_divergence=False)
+    model, log = _train_loop(model, train_rows, val_rows, config)
+    if log.diverged:
+        raise DivergedError("training loss became non-finite")
+    return model, log
 
 
 def fit_fsnf(train_set, val_set, n_layers=5, hidden_dims=None,
-             config: TrainConfig | None = None, **model_kwargs):
+             config: TrainConfig | None = None):
     """Train the flow directly in the ambient dimension.
 
     On manifold data this is expected to misbehave; a non-finite loss is
     recorded in the log instead of raised.
     """
     config = config or TrainConfig()
-    train_rows = _as_rows(train_set)
-    val_rows = _as_rows(val_set)
+    train_rows = as_rows(train_set)
+    val_rows = as_rows(val_set)
     model = build_flow(
         train_rows.shape[1], n_layers=n_layers, hidden_dims=hidden_dims,
         seed=config.seed, standardizer=Standardizer.from_data(train_rows),
-        pca=None, **_set_metadata(train_set, model_kwargs),
+        pca=None, **_set_metadata(train_set),
     )
-    return _train_loop(model, train_rows, val_rows, config, allow_divergence=True)
+    return _train_loop(model, train_rows, val_rows, config)
 
 
-def _set_metadata(train_set, overrides):
-    kwargs = dict(overrides)
-    if isinstance(train_set, ScenarioSet):
-        kwargs.setdefault("interval_minutes", train_set.interval_minutes)
-        kwargs.setdefault("scaling", train_set.scaling)
-        kwargs.setdefault("scale_min", train_set.scale_min)
-        kwargs.setdefault("scale_max", train_set.scale_max)
-    return kwargs
+def _set_metadata(train_set):
+    if not isinstance(train_set, ScenarioSet):
+        return {}
+    return {"interval_minutes": train_set.interval_minutes, "scaling": train_set.scaling,
+            "scale_min": train_set.scale_min, "scale_max": train_set.scale_max}

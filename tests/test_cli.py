@@ -173,6 +173,34 @@ def test_eval_deterministic_outputs(prepared, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("stamp", [True, False])
+def test_text_outputs_start_with_one_timestamp_line(tmp_path, stamp):
+    # every text file the commands write; the .meta sidecars and the binary
+    # model file never carry one
+    flags = [] if stamp else ["--no-timestamp"]
+    raw = write_raw_csv(tmp_path / "raw.csv")
+    prep, run_dir = tmp_path / "prep" / "scenarios.csv", tmp_path / "run"
+    samples = tmp_path / "samples" / "samples.csv"
+    for argv in (["prepare", "--input", raw, "--period-length", "24",
+                  "--out-dir", str(prep.parent)],
+                 ["train", "--data", str(prep), "--components", "2", "--epochs", "2",
+                  "--out-dir", str(run_dir)],
+                 ["sample", "--model", str(run_dir / "model.pcf"), "--n", "20",
+                  "--out-dir", str(samples.parent)],
+                 ["eval", "--historical", str(prep), "--generated", str(samples),
+                  "--out-dir", str(tmp_path / "report")],
+                 ["toy", "--mode", "fsnf", "--n", "60", "--epochs", "2",
+                  "--out-dir", str(tmp_path / "toy")]):
+        assert run([*argv, *flags]) == 0
+    written = sorted(path for path in tmp_path.rglob("*") if path.is_file()
+                     and path.suffix not in (".meta", ".pcf") and path != Path(raw))
+    assert len(written) == 12, written
+    for path in written:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        stamps = [i for i, line in enumerate(lines) if line.startswith("# generated ")]
+        assert stamps == ([0] if stamp else []), path
+
+
 # toy --------------------------------------------------------------------
 
 
@@ -273,6 +301,27 @@ def test_train_and_toy_reject_bad_optimiser_flags(prepared, tmp_path, flag):
     assert not (tmp_path / "run").exists() and not (tmp_path / "toy").exists()
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("command", ["train", "toy", "sample"])
+def test_negative_seed_is_usage_error(prepared, trained_model, tmp_path, command, via_config):
+    model = tmp_path / "model.pcf"
+    model.write_bytes(trained_model)
+    out = tmp_path / "out"
+    argv = {"train": train_args(prepared, out),
+            "toy": ["toy", "--n", "40", "--epochs", "2", "--out-dir", str(out)],
+            "sample": ["sample", "--model", str(model), "--n", "4", "--out-dir", str(out)]}[command]
+    if via_config:
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=-1\n", encoding="utf-8")
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--seed", "-5"]
+    code, err = exit_code(argv)
+    assert code == cli.EXIT_USAGE, err
+    assert "argument --seed: must be >= 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", ["1", "0"])
 def test_sample_n_below_two_is_usage_error(prepared, tmp_path, n):
     out = tmp_path / "run"
@@ -364,6 +413,9 @@ def test_eval_rejects_segment_length_below_two(prepared, tmp_path, length):
     (["0.1,0.2", "0.3,x"], ["period_length=2", "interval_minutes=720"], "line 2"),
     (["0.1,0.2", "0.3,0.4"], ["interval_minutes=720"], "period_length"),
     (["0.1,0.2", "0.3,\udcff"], ["period_length=2", "interval_minutes=720"], "utf-8"),
+    *[(["0.1,0.2", "0.3,0.4"], ["period_length=2", "interval_minutes=720", "scaling=minmax",
+                                f"min={low}", f"max={high}"], "meta: minmax needs finite min < max")
+      for low, high in [("nan", "inf"), ("3.0", "1.0")]],
 ])
 def test_eval_malformed_scenarios_exit_3(tmp_path, rows, meta, match):
     path = write_scenarios(tmp_path, rows, meta)
@@ -461,12 +513,14 @@ def test_fuzz_malformed_config_lines(lines):
 TRAIN_MODES = st.sampled_from(["pcf", "fsnf"])
 
 
-def train_exit(rows=GOOD_ROWS, meta=GOOD_META, mode="pcf"):
+def train_exit(rows=GOOD_ROWS, meta=GOOD_META, mode="pcf", config=()):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_scenarios(tmp, rows, meta)
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("\n".join(config) + "\n", encoding="utf-8")
         code, err = exit_code(["train", "--data", str(path), "--mode", mode, "--epochs", "2",
-                               "--val-fraction", "0.25", "--out-dir", str(Path(tmp) / "t"),
-                               "--no-timestamp"])
+                               "--val-fraction", "0.25", "--config", str(cfg),
+                               "--out-dir", str(Path(tmp) / "t"), "--no-timestamp"])
     assert code in (0, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC), err
     assert "Traceback" not in err
     return code
@@ -488,6 +542,71 @@ def test_fuzz_train_malformed_scenario_row(row, at, mode):
 def test_fuzz_train_malformed_meta_line(line, drop, mode):
     meta = [m for i, m in enumerate(GOOD_META) if i != drop]
     train_exit(meta=meta + [line], mode=mode)
+
+
+# values of at most three characters keep a fuzzed layer count or width
+# below 1000; the command line's --n and --epochs win over the file's
+SHORT_TEXT = st.text(alphabet="0123456789abcdefinxyz+-.e_ =,#", max_size=3)
+RUN_CONFIG_LINE = st.one_of(
+    TEXT,
+    st.tuples(st.one_of(st.sampled_from(CONFIG_KEYS), TEXT),
+              st.one_of(SHORT_TEXT, st.integers(-5, 10).map(str), st.floats().map(repr)))
+    .map("=".join),
+)
+
+
+def test_fuzz_baseline_config_trains_cleanly():
+    assert train_exit(config=["layers=2", "hidden=3", "patience=1", "bandwidth=0.1"]) == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(lines=st.lists(RUN_CONFIG_LINE, min_size=1, max_size=3), mode=TRAIN_MODES)
+def test_fuzz_train_malformed_config_lines(lines, mode):
+    train_exit(mode=mode, config=lines)
+
+
+def toy_exit(flags=(), config=()):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("\n".join(config) + "\n", encoding="utf-8")
+        code, err = exit_code(["toy", "--n", "40", "--epochs", "2", *flags,
+                               "--config", str(cfg), "--out-dir", str(Path(tmp) / "toy"),
+                               "--no-timestamp"])
+    assert code in (0, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC), err
+    assert "Traceback" not in err
+    return code
+
+
+# sizes stay tiny; free text goes only to flags that cannot make a run large
+TOY_FLAG = st.one_of(
+    st.tuples(st.sampled_from(["--n", "--epochs", "--layers", "--batch-size", "--patience",
+                               "--seed"]), st.integers(-3, 12).map(str)),
+    st.tuples(st.sampled_from(["--learning-rate", "--cev", "--val-fraction"]),
+              st.floats().map(repr)),
+    st.tuples(st.sampled_from(["--shape", "--mode"]),
+              st.sampled_from(["curve1d", "kite2d", "pcf", "fsnf"])),
+    st.tuples(st.sampled_from(["--learning-rate", "--cev", "--val-fraction", "--shape",
+                               "--mode", "--seed"]), TEXT),
+).map("=".join)
+
+
+@pytest.mark.parametrize("shape", ["curve1d", "kite2d"])
+@pytest.mark.parametrize("mode", ["pcf", "fsnf"])
+def test_fuzz_baseline_toy_runs_cleanly(shape, mode):
+    assert toy_exit([f"--shape={shape}", f"--mode={mode}"], ["layers=3", "bandwidth=0.1"]) == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(flags=st.lists(TOY_FLAG, min_size=1, max_size=4))
+def test_fuzz_toy_flags(flags):
+    toy_exit(flags)
+
+
+@settings(max_examples=50, deadline=None)
+@given(lines=st.lists(RUN_CONFIG_LINE, min_size=1, max_size=3),
+       mode=st.sampled_from(["--mode=pcf", "--mode=fsnf"]))
+def test_fuzz_toy_malformed_config_lines(lines, mode):
+    toy_exit([mode], lines)
 
 
 GOOD_RAW = raw_csv_lines(n_days=4, period_length=4, with_capacity=True)
@@ -558,7 +677,8 @@ def model_fields(model):
     layers = at + 12 + 16 * dim  # the layer count, after cev, dim, shift and scale
     rows, cols = struct.unpack_from("<II", model, layers + 17)
     return {
-        "flags": (12, "<I"), "interval_minutes": (16, "<I"), "d": (37, "<I"), "m": (41, "<I"),
+        "flags": (12, "<I"), "interval_minutes": (16, "<I"), "scale_min": (21, "<d"),
+        "scale_max": (29, "<d"), "d": (37, "<I"), "m": (41, "<I"),
         "mean": (45, "<d"), "singular": (45 + 8 * d, "<d"), "component": (45 + 16 * d, "<d"),
         "cev": (at, "<d"), "dim": (at + 8, "<I"), "scale": (at + 12 + 8 * dim, "<d"),
         "n_layers": (layers, "<I"), "s_cap": (layers + 5, "<d"), "depth": (layers + 13, "<I"),
@@ -599,6 +719,9 @@ def test_fuzz_baseline_model_samples_cleanly(trained_model):
     ({"scale": 0.0}, "scales must be finite, scales positive"),
     ({"scale": float("nan")}, "scales must be finite, scales positive"),
     ({"s_cap": 0.0}, "s_cap must be finite and positive"),
+    *[(bounds, "model.pcf: minmax scaling needs finite scale_min < scale_max")
+      for bounds in ({"scale_min": float("nan")}, {"scale_max": float("nan")},
+                     {"scale_min": 3.0, "scale_max": 1.0})],
 ])
 def test_sample_corrupt_model_is_format_error(trained_model, values, match):
     code, err = sample_exit(overwrite(trained_model, **values))
@@ -657,7 +780,8 @@ def test_fuzz_flipped_model_bytes(trained_model, flips):
 
 
 @settings(max_examples=50, deadline=None)
-@given(name=st.sampled_from(["flags", "interval_minutes", "d", "m", "mean", "singular",
+@given(name=st.sampled_from(["flags", "interval_minutes", "scale_min", "scale_max", "d", "m",
+                             "mean", "singular",
                              "component", "cev", "dim", "scale", "n_layers", "s_cap", "depth",
                              "rows", "cols", "weight", "bias"]),
        data=st.data())

@@ -628,6 +628,9 @@ def test_load_scenarios_bad_row_is_parse_error(tmp_path, rows, match):
     (GOOD_META + ["min=low", "max=1.0"], ParseError, "meta: line 4: malformed min 'low'"),
     (GOOD_META[:2] + ["scaling=log"], SchemaError, "meta: line 3: unknown scaling"),
     (["period_length=2", "interval_minutes=0"], DataError, "interval_minutes"),
+    *[(GOOD_META[:2] + ["scaling=minmax", f"min={low}", f"max={high}"], SchemaError,
+       r"scen\.csv\.meta: minmax needs finite min < max")
+      for low, high in [("nan", "inf"), ("3.0", "1.0"), ("0.5", "0.5"), ("-inf", "1.0")]],
 ])
 def test_load_scenarios_bad_meta(tmp_path, meta, error, match):
     path = write_scenario_files(tmp_path, ["0.1,0.2", "0.3,0.4"], meta)

@@ -424,13 +424,12 @@ def welch_loop(data, sample_rate, segment_length, step, window):
 def test_welch_matches_per_segment_loop():
     rng = np.random.default_rng(12)
     scenario_set = make_set(rng.standard_normal((25, 96)), interval_minutes=15)
-    custom = rng.random(24) + 0.5
     # (segment_length, overlap, window, step): 96 - 40 = 56 is no multiple
-    # of 20, 33 is odd, and the last case passes a window array
-    cases = [(40, 0.5, "hann", 20), (33, 0.3, "hann", 23), (24, 0.25, custom, 18)]
+    # of 20, 33 is odd, and the last case uses the rectangular window
+    cases = [(40, 0.5, "hann", 20), (33, 0.3, "hann", 23), (24, 0.25, "rect", 18)]
     for length, overlap, window, step in cases:
         freqs, power = evaluate.welch_psd(scenario_set, length, overlap, window)
-        win = evaluate._window(window, length) if isinstance(window, str) else window
+        win = evaluate._window(window, length)
         assert np.array_equal(freqs, np.fft.rfftfreq(length, d=0.25))
         want = welch_loop(scenario_set.data, 4.0, length, step, win)
         np.testing.assert_allclose(power, want, rtol=1e-12, atol=0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pcflow import dataio, toy
-from pcflow.flow import LOG_2PI, build_flow
+from pcflow.flow import LOG_2PI, FlowModel, build_flow
 from pcflow.train import (
     GRAD_CLIP_NORM,
     AdamState,
@@ -20,7 +20,7 @@ from pcflow.train import (
     fit_fsnf,
     fit_pcf,
 )
-from pcflow.errors import UsageError
+from pcflow.errors import DivergedError, NumericError, UsageError
 
 
 def gaussian_sets(seed=0, n=300, d=2):
@@ -132,8 +132,6 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(UsageError):
         TrainConfig(learning_rate=-1.0)
-    with pytest.raises(UsageError):
-        TrainConfig(adam_beta1=1.0)
 
 
 @pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, 0.0])
@@ -211,6 +209,53 @@ def test_fsnf_manifold_runaway_below_minus_50():
     _, log_pcf = fit_pcf(train_set, val_set, cev_target=0.99, config=config)
     assert min(log_pcf.train_nll) > -50.0
     assert np.all(np.isfinite(log_pcf.train_nll))
+
+
+def fail_on_call(monkeypatch, name, call):
+    """Make the call-th call of FlowModel.<name> raise NumericError."""
+    original = getattr(FlowModel, name)
+    calls = []
+
+    def failing(self, *args, **kwargs):
+        calls.append(name)
+        if len(calls) == call:
+            raise NumericError("injected")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowModel, name, failing)
+
+
+# 240 training rows make 4 batches an epoch: the 6th gradient call is in
+# the second epoch (epoch 1), and so is the 2nd validation pass
+DIVERGE_IN_EPOCH_1 = [("nll_and_grads", 6), ("log_prob", 2)]
+
+
+@pytest.mark.parametrize("name, call", DIVERGE_IN_EPOCH_1)
+def test_fit_fsnf_logs_divergence(monkeypatch, tmp_path, name, call):
+    train_set, val_set = gaussian_sets(seed=8)
+    config = TrainConfig(epochs=4, seed=3)
+    _, clean = fit_fsnf(train_set, val_set, config=config)
+    fail_on_call(monkeypatch, name, call)
+    model, log = fit_fsnf(train_set, val_set, config=config)
+    assert log.diverged and log.diverged_epoch == 1 and log.best_epoch == 0
+    if name == "nll_and_grads":  # the failed epoch is not logged
+        assert log.train_nll == clean.train_nll[:1] and log.val_nll == clean.val_nll[:1]
+    else:  # the failed validation pass is logged as NaN
+        assert log.train_nll == clean.train_nll[:2] and log.val_nll[0] == clean.val_nll[0]
+        assert math.isnan(log.val_nll[1])
+    # the epoch-0 parameters are restored
+    assert -float(np.mean(model.log_prob(val_set.data))) == clean.val_nll[0]
+    log.write_csv(tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_text().endswith(
+        "# best_epoch=0\n# diverged_at_epoch=1\n")
+
+
+@pytest.mark.parametrize("name, call", DIVERGE_IN_EPOCH_1)
+def test_fit_pcf_raises_on_divergence(monkeypatch, name, call):
+    train_set, val_set = gaussian_sets(seed=8)
+    fail_on_call(monkeypatch, name, call)
+    with pytest.raises(DivergedError, match="training loss became non-finite"):
+        fit_pcf(train_set, val_set, n_components=2, config=TrainConfig(epochs=4, seed=3))
 
 
 def test_trainlog_csv_roundtrip(tmp_path):
