@@ -10,7 +10,7 @@ from .dataio import RawSeries, ScenarioSet, clean_and_slice, load_csv, scale, sp
 from .errors import PcflowError
 from .evaluate import EvalReport, evaluate_sets, kde_pdf, ks_two_sample, marginal_stats, welch_psd
 from .flow import CouplingLayer, FlowModel, Standardizer, build_flow, load_model, save_model
-from .pca import PcaDecomposition, PcaMap, embed, fit, project, truncate
+from .pca import PcaMap, embed, fit, project, truncate
 from .train import TrainConfig, TrainLog, fit_fsnf, fit_pcf
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ __all__ = [
     "PcflowError",
     "EvalReport", "evaluate_sets", "kde_pdf", "ks_two_sample", "marginal_stats", "welch_psd",
     "CouplingLayer", "FlowModel", "Standardizer", "build_flow", "load_model", "save_model",
-    "PcaDecomposition", "PcaMap", "embed", "fit", "project", "truncate",
+    "PcaMap", "embed", "fit", "project", "truncate",
     "TrainConfig", "TrainLog", "fit_fsnf", "fit_pcf",
     "__version__",
 ]

@@ -319,8 +319,12 @@ def scale(scenario_set: ScenarioSet, mode: str, capacity=None) -> ScenarioSet:
         cap = capacity[scenario_set.source_index]
         if np.any(~np.isfinite(cap)) or np.any(cap <= 0):
             raise ScalingError("capacity must be positive at every used timestamp")
-        with np.errstate(over="ignore"):  # ScenarioSet rejects a factor that overflows
+        with np.errstate(over="ignore"):  # the check below names the capacity
             scaled = data / cap
+        overflow = ~np.isfinite(scaled)
+        if overflow.any():
+            raise ScalingError(f"capacity {float(cap[overflow][0])!r} is too small: "
+                               "the capacity factor overflows float64")
         return replace(scenario_set, data=scaled, scaling="capacity_factor")
 
     lo, hi = float(data.min()), float(data.max())

@@ -270,9 +270,9 @@ def welch_psd(scenario_set: ScenarioSet, segment_length=None, overlap_fraction=0
 
 # component counts and marginals -----------------------------------------------
 
-def cev_report(decomposition):
+def cev_report(pca_map):
     """Component count needed for each threshold in CEV_THRESHOLDS."""
-    return pca_mod.cev_table(decomposition, CEV_THRESHOLDS)
+    return {t: pca_mod.truncate(pca_map, cev_threshold=t).n_components for t in CEV_THRESHOLDS}
 
 
 def marginal_stats(scenario_set: ScenarioSet, start_minute=0, end_minute=None):
@@ -323,6 +323,9 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
     """Run the full comparison suite on two scenario sets."""
     if historical.period_length != generated.period_length:
         raise UsageError("sets must have equal period length")
+    if historical.interval_minutes != generated.interval_minutes:
+        raise UsageError(f"sets must have equal interval_minutes, got "
+                         f"{historical.interval_minutes} and {generated.interval_minutes}")
     hist_pool = historical.data.ravel()
     gen_pool = generated.data.ravel()
 

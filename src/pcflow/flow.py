@@ -191,6 +191,8 @@ class FlowModel:
         if self.dim < 1:
             raise UsageError("flow dimension must be >= 1")
         self.interval_minutes = int(interval_minutes)
+        if not 1 <= self.interval_minutes <= 24 * 60:  # as ScenarioSet requires
+            raise UsageError(f"interval_minutes must lie in [1, 1440], got {interval_minutes}")
         self.scaling = scaling
         self.scale_min = scale_min
         self.scale_max = scale_max
@@ -485,12 +487,10 @@ def _read_model(path) -> FlowModel:
             mean = _read_array(fh, (d,))
             singular = _read_array(fh, (d,))
             components = _read_array(fh, (d, m))
-            (cev,) = _read(fh, "<d")
-            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(singular))
-                    and np.all(np.isfinite(components)) and math.isfinite(cev)):
-                raise ModelFormatError(f"{path}: non-finite value in the PCA block")
-            pca_map = PcaMap(mean=mean, components=components,
-                             singular_values=singular, n_components=m, cev=cev)
+            (cev,) = _read(fh, "<d")  # derived from the spectrum on load; only checked
+            if not math.isfinite(cev):
+                raise ModelFormatError(f"{path}: non-finite cev in the PCA block")
+            pca_map = PcaMap(mean=mean, components=components, singular_values=singular)
         (dim,) = _read(fh, "<I")
         shift = _read_array(fh, (dim,))
         scale = _read_array(fh, (dim,))

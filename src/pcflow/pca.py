@@ -25,16 +25,32 @@ RANK_TOL_REL = 1e-12
 
 
 @dataclass(frozen=True)
-class PcaDecomposition:
-    """Full eigendecomposition of the empirical covariance."""
+class PcaMap:
+    """Leading principal directions: the isometric embedding and its inverse.
+
+    ``fit`` returns the full map, M = D; ``truncate`` keeps the leading M
+    columns. The full spectrum is kept either way.
+    """
 
     mean: np.ndarray  # (D,)
-    singular_values: np.ndarray  # (D,), non-increasing, >= 0
-    components: np.ndarray  # (D, D), columns = principal directions
+    components: np.ndarray  # (D, M), columns = principal directions
+    singular_values: np.ndarray  # full spectrum, (D,), non-increasing, >= 0
+
+    def __post_init__(self):
+        d, m = self.components.shape
+        if not 1 <= m <= d:
+            raise UsageError("inconsistent PcaMap dimensions")
+        arrays = (self.mean, self.components, self.singular_values)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise UsageError("non-finite value in the PCA mean, components or singular values")
 
     @property
     def dim(self):
         return len(self.mean)
+
+    @property
+    def n_components(self):
+        return self.components.shape[1]
 
     @property
     def rank(self):
@@ -43,29 +59,15 @@ class PcaDecomposition:
             return 0
         return int(np.sum(sv > RANK_TOL_REL * sv[0]))
 
-
-@dataclass(frozen=True)
-class PcaMap:
-    """Truncated decomposition: the isometric embedding and its inverse."""
-
-    mean: np.ndarray  # (D,)
-    components: np.ndarray  # (D, M)
-    singular_values: np.ndarray  # full spectrum, (D,)
-    n_components: int
-    cev: float
-
-    def __post_init__(self):
-        d, m = self.components.shape
-        if not 1 <= m <= d or m != self.n_components:
-            raise UsageError("inconsistent PcaMap dimensions")
-
     @property
-    def dim(self):
-        return len(self.mean)
+    def cev(self):
+        """Cumulative explained variance of the kept components (1.0 for a zero spectrum)."""
+        total = self.singular_values.sum()
+        return float(self.singular_values[:self.n_components].sum() / total) if total > 0 else 1.0
 
 
-def fit(train) -> PcaDecomposition:
-    """Eigendecomposition of the empirical covariance of the training rows."""
+def fit(train) -> PcaMap:
+    """Full eigendecomposition of the empirical covariance of the training rows."""
     x = as_rows(train)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DataError("PCA needs at least 2 rows")
@@ -100,24 +102,25 @@ def fit(train) -> PcaDecomposition:
     # deterministic sign: largest-magnitude entry of each component positive
     largest = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
     vectors[:, largest < 0] *= -1.0
-    return PcaDecomposition(mean=mean, singular_values=values, components=vectors)
+    return PcaMap(mean=mean, components=vectors, singular_values=values)
 
 
-def truncate(decomposition: PcaDecomposition, cev_threshold=None, n_components=None) -> PcaMap:
-    """Select the leading components by explicit count or CEV threshold.
+def truncate(pca_map: PcaMap, cev_threshold=None, n_components=None) -> PcaMap:
+    """Keep the leading components by explicit count or CEV threshold.
 
     An explicit count wins if both are given. A threshold of 1.0 selects the
-    numerical rank; zero singular values never count.
+    numerical rank; zero singular values never count. The result never has
+    more columns than ``pca_map``.
     """
-    sv = decomposition.singular_values
+    sv = pca_map.singular_values
     total = sv.sum()
-    d = decomposition.dim
-    rank = max(decomposition.rank, 1)
+    k = pca_map.n_components
+    rank = min(max(pca_map.rank, 1), k)
 
     if n_components is not None:
         m = int(n_components)
-        if not 1 <= m <= d:
-            raise UsageError(f"n_components must be in [1, {d}]")
+        if not 1 <= m <= k:
+            raise UsageError(f"n_components must be in [1, {k}]")
     elif cev_threshold is not None:
         if not 0.0 < cev_threshold <= 1.0:
             raise UsageError("cev_threshold must lie in (0, 1]")
@@ -131,14 +134,8 @@ def truncate(decomposition: PcaDecomposition, cev_threshold=None, n_components=N
     else:
         raise UsageError("give either cev_threshold or n_components")
 
-    cev = float(sv[:m].sum() / total) if total > 0 else 1.0
-    return PcaMap(
-        mean=decomposition.mean,
-        components=decomposition.components[:, :m].copy(),
-        singular_values=sv,
-        n_components=m,
-        cev=cev,
-    )
+    return PcaMap(mean=pca_map.mean, components=pca_map.components[:, :m].copy(),
+                  singular_values=sv)
 
 
 def project(pca_map: PcaMap, x):
@@ -156,7 +153,3 @@ def embed(pca_map: PcaMap, latent):
         raise UsageError(f"expected dimension {pca_map.n_components}, got {latent.shape[-1]}")
     return latent @ pca_map.components.T + pca_map.mean
 
-
-def cev_table(decomposition: PcaDecomposition, thresholds):
-    """Component counts needed to reach each CEV threshold."""
-    return {t: truncate(decomposition, cev_threshold=t).n_components for t in thresholds}

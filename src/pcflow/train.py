@@ -46,8 +46,11 @@ class TrainLog:
     train_nll: list = field(default_factory=list)
     val_nll: list = field(default_factory=list)
     best_epoch: int = -1
-    diverged: bool = False
     diverged_epoch: int | None = None
+
+    @property
+    def diverged(self):
+        return self.diverged_epoch is not None
 
     @property
     def epochs_completed(self):
@@ -102,9 +105,9 @@ def _clip_gradients(grads):
 # checks in nll_and_grads and log_prob report as a divergence
 @np.errstate(over="ignore", invalid="ignore")
 def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig):
-    """Mini-batch Adam loop; returns the best-validation-epoch parameters.
+    """Mini-batch Adam loop; leaves the model at its best-validation-epoch parameters.
 
-    A non-finite loss ends the loop and is recorded in the log.
+    Returns the log. A non-finite loss ends the loop and is recorded in the log.
     """
     log = TrainLog()
     params = model.params
@@ -113,7 +116,7 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig):
         log.train_nll.append(-float(np.mean(model.log_prob(train_rows))))
         log.val_nll.append(-float(np.mean(model.log_prob(val_rows))))
         log.best_epoch = 0
-        return model, log
+        return log
 
     state = AdamState.for_params(params)
     shuffle_rng = np.random.default_rng(config.seed + 1)
@@ -143,7 +146,6 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig):
             log.val_nll.append(val_nll)
             diverged = not (math.isfinite(train_nll) and math.isfinite(val_nll))
         if diverged:
-            log.diverged = True
             log.diverged_epoch = epoch
             break
 
@@ -157,7 +159,7 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig):
     if log.best_epoch < 0:
         log.best_epoch = 0
     params[:] = best
-    return model, log
+    return log
 
 
 def fit_pcf(train_set, val_set, cev_target=None, n_components=None,
@@ -167,13 +169,10 @@ def fit_pcf(train_set, val_set, cev_target=None, n_components=None,
     A non-finite loss raises DivergedError.
     """
     config = config or TrainConfig()
-    if cev_target is None and n_components is None:
-        raise UsageError("give either cev_target or n_components")
     train_rows = as_rows(train_set)
     val_rows = as_rows(val_set)
 
-    decomposition = pca_mod.fit(train_rows)
-    pca_map = pca_mod.truncate(decomposition, cev_threshold=cev_target,
+    pca_map = pca_mod.truncate(pca_mod.fit(train_rows), cev_threshold=cev_target,
                                n_components=n_components)
     train_lat = pca_mod.project(pca_map, train_rows)
 
@@ -182,7 +181,7 @@ def fit_pcf(train_set, val_set, cev_target=None, n_components=None,
         seed=config.seed, standardizer=Standardizer.from_data(train_lat),
         pca=pca_map, **_set_metadata(train_set),
     )
-    model, log = _train_loop(model, train_rows, val_rows, config)
+    log = _train_loop(model, train_rows, val_rows, config)
     if log.diverged:
         raise DivergedError("training loss became non-finite")
     return model, log
@@ -203,7 +202,7 @@ def fit_fsnf(train_set, val_set, n_layers=5, hidden_dims=None,
         seed=config.seed, standardizer=Standardizer.from_data(train_rows),
         pca=None, **_set_metadata(train_set),
     )
-    return _train_loop(model, train_rows, val_rows, config)
+    return model, _train_loop(model, train_rows, val_rows, config)
 
 
 def _set_metadata(train_set):

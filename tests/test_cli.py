@@ -399,6 +399,18 @@ def test_eval_winter_pv_needs_no_bandwidth(tmp_path):
     assert "zero spread" in err and "Traceback" not in err
 
 
+def test_eval_interval_mismatch_is_usage_error(tmp_path):
+    (tmp_path / "gen").mkdir()
+    hist = write_scenarios(tmp_path, GOOD_ROWS, GOOD_META)
+    gen = write_scenarios(tmp_path / "gen", GOOD_ROWS,
+                          ["period_length=4", "interval_minutes=60", "scaling=none"])
+    code, err = exit_code(["eval", "--historical", str(hist), "--generated", str(gen),
+                           "--out-dir", str(tmp_path / "r")])
+    assert code == cli.EXIT_USAGE
+    assert "equal interval_minutes, got 360 and 60" in err and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("length", ["0", "-4", "1"])
 def test_eval_rejects_segment_length_below_two(prepared, tmp_path, length):
     code, err = exit_code(["eval", "--historical", str(prepared), "--generated", str(prepared),
@@ -722,6 +734,8 @@ def test_fuzz_baseline_model_samples_cleanly(trained_model):
     *[(bounds, "model.pcf: minmax scaling needs finite scale_min < scale_max")
       for bounds in ({"scale_min": float("nan")}, {"scale_max": float("nan")},
                      {"scale_min": 3.0, "scale_max": 1.0})],
+    *[({"interval_minutes": minutes}, "model.pcf: inconsistent model file: interval_minutes "
+      f"must lie in [1, 1440], got {minutes}") for minutes in (0, 1441)],
 ])
 def test_sample_corrupt_model_is_format_error(trained_model, values, match):
     code, err = sample_exit(overwrite(trained_model, **values))

@@ -511,6 +511,16 @@ def test_zero_capacity_rejected(tmp_path):
         dataio.scale(scenario_set, "capacity_factor", capacity=series.capacity)
 
 
+def test_tiny_capacity_overflow_names_the_capacity(tmp_path):
+    rows = day_rows("2013-01-01", period_length=24, value=5.0, capacity=2.2250738585072014e-308)
+    rows += day_rows("2013-01-02", period_length=24, value=5.0, capacity=100.0)
+    path = write_csv(tmp_path / "a.csv", rows, header="time,value,cap")
+    series = dataio.load_csv(path, capacity_col="cap")
+    scenario_set = dataio.clean_and_slice(series, 24)
+    with pytest.raises(ScalingError, match=r"capacity 2\.2250738585072014e-308 is too small"):
+        dataio.scale(scenario_set, "capacity_factor", capacity=series.capacity)
+
+
 def test_minmax_roundtrip():
     rng = np.random.default_rng(1)
     scenario_set = make_set(rng.uniform(-5, 17, (6, 24)))

@@ -441,10 +441,22 @@ def test_welch_matches_per_segment_loop():
 def test_cev_report_delegates_to_pca():
     rng = np.random.default_rng(8)
     data = rng.standard_normal((50, 6))
-    dec = pca.fit(data)
-    table = evaluate.cev_report(dec)
+    mapped = pca.fit(data)
+    table = evaluate.cev_report(mapped)
     assert set(table) == {0.99, 0.999, 0.9999, 1.0}
-    assert table == pca.cev_table(dec, tuple(table))
+    assert table == {t: pca.truncate(mapped, cev_threshold=t).n_components for t in table}
+
+
+def test_cev_report_collinear():
+    table = evaluate.cev_report(pca.fit(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])))
+    assert table == {0.99: 1, 0.999: 1, 0.9999: 1, 1.0: 1}
+
+
+def test_cev_report_diag_covariance():
+    # spectrum (8/3, 2/3): the first component explains 0.8
+    table = evaluate.cev_report(pca.fit(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0],
+                                                  [0.0, -2.0]])))
+    assert table == {0.99: 2, 0.999: 2, 0.9999: 2, 1.0: 2}
 
 
 def test_marginal_stats_all_zero_columns():
@@ -521,6 +533,14 @@ def test_evaluate_sets_rejects_bad_bandwidth(bandwidth):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(UsageError, match="bandwidth must be finite and positive"):
             evaluate.evaluate_sets(hist, hist, bandwidth=bandwidth)
+
+
+def test_evaluate_sets_interval_mismatch():
+    rng = np.random.default_rng(14)
+    a = make_set(rng.uniform(size=(5, 4)), interval_minutes=360)
+    b = make_set(rng.uniform(size=(5, 4)), interval_minutes=60)
+    with pytest.raises(UsageError, match="equal interval_minutes, got 360 and 60"):
+        evaluate.evaluate_sets(a, b)
 
 
 def test_evaluate_sets_dimension_mismatch():

@@ -1,6 +1,7 @@
 """Tests for coupling layers, the flow model, densities, sampling, and IO."""
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -363,6 +364,17 @@ def test_model_roundtrip_identical_log_prob(tmp_path):
     assert back.scaling == "minmax"
     assert (back.scale_min, back.scale_max) == (-1.0, 4.0)
     assert back.interval_minutes == 15
+
+
+def test_model_roundtrip_keeps_written_cev(tmp_path):
+    model = trained_like_model()
+    path = tmp_path / "m.pcf"
+    save_model(model, path)
+    raw = path.read_bytes()
+    d, m = struct.unpack_from("<II", raw, 37)
+    (written,) = struct.unpack_from("<d", raw, 45 + 8 * (2 * d + d * m))
+    assert load_model(path).pca.cev == written == model.pca.cev
+    assert 0.0 < written < 1.0
 
 
 def test_model_roundtrip_bit_exact_parameters(tmp_path):

@@ -22,6 +22,14 @@ def random_dataset(rng, n, d):
 # fit --------------------------------------------------------------------
 
 
+def test_fit_returns_full_map():
+    rng = np.random.default_rng(11)
+    for x in (random_dataset(rng, 30, 4), np.array([[5.0, 5.0, 1.0], [5.0, 5.0, 1.0]])):
+        mapped = pca.fit(x)
+        assert mapped.n_components == mapped.dim == x.shape[1]
+        assert mapped.cev == 1.0  # also for the all-zero spectrum of the repeated point
+
+
 def test_fit_collinear_points():
     dec = pca.fit(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
     assert dec.singular_values[0] > 0
@@ -153,6 +161,13 @@ def test_truncate_monotone_in_threshold():
     assert counts == sorted(counts)
 
 
+def test_truncate_never_adds_columns():
+    mapped = fitted_map(m=3)  # rank 5, three columns kept
+    with pytest.raises(UsageError, match=r"n_components must be in \[1, 3\]"):
+        pca.truncate(mapped, n_components=4)
+    assert pca.truncate(mapped, cev_threshold=1.0).n_components == 3
+
+
 def test_truncate_bad_arguments():
     dec = pca.fit(np.eye(3))
     with pytest.raises(UsageError):
@@ -176,15 +191,30 @@ def test_project_mean_is_zero():
     assert np.allclose(pca.project(mapped, mapped.mean), 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("field", ["mean", "components", "singular_values"])
+def test_pca_map_rejects_non_finite(field):
+    arrays = {"mean": np.zeros(2), "components": np.eye(2), "singular_values": np.ones(2)}
+    arrays[field].flat[0] = np.nan
+    with pytest.raises(UsageError, match="non-finite"):
+        pca.PcaMap(**arrays)
+
+
 def test_project_coordinate_pick():
     mapped = pca.PcaMap(mean=np.zeros(2), components=np.array([[1.0], [0.0]]),
-                        singular_values=np.array([1.0, 0.0]), n_components=1, cev=1.0)
+                        singular_values=np.array([1.0, 0.0]))
     assert pca.project(mapped, np.array([3.0, 4.0])) == pytest.approx([3.0])
 
 
 def test_embed_zero_is_mean():
     mapped = fitted_map()
     assert np.allclose(pca.embed(mapped, np.zeros(3)), mapped.mean)
+
+
+def test_project_then_embed_roundtrips_on_full_map():
+    rng = np.random.default_rng(12)
+    mapped = pca.fit(random_dataset(rng, 40, 5))
+    x = rng.standard_normal((20, 5))
+    assert np.allclose(pca.embed(mapped, pca.project(mapped, x)), x, atol=1e-10)
 
 
 def test_project_then_embed_on_subspace():
@@ -228,16 +258,3 @@ def test_isometry_property(seed, m):
     v = mapped.components
     assert np.abs(v.T @ v - np.eye(m)).max() <= 1e-10
 
-
-# cev_table --------------------------------------------------------------
-
-
-def test_cev_table_collinear():
-    dec = pca.fit(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
-    table = pca.cev_table(dec, (0.99, 1.0))
-    assert table == {0.99: 1, 1.0: 1}
-
-
-def test_cev_table_diag_covariance():
-    dec = pca.fit(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]]))
-    assert pca.cev_table(dec, (0.99,)) == {0.99: 2}
