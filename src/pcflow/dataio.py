@@ -12,8 +12,8 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
-from itertools import compress, islice
+from datetime import datetime, timedelta, timezone
+from itertools import compress, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     DataError,
     InsufficientDataError,
     ParseError,
+    PcflowError,
     ScalingError,
     SchemaError,
     UsageError,
@@ -38,10 +39,9 @@ SCALE_TOL = 1e-9
 
 # load_csv parses the raw CSV this many rows at a time
 READ_BLOCK = 8192
-# a column of a block holding a longer cell is parsed cell by cell
-_BULK_CELL_CHARS = 64
-# the first second fromisoformat can read
-_FIRST_SECOND = np.datetime64("0001-01-01T00:00:00", "s")
+# load_csv counts the seconds of each timestamp from here, as datetime64 does
+_EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
 
 
 @dataclass(frozen=True)
@@ -128,14 +128,21 @@ def open_output(path, header_comment=None):
     return fh
 
 
+def write_rows(fh, rows):
+    """Write each row as one line of the comma-joined reprs of its entries."""
+    for row in rows:
+        fh.write(",".join(map(repr, row)) + "\n")
+
+
 def _parse_timestamp(text, line_no):
+    """Whole seconds since 1970, floored; an aware stamp is converted to UTC."""
     try:
         stamp = datetime.fromisoformat(text.strip())
         if stamp.tzinfo is not None:
             stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
     except (ValueError, OverflowError):
         raise ParseError(f"line {line_no}: malformed timestamp {text!r}") from None
-    return np.datetime64(stamp, "s")
+    return (stamp - _EPOCH) // _SECOND
 
 
 def _parse_value(text, line_no, what):
@@ -148,71 +155,36 @@ def _parse_value(text, line_no, what):
         raise ParseError(f"line {line_no}: malformed {what} {text!r}") from None
 
 
-def _bulk_timestamps(cells):
-    """numpy's parse of every cell, and a mask of the cells to parse one by one.
+def _parse_values(cells, line_nos, what):
+    """_parse_value of every cell.
 
-    numpy also reads spellings that fromisoformat rejects ("2019", "today",
-    "NaT", year 0), so a value is kept only where it prints back as the
-    stripped cell itself. A numpy text array would drop trailing NULs and
-    pad every cell to the longest one, so such blocks are not given to it.
+    float() reads a cell as _parse_value does unless it is a missing
+    marker, so only a column it fails on is parsed cell by cell.
     """
-    retry_all = np.empty(len(cells), "datetime64[s]"), np.ones(len(cells), bool)
-    if "\0" in "".join(cells) or max(map(len, cells)) > _BULK_CELL_CHARS:
-        return retry_all
-    text = np.char.strip(np.array(cells))
-    with warnings.catch_warnings():  # numpy warns about each "Z" or offset
-        warnings.simplefilter("ignore")
-        try:
-            stamps = text.astype("datetime64[s]")
-        except ValueError:
-            return retry_all
-    printed = np.datetime_as_string(stamps, unit="s")
-    exact = text == printed
-    if not exact.all():  # "YYYY-MM-DD hh:mm:ss" prints with a "T"
-        exact |= text == np.char.replace(printed, "T", " ")
-    return stamps, ~exact | np.isnat(stamps) | (stamps < _FIRST_SECOND)
-
-
-def _floats(cells):
     try:
         return np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
-        return None
-
-
-def _bulk_values(cells):
-    """float of every cell, and a mask of the cells to parse one by one.
-
-    float() reads a cell as _parse_value does unless it is a missing
-    marker, so only a block that fails is searched for markers.
-    """
-    values = _floats(cells)
-    if values is None:
-        values = _floats([math.nan if c.strip().lower() in MISSING_MARKERS else c
-                          for c in cells])
-    if values is None:
-        return np.empty(len(cells)), np.ones(len(cells), bool)
-    return values, np.zeros(len(cells), bool)
+        return np.fromiter(map(_parse_value, cells, line_nos, repeat(what)), float, len(cells))
 
 
 def _parse_block(rows, line_nos, picks):
     """Parse full-width, non-blank rows into one array per picked column.
 
-    Each column is parsed at once. The cells the bulk parse may read
-    otherwise go through the per-cell parsers, row by row and in column
-    order, so the fault raised is the first in file order.
+    Each column is parsed at once. On a fault the rows are parsed again one
+    by one, in column order, so the fault raised is the first in file order.
     """
     cells = [list(map(itemgetter(i), rows)) for i in picks]
-    parsed = [_bulk_timestamps(cells[0])] + [_bulk_values(column) for column in cells[1:]]
-    whats = (None, "value", "capacity")
-    for row in np.flatnonzero(np.logical_or.reduce([retry for _, retry in parsed])):
-        line_no = int(line_nos[row])
-        for column, (array, retry), what in zip(cells, parsed, whats):
-            if retry[row]:
-                text = column[row]
-                array[row] = (_parse_value(text, line_no, what) if what
-                              else _parse_timestamp(text, line_no))
-    return [array for array, _ in parsed]
+    line_nos = line_nos.tolist()
+    whats = ("value", "capacity")
+    try:
+        return [np.fromiter(map(_parse_timestamp, cells[0], line_nos), np.int64, len(rows)),
+                *(_parse_values(column, line_nos, what) for column, what in zip(cells[1:], whats))]
+    except ParseError:
+        for line_no, stamp, *values in zip(line_nos, *cells):
+            _parse_timestamp(stamp, line_no)
+            for text, what in zip(values, whats):
+                _parse_value(text, line_no, what)
+        raise
 
 
 def _read_blocks(reader, width, picks):
@@ -236,7 +208,7 @@ def load_csv(path, time_col="time", value_col="value", capacity_col=None):
     Empty cells and the usual NaN spellings become missing markers. Rows
     are parsed ``READ_BLOCK`` at a time, so memory stays bounded.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -256,7 +228,7 @@ def load_csv(path, time_col="time", value_col="value", capacity_col=None):
         raise DataError(f"{path}: no data rows")
     columns = [np.concatenate(parts) for parts in zip(*blocks)]
     return RawSeries(
-        timestamps=columns[0],
+        timestamps=columns[0].view("datetime64[s]"),
         values=columns[1],
         capacity=columns[2] if capacity_col else None,
     )
@@ -384,8 +356,7 @@ def split(scenario_set: ScenarioSet, validation_fraction: float, seed: int):
 def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
     """Write one scenario per row plus a sidecar ``<path>.meta`` text file."""
     with open_output(path, header_comment) as fh:
-        for row in scenario_set.data.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        write_rows(fh, scenario_set.data.tolist())
     meta = {
         "period_length": scenario_set.period_length,
         "interval_minutes": scenario_set.interval_minutes,
@@ -477,11 +448,14 @@ def load_scenarios(path) -> ScenarioSet:
         if not -math.inf < meta["min"] < meta["max"] < math.inf:  # False for NaN too
             raise SchemaError(f"{meta_path}: minmax needs finite min < max, "
                               f"got min={meta['min']!r}, max={meta['max']!r}")
-    return ScenarioSet(
-        data=data,
-        period_length=meta["period_length"],
-        interval_minutes=meta["interval_minutes"],
-        scaling=meta.get("scaling", "none"),
-        scale_min=meta.get("min"),
-        scale_max=meta.get("max"),
-    )
+    try:
+        return ScenarioSet(
+            data=data,
+            period_length=meta["period_length"],
+            interval_minutes=meta["interval_minutes"],
+            scaling=meta.get("scaling", "none"),
+            scale_min=meta.get("min"),
+            scale_max=meta.get("max"),
+        )
+    except PcflowError as exc:  # the constructor's checks; eval reads two files
+        raise type(exc)(f"{path}: {exc}") from None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pca as pca_mod
-from .dataio import ScenarioSet, open_output
+from .dataio import ScenarioSet, open_output, write_rows
 from .errors import DataError, NumericError, UsageError
 
 KDE_GRID_POINTS = 512
@@ -239,6 +239,15 @@ def periodogram(signal, sample_rate, window=None):
     return freqs, power
 
 
+def _segment_length(d, segment_length):
+    """The Welch segment length for rows of d steps; half a row by default."""
+    if segment_length is None:
+        segment_length = max(d // 2, 2)
+    if not 2 <= segment_length <= d:
+        raise UsageError(f"segment_length must lie in [2, {d}], got {segment_length}")
+    return segment_length
+
+
 def welch_psd(scenario_set: ScenarioSet, segment_length=None, overlap_fraction=0.5,
               window="hann"):
     """Mean Welch PSD over all scenarios, frequencies in cycles per hour.
@@ -247,11 +256,7 @@ def welch_psd(scenario_set: ScenarioSet, segment_length=None, overlap_fraction=0
     "boxcar").
     """
     data = scenario_set.data
-    d = data.shape[1]
-    if segment_length is None:
-        segment_length = max(d // 2, 2)
-    if not 2 <= segment_length <= d:
-        raise UsageError(f"segment_length must lie in [2, {d}], got {segment_length}")
+    segment_length = _segment_length(data.shape[1], segment_length)
     if not 0.0 <= overlap_fraction <= 0.9:
         raise UsageError("overlap_fraction must lie in [0, 0.9]")
     step = max(int(round(segment_length * (1.0 - overlap_fraction))), 1)
@@ -333,6 +338,7 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
     grid = kde_grid(np.concatenate([hist_pool, gen_pool]), h)
 
     stat, p_value = ks_two_sample(hist_pool, gen_pool)
+    segment_length = _segment_length(historical.period_length, segment_length)
     freqs, psd_hist = welch_psd(historical, segment_length, overlap_fraction, window)
     _, psd_gen = welch_psd(generated, segment_length, overlap_fraction, window)
     minutes, m_hist, v_hist = marginal_stats(historical, *MARGINAL_WINDOW)
@@ -370,14 +376,15 @@ def write_report(report: EvalReport, out_dir, header_comment=None):
     def _open(name):
         return open_output(os.path.join(out_dir, name), header_comment)
 
+    def _write_columns(fh, *columns):  # tolist() keeps the minutes ints
+        write_rows(fh, zip(*(column.tolist() for column in columns)))
+
     with _open("kde.csv") as fh:
         fh.write("value,density_historical,density_generated\n")
-        for g, dh, dg in zip(report.kde_grid, report.kde_historical, report.kde_generated):
-            fh.write(f"{float(g)!r},{float(dh)!r},{float(dg)!r}\n")
+        _write_columns(fh, report.kde_grid, report.kde_historical, report.kde_generated)
     with _open("psd.csv") as fh:
         fh.write("frequency_per_hour,power_historical,power_generated\n")
-        for f, ph, pg in zip(report.psd_freqs, report.psd_historical, report.psd_generated):
-            fh.write(f"{float(f)!r},{float(ph)!r},{float(pg)!r}\n")
+        _write_columns(fh, report.psd_freqs, report.psd_historical, report.psd_generated)
     with _open("ks.txt") as fh:
         fh.write(f"statistic={report.ks_statistic!r}\n")
         fh.write(f"p_value={report.ks_p_value!r}\n")
@@ -387,12 +394,9 @@ def write_report(report: EvalReport, out_dir, header_comment=None):
             fh.write(f"{threshold},{m}\n")
     with _open("marginals.csv") as fh:
         fh.write("minute,mean_historical,var_historical,mean_generated,var_generated\n")
-        rows = zip(report.marginal_minutes, report.marginal_mean_historical,
-                   report.marginal_var_historical, report.marginal_mean_generated,
-                   report.marginal_var_generated)
-        for minute, mh, vh, mg, vg in rows:
-            fh.write(f"{int(minute)},{float(mh)!r},{float(vh)!r},"
-                     f"{float(mg)!r},{float(vg)!r}\n")
+        _write_columns(fh, report.marginal_minutes, report.marginal_mean_historical,
+                       report.marginal_var_historical, report.marginal_mean_generated,
+                       report.marginal_var_generated)
     with _open("summary.txt") as fh:
         fh.write("scenario evaluation summary\n")
         fh.write("===========================\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pca as pca_mod
-from .dataio import ScenarioSet, as_rows, open_output
+from .dataio import ScenarioSet, as_rows, open_output, write_rows
 from .errors import DivergedError, NumericError, UsageError
 from .flow import FlowModel, Standardizer, build_flow
 
@@ -59,8 +59,7 @@ class TrainLog:
     def write_csv(self, path, header_comment=None):
         with open_output(path, header_comment) as fh:
             fh.write("epoch,train_nll,val_nll\n")
-            for i, (tr, va) in enumerate(zip(self.train_nll, self.val_nll)):
-                fh.write(f"{i},{tr!r},{va!r}\n")
+            write_rows(fh, zip(range(len(self.train_nll)), self.train_nll, self.val_nll))
             fh.write(f"# best_epoch={self.best_epoch}\n")
             if self.diverged:
                 fh.write(f"# diverged_at_epoch={self.diverged_epoch}\n")

@@ -341,6 +341,16 @@ def test_prepare_non_utf8_raw_file_exits_3(tmp_path):
     assert "utf-8" in err and "Traceback" not in err
 
 
+def test_prepare_skips_a_byte_order_mark(prepared, tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with one
+    raw = tmp_path / "bom.csv"
+    raw.write_text("\ufeff" + "\n".join(raw_csv_lines()) + "\n", encoding="utf-8")
+    code, err = exit_code(["prepare", "--input", str(raw), "--period-length", "24",
+                           "--out-dir", str(tmp_path / "p"), "--no-timestamp"])
+    assert code == 0, err
+    assert (tmp_path / "p" / "scenarios.csv").read_bytes() == prepared.read_bytes()
+
+
 @pytest.mark.parametrize("lines", [
     ["time,value", "2013-01-01T00:00:00,1.0", "2013-01-01T01:00:00,x"],
     ["time,value", "2013-01-01T00:00:00,1.0"],
@@ -435,6 +445,35 @@ def test_eval_malformed_scenarios_exit_3(tmp_path, rows, meta, match):
                            "--out-dir", str(tmp_path / "r")])
     assert code == cli.EXIT_DATA
     assert match in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows, meta, message", [
+    (["0.1,0.2,0.3", "0.4,0.5,0.6"], ["period_length=4", "interval_minutes=360"],
+     "rows have 3 entries, expected 4"),
+    (["0.1,0.2,0.3,0.4"], ["period_length=4", "interval_minutes=360"],
+     "need at least 2 scenarios, got 1"),
+    (["0.1,0.2,0.3,0.4", "0.5,0.6,0.7,0.8"], ["period_length=4", "interval_minutes=0"],
+     "interval_minutes must lie in [1, 1440], got 0"),
+])
+@pytest.mark.parametrize("bad", ["historical", "generated"])
+def test_eval_names_the_file_whose_set_is_invalid(tmp_path, rows, meta, message, bad):
+    files = {"historical": tmp_path / "historical", "generated": tmp_path / "generated"}
+    for name, directory in files.items():
+        directory.mkdir()
+        files[name] = write_scenarios(directory, *((rows, meta) if name == bad
+                                                   else (GOOD_ROWS, GOOD_META)))
+    code, err = exit_code(["eval", "--historical", str(files["historical"]), "--generated",
+                           str(files["generated"]), "--out-dir", str(tmp_path / "r")])
+    assert code == cli.EXIT_DATA
+    assert f"{files[bad]}: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, length", [([], 12), (["--segment-length=6"], 6)])
+def test_eval_summary_names_the_segment_length_used(prepared, tmp_path, flags, length):
+    assert run(["eval", "--historical", str(prepared), "--generated", str(prepared), *flags,
+                "--out-dir", str(tmp_path / "r"), "--no-timestamp"]) == 0
+    summary = (tmp_path / "r" / "summary.txt").read_text().splitlines()
+    assert f"welch_segment_length: {length}" in summary
 
 
 # per-column variances of about 1e600: float64 overflows in every stage's spread

@@ -4,11 +4,11 @@ import csv
 import logging
 import tracemalloc
 import warnings
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcflow import dataio
@@ -110,9 +110,12 @@ def test_load_csv_offsets_become_utc_without_warning(tmp_path):
 
 
 @pytest.mark.parametrize("cell", ["2019", "today", "NaT", "", "0000-01-01T00:00:00",
-                                  "2013-02-29T00:00:00", "0001-01-01T00:00:00+01:00"])
+                                  "2013-02-29T00:00:00", "0001-01-01T00:00:00+01:00",
+                                  "0001-01-01T00:59:59.999999+01:00",
+                                  "9999-12-31T23:00:00-01:00"])
 def test_load_csv_rejects_what_fromisoformat_rejects(tmp_path, cell):
-    # numpy's parser reads the first five; the last is out of datetime's range
+    # numpy's datetime64 parser reads the first five; in UTC the last three are
+    # out of datetime's range
     rows = ["2012-01-01T00:00:00,1.0", f"{cell},2.0"]
     with pytest.raises(ParseError, match=r"line 3: malformed timestamp"):
         dataio.load_csv(write_csv(tmp_path / "a.csv", rows))
@@ -122,6 +125,15 @@ def test_load_csv_cell_too_large_is_parse_error(tmp_path):
     rows = ["2013-01-01T00:00:00,1.0", "2013-01-01T00:15:00," + "1" * 200_000]
     with pytest.raises(ParseError, match="field larger than field limit"):
         dataio.load_csv(write_csv(tmp_path / "a.csv", rows))
+
+
+def reference_timestamp(text, line_no):
+    """A timestamp as numpy converts the datetime load_csv reads from the cell."""
+    dataio._parse_timestamp(text, line_no)  # load_csv's accepted spellings and errors
+    stamp = datetime.fromisoformat(text.strip())
+    if stamp.tzinfo is not None:
+        stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
+    return np.datetime64(stamp, "s")
 
 
 def reference_load_csv(path, time_col="time", value_col="value", capacity_col=None):
@@ -149,7 +161,7 @@ def reference_load_csv(path, time_col="time", value_col="value", capacity_col=No
                 continue
             if len(row) < len(header):
                 raise ParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            timestamps.append(dataio._parse_timestamp(row[columns[time_col]], line_no))
+            timestamps.append(reference_timestamp(row[columns[time_col]], line_no))
             values.append(dataio._parse_value(row[columns[value_col]], line_no, "value"))
             if capacity_col:
                 capacities.append(
@@ -203,6 +215,11 @@ STAMP_SPELLINGS = {
     "year zero": lambda t: t.replace(year=1).isoformat().replace("0001", "0000", 1),
     "nul": lambda t: t.isoformat() + "\0",
     "two nuls": lambda t: t.isoformat() + "\0\0",
+    # in increasing order only on the first or last row
+    "before 1970": lambda t: "1969-12-31T23:59:59.5",  # seconds are floored
+    "first second": lambda t: "0001-01-01T00:00:00",
+    "before year one": lambda t: "0001-01-01T00:30:00+01:00",
+    "last second": lambda t: "9999-12-31T23:59:59.999999",
 }
 NUMBER_CELLS = st.one_of(
     st.floats().map(repr),
@@ -248,6 +265,9 @@ def render_rows(n_rows, with_capacity, edits):
     edits=st.lists(st.tuples(st.integers(0, 10**6), ROW_EDITS), max_size=4),
     block=st.sampled_from([1, 2, 3, 7, dataio.READ_BLOCK]),
 )
+@example(n_rows=2, with_capacity=False, edits=[(0, ("stamp", "before 1970"))], block=2)
+@example(n_rows=2, with_capacity=False, block=2,
+         edits=[(0, ("stamp", "first second")), (1, ("stamp", "last second"))])
 def test_load_csv_matches_per_row_reference(tmp_path_factory, n_rows, with_capacity, edits,
                                             block):
     rows = render_rows(n_rows, with_capacity, edits)
@@ -699,8 +719,11 @@ def assert_reads_like_reference(tmp_path, text, width):
     assert got == rows_outcome(reference_read_rows, path)
 
     def reference_load(path):
-        return dataio.ScenarioSet(data=reference_read_rows(path), period_length=width,
-                                  interval_minutes=1).data
+        try:
+            return dataio.ScenarioSet(data=reference_read_rows(path), period_length=width,
+                                      interval_minutes=1).data
+        except DataError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
     def load(path):
         return dataio.load_scenarios(path).data
