@@ -237,7 +237,7 @@ def _apply_config_file(parser, argv):
     options = {a.dest: a for a in commands[argv[0]]._actions if a.option_strings}
     all_keys = {a.dest for command in commands.values() for a in command._actions}
     flags = []
-    with open(known.config, encoding="utf-8") as fh:
+    with open(known.config, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -374,7 +374,7 @@ def _read_rows_by_line(path):
     """Parse a scenario CSV line by line; every fault names its line."""
     rows = []
     width = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -401,7 +401,7 @@ def _read_rows(path):
     ragged row. Whatever it rejects, and a file it finds empty, is read
     again line by line, so each fault keeps its class, message and line.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = [line for line in fh if not line.strip().startswith("#")]
             with warnings.catch_warnings():
@@ -427,7 +427,7 @@ def load_scenarios(path) -> ScenarioSet:
     convert = {"period_length": int, "interval_minutes": int, "min": float, "max": float}
     meta = {}
     scaling_line = None
-    with open(meta_path, encoding="utf-8") as fh:
+    with open(meta_path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             key, _, val = (part.strip() for part in line.partition("="))
             if key == "scaling":

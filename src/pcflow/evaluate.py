@@ -82,9 +82,9 @@ def kde_pdf(samples, grid, bandwidth=None):
     KDE_REL_TOL times the mass kept. At the cap every term left out
     underflows to exactly 0.0, so a point is 0.0 exactly when its nearest
     term is. Inside the data r is about 10 bandwidths. Each block of
-    KDE_BLOCK grid points sums over the union of its points' windows, so
-    memory stays bounded by KDE_BLOCK times the number of distinct values,
-    however long the grid.
+    KDE_BLOCK grid points sums over the union of its points' windows, in
+    scratch allocated once for the widest block, so memory stays bounded by
+    KDE_BLOCK times the number of distinct values, however long the grid.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     grid = np.asarray(grid, dtype=float)
@@ -106,12 +106,24 @@ def kde_pdf(samples, grid, bandwidth=None):
         reach = radius * bandwidth
         lo = np.searchsorted(values, grid - reach, side="left")
         hi = np.searchsorted(values, grid + reach, side="right")
+        starts = range(0, len(grid), KDE_BLOCK)
+        lo = np.minimum.reduceat(lo, starts)
+        hi = np.maximum.reduceat(hi, starts)
+        scratch = np.empty(KDE_BLOCK * (hi - lo).max(initial=0))  # reused by every block
         density = np.empty(len(grid))
-        for start in range(0, len(grid), KDE_BLOCK):
+        for start, first, stop in zip(starts, lo, hi):
             block = slice(start, start + KDE_BLOCK)
-            window = slice(lo[block].min(), hi[block].max())
-            z = (grid[block, None] - values[window]) / bandwidth
-            density[block] = np.exp(-0.5 * z * z) @ counts[window]
+            shape = (len(grid[block]), stop - first)
+            z = scratch[:shape[0] * shape[1]].reshape(shape)
+            np.subtract(grid[block, None], values[first:stop], out=z)
+            np.divide(z, bandwidth, out=z)
+            # (z * z) * -0.5 in place equals (-0.5 * z) * z, since halving is
+            # exact, except where z * z underflows or overflows; there the
+            # exponentials of both are 1.0 or 0.0 alike
+            np.multiply(z, z, out=z)
+            np.multiply(z, -0.5, out=z)
+            np.exp(z, out=z)
+            density[block] = z @ counts[first:stop]
     return density / (len(samples) * bandwidth * math.sqrt(2.0 * math.pi))
 
 
@@ -126,16 +138,31 @@ def kde_grid(samples, bandwidth=None):
 
 # Kolmogorov-Smirnov -----------------------------------------------------------
 
+def _tie_run_ends(pooled):
+    """Mask of the sorted pooled values that end a run of equal values."""
+    return np.append(pooled[1:] != pooled[:-1], True)
+
+
 def ks_statistic(a, b):
-    """Supremum gap between the two empirical CDFs."""
-    a = np.sort(np.asarray(a, dtype=float).ravel())
-    b = np.sort(np.asarray(b, dtype=float).ravel())
+    """Supremum gap between the two empirical CDFs.
+
+    One stable merge of the two sorted samples gives, at the end of each run
+    of equal pooled values, the exact count of each sample at or below it.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
     if len(a) == 0 or len(b) == 0:
         raise DataError("KS test needs non-empty samples")
     pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / len(a)
-    cdf_b = np.searchsorted(b, pooled, side="right") / len(b)
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    if not np.all(np.isfinite(pooled)):
+        raise DataError("KS samples must be finite")
+    pooled[:len(a)].sort()
+    pooled[len(a):].sort()
+    order = pooled.argsort(kind="stable")  # timsort: one merge of the two sorted runs
+    ends = _tie_run_ends(pooled[order])
+    count_a = np.cumsum(order < len(a))[ends]
+    count_b = np.flatnonzero(ends) + 1 - count_a
+    return float(np.max(np.abs(count_a / len(a) - count_b / len(b))))
 
 
 def kolmogorov_survival(lam):
@@ -168,23 +195,29 @@ def kolmogorov_survival(lam):
     return min(max(total, 0.0), 1.0)
 
 
-def ks_exact_p_value(n_a, n_b, statistic):
-    """Exact permutation p-value for untied samples by lattice-path counting.
+def ks_exact_p_value(a, b, statistic):
+    """Exact permutation p-value by lattice-path counting, ties included.
 
-    Counts the monotone paths through the merged sample order whose running
-    ECDF gap stays below the observed statistic; every path is equally
-    likely under the permutation null.
+    Counts the monotone paths through the merged sample order whose ECDF gap
+    stays below the observed statistic at every point where the gap is
+    observed: the end of each run of equal pooled values (Schröer &
+    Trenkler 1995, Comput. Stat. Data Anal. 20(2)). Every path is equally
+    likely under the permutation null. Untied samples are checked at every
+    step.
     """
+    n_a, n_b = len(a), len(b)
+    # checked[k]: the gap after the first k merged values is observed
+    checked = np.append(False, _tie_run_ends(np.sort(np.concatenate([a, b]))))
     ways = np.zeros((n_a + 1, n_b + 1))
     ways[0, 0] = 1.0
     for i in range(n_a + 1):
         for j in range(n_b + 1):
             if i == 0 and j == 0:
                 continue
-            if abs(i / n_a - j / n_b) >= statistic - 1e-12:
+            if checked[i + j] and abs(i / n_a - j / n_b) >= statistic - 1e-12:
                 continue
             ways[i, j] = (ways[i - 1, j] if i else 0.0) + (ways[i, j - 1] if j else 0.0)
-    return 1.0 - ways[n_a, n_b] / math.comb(n_a + n_b, n_a)
+    return float(1.0 - ways[n_a, n_b] / math.comb(n_a + n_b, n_a))
 
 
 KS_EXACT_MAX_N = 100
@@ -193,19 +226,17 @@ KS_EXACT_MAX_N = 100
 def ks_two_sample(a, b):
     """Two-sample KS statistic and p-value.
 
-    Small untied samples (total size <= KS_EXACT_MAX_N) get the exact
+    Samples of total size <= KS_EXACT_MAX_N, tied or not, get the exact
     permutation p-value; otherwise the Kolmogorov limiting distribution is
     evaluated at the effective sample size n_a n_b / (n_a + n_b).
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     stat = ks_statistic(a, b)
-    pooled = np.concatenate([a, b])
-    if len(pooled) <= KS_EXACT_MAX_N and len(np.unique(pooled)) == len(pooled):
-        return stat, ks_exact_p_value(len(a), len(b), stat)
+    if len(a) + len(b) <= KS_EXACT_MAX_N:
+        return stat, ks_exact_p_value(a, b, stat)
     n_eff = len(a) * len(b) / (len(a) + len(b))
-    p_value = kolmogorov_survival(math.sqrt(n_eff) * stat)
-    return stat, p_value
+    return stat, kolmogorov_survival(math.sqrt(n_eff) * stat)
 
 
 # Welch power spectral density -------------------------------------------------
@@ -364,6 +395,7 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
             "welch_window": window,
             "welch_overlap": overlap_fraction,
             "welch_segment_length": segment_length,
+            "welch_detrend": "none",
             "ks_pooling": "all time steps of all scenarios flattened",
         },
     )

@@ -288,6 +288,44 @@ def test_config_file_bad_values_are_usage_errors(prepared, tmp_path, line):
     assert exit_code(argv)[0] == cli.EXIT_USAGE
 
 
+def test_config_file_may_start_with_a_byte_order_mark(prepared, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("\ufeffepochs=2\ncomponents=2\n", encoding="utf-8")
+    out = tmp_path / "run"
+    code, err = exit_code(["train", "--data", str(prepared), "--config", str(config),
+                           "--out-dir", str(out), "--no-timestamp"])
+    assert code == 0, err
+    assert (out / "trainlog.csv").read_text().count("\n") == 4
+
+
+def copy_with_byte_order_mark(scenarios, directory):
+    """The scenario CSV and its sidecar, each written with a leading U+FEFF."""
+    directory.mkdir()
+    path = directory / scenarios.name
+    for src, dst in ((scenarios, path), (Path(f"{scenarios}.meta"), Path(f"{path}.meta"))):
+        dst.write_text("\ufeff" + src.read_text(encoding="utf-8"), encoding="utf-8")
+    return path
+
+
+def test_train_reads_scenarios_with_a_byte_order_mark(prepared, tmp_path):
+    marked = copy_with_byte_order_mark(prepared, tmp_path / "bom")
+    args = ["--mode", "pcf", "--components", "2"]
+    code, err = exit_code(train_args(marked, tmp_path / "a", args))
+    assert code == 0, err
+    assert run(train_args(prepared, tmp_path / "b", args)) == 0
+    assert (tmp_path / "a" / "model.pcf").read_bytes() == (tmp_path / "b" / "model.pcf").read_bytes()
+
+
+def test_eval_reads_scenarios_with_a_byte_order_mark(prepared, tmp_path):
+    marked = copy_with_byte_order_mark(prepared, tmp_path / "bom")
+    for data, out in ((marked, "a"), (prepared, "b")):
+        code, err = exit_code(["eval", "--historical", str(data), "--generated", str(data),
+                               "--out-dir", str(tmp_path / out), "--no-timestamp"])
+        assert code == 0, err
+    for name in ("kde.csv", "ks.txt", "psd.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 @pytest.mark.parametrize("flag", ["--learning-rate=nan", "--learning-rate=inf",
                                   "--learning-rate=0", "--patience=-1"])
 def test_train_and_toy_reject_bad_optimiser_flags(prepared, tmp_path, flag):

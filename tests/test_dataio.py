@@ -678,7 +678,7 @@ def reference_read_rows(path):
     """The line loop that load_scenarios replaced with a bulk parse, kept as its oracle."""
     rows = []
     width = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # skips a leading byte-order mark
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -784,6 +784,8 @@ def test_load_scenarios_matches_line_loop(tmp_path_factory, file):
     ("", 2),  # an empty file
     ("# generated\n# nothing else\n", 2),  # comments only
     ("0.5,0.25\n0.75,\udcff\n", 2),  # not UTF-8
+    ("\ufeff0.5,0.25\n0.75,1.0\n", 2),  # a leading byte-order mark
+    ("0.5,0.25\n\ufeff0.75,1.0\n", 2),  # U+FEFF inside the file
 ])
 def test_load_scenarios_matches_line_loop_on_named_inputs(tmp_path, text, width):
     assert_reads_like_reference(tmp_path, text, width)

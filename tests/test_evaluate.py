@@ -130,6 +130,60 @@ def test_kde_memory_stays_bounded():
     assert peak < dense_bytes / 20
 
 
+def kde_fresh_blocks(samples, grid, bandwidth):
+    """kde_pdf's windows and block chain, with fresh temporaries in every block."""
+    values, counts = np.unique(samples, return_counts=True)
+    counts = counts.astype(float)
+    right = np.minimum(np.searchsorted(values, grid), len(values) - 1)
+    left = np.maximum(right - 1, 0)
+    delta = np.minimum(np.abs(grid - values[left]), np.abs(grid - values[right])) / bandwidth
+    radius = np.minimum(np.sqrt(delta * delta + 2.0 * math.log(len(samples) / evaluate.KDE_REL_TOL)),
+                        evaluate.KDE_CUTOFF)
+    reach = radius * bandwidth
+    lo = np.searchsorted(values, grid - reach, side="left")
+    hi = np.searchsorted(values, grid + reach, side="right")
+    density = np.empty(len(grid))
+    for start in range(0, len(grid), evaluate.KDE_BLOCK):
+        block = slice(start, start + evaluate.KDE_BLOCK)
+        window = slice(lo[block].min(), hi[block].max())
+        z = (grid[block, None] - values[window]) / bandwidth
+        density[block] = np.exp(-0.5 * z * z) @ counts[window]
+    return density / (len(samples) * bandwidth * math.sqrt(2.0 * math.pi))
+
+
+def test_kde_equals_fresh_block_loop_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for n in (20_000, 3001):
+        # half exact zeros, like PV nights
+        samples = np.concatenate([np.zeros(n // 2), rng.beta(2.0, 3.0, n - n // 2)])
+        rng.shuffle(samples)
+        h = evaluate.silverman_bandwidth(samples)
+        grid = evaluate.kde_grid(samples, h)
+        for g in (grid, rng.permutation(grid), grid[:13]):
+            got = evaluate.kde_pdf(samples, g, h)
+            assert got.tobytes() == kde_fresh_blocks(samples, g, h).tobytes()
+    # kernel arguments where z * z overflows though 0.5 * z * z does not
+    # (z = 1.5e154), where z * z is subnormal, and where z is inf
+    edges = [([0.0, 0.0, 1.5, 3.0], [0.0, 1.5, 0.75, 3.0, 2.0], 1e-154),
+             ([0.0, 1.5e-154, 3e-154, 1.0], [0.0, 1e-154, 2e-154, 1.0], 1.0),
+             ([0.0, 0.0, 0.5, 1.0], [1.0, -0.5, 0.0, 1.5, 0.5], 1e-300)]
+    for samples, grid, h in edges:
+        samples, grid = np.array(samples), np.array(grid)
+        with np.errstate(over="ignore"):
+            want = kde_fresh_blocks(samples, grid, h)
+        assert evaluate.kde_pdf(samples, grid, h).tobytes() == want.tobytes()
+
+
+def test_kde_matches_scipy_gaussian_kde():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(16)
+    samples = np.concatenate([rng.normal(0.0, 1.0, 700), rng.normal(4.0, 0.5, 300)])
+    h = evaluate.silverman_bandwidth(samples)
+    grid = evaluate.kde_grid(samples, h)
+    want = stats.gaussian_kde(samples, bw_method=h / np.std(samples, ddof=1))(grid)
+    assert np.allclose(evaluate.kde_pdf(samples, grid, h), want, rtol=1e-12, atol=0.0)
+
+
 def kde_without_warnings(samples, grid, bandwidth):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -269,6 +323,62 @@ def test_ks_p_value_close_to_permutation_oracle():
         assert abs(p_asym - p_exact) <= 0.05
 
 
+def test_ks_exact_p_value_with_ties_matches_permutation_enumeration():
+    # the asymptotic p-value here is 0.974; all 120 relabelings give 0.45
+    _, p = evaluate.ks_two_sample([0, 2, 1, 2, 2, 1, 0], [2, 1, 3])
+    assert p == pytest.approx(0.45, abs=1e-12)
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        na, nb = (int(n) for n in rng.integers(1, 8, size=2))
+        a = rng.integers(0, 4, size=na).astype(float)
+        b = rng.integers(0, 4, size=nb).astype(float)
+        _, p = evaluate.ks_two_sample(a, b)
+        assert p == pytest.approx(permutation_p_value(a, b), abs=1e-12)
+
+
+def test_ks_two_sample_matches_scipy_exact_without_ties():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        na, nb = (int(n) for n in rng.integers(3, 40, size=2))
+        a, b = rng.normal(size=na), rng.normal(0.4, 1.0, size=nb)
+        want = stats.ks_2samp(a, b, method="exact")
+        stat, p = evaluate.ks_two_sample(a, b)
+        assert stat == pytest.approx(want.statistic, abs=1e-15)
+        assert p == pytest.approx(want.pvalue, abs=1e-12)
+
+
+def ks_searchsorted(a, b):
+    """The ECDF gap at every pooled value, each ECDF read by a binary search."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / len(a)
+    cdf_b = np.searchsorted(b, pooled, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def test_ks_statistic_equals_searchsorted_formula():
+    rng = np.random.default_rng(19)
+    cases = [([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), ([0.0, 0.0], [1.0, 1.0, 1.0]),
+             ([0.5], [0.5]), ([0.5], [0.25]), ([0.5], rng.random(7)), (rng.random(9), [-0.0])]
+    for n_a, n_b in ((20_000, 9_000), (4_001, 4_003), (50, 3)):
+        # PV-like pools: half exact zeros, and values rounded so they tie
+        a = np.concatenate([np.zeros(n_a // 2), np.round(rng.beta(2.0, 3.0, n_a - n_a // 2), 3)])
+        b = np.concatenate([np.zeros(n_b // 2), rng.beta(2.0, 3.0, n_b - n_b // 2)])
+        cases += [(rng.permutation(a), rng.permutation(b)), (b, np.round(b, 2))]
+    for a, b in cases:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert evaluate.ks_statistic(a, b) == ks_searchsorted(a, b)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ks_rejects_non_finite_samples(bad):
+    for a, b in (([0.0, bad, 1.0], [0.5, 2.0]), ([0.0, 1.0], [bad])):
+        for ks in (evaluate.ks_statistic, evaluate.ks_two_sample):
+            with pytest.raises(DataError, match="finite"):
+                ks(a, b)
+
+
 def test_ks_symmetry():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=30), rng.normal(1, 2, size=20)
@@ -401,6 +511,20 @@ def test_welch_overflow_is_numeric_error_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="power spectrum overflows float64"):
             evaluate.welch_psd(make_set(data, interval_minutes=15))
+
+
+def test_welch_matches_scipy_without_detrending():
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(20)
+    scenario_set = make_set(rng.uniform(size=(30, 96)) * np.sin(np.linspace(0, np.pi, 96)),
+                            interval_minutes=15)
+    for length, window in ((48, "hann"), (32, "rect"), (96, "hann")):
+        freqs, power = evaluate.welch_psd(scenario_set, length, 0.5, window)
+        want_freqs, want = signal.welch(
+            scenario_set.data, fs=4.0, window="hann" if window == "hann" else "boxcar",
+            nperseg=length, noverlap=length // 2, detrend=False, axis=-1)
+        assert np.allclose(freqs, want_freqs, rtol=1e-15, atol=0.0)
+        assert np.allclose(power, want.mean(axis=0), rtol=1e-12, atol=0.0)
 
 
 def test_welch_argument_validation():

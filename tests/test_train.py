@@ -11,6 +11,9 @@ import pytest
 from pcflow import dataio, toy
 from pcflow.flow import LOG_2PI, FlowModel, build_flow
 from pcflow.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     GRAD_CLIP_NORM,
     AdamState,
     TrainConfig,
@@ -110,6 +113,26 @@ def test_adam_deterministic():
         return params.copy()
 
     assert np.array_equal(run(), run())
+
+
+def test_adam_equals_expression_form_byte_for_byte():
+    rng = np.random.default_rng(21)
+    params = rng.standard_normal(5000)
+    want, m, v = params.copy(), np.zeros(5000), np.zeros(5000)
+    state = AdamState.for_params(params)
+    lr = 3e-3
+    for t in range(1, 6):
+        # gradients over many magnitudes, so every rounding step shows
+        grads = rng.standard_normal(5000) * 10.0 ** rng.integers(-9, 4, 5000)
+        adam_step(params, grads, state, TrainConfig(learning_rate=lr))
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grads
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grads * grads
+        want -= lr * (m / (1.0 - ADAM_BETA1 ** t)) / (np.sqrt(v / (1.0 - ADAM_BETA2 ** t))
+                                                     + ADAM_EPSILON)
+    assert params.tobytes() == want.tobytes()
+    assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
 def test_clip_gradients_caps_the_norm():
