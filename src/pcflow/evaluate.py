@@ -124,7 +124,11 @@ def kde_pdf(samples, grid, bandwidth=None):
             np.multiply(z, -0.5, out=z)
             np.exp(z, out=z)
             density[block] = z @ counts[first:stop]
-    return density / (len(samples) * bandwidth * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore"):  # the check below names the bandwidth
+        density /= len(samples) * bandwidth * math.sqrt(2.0 * math.pi)
+    if not np.all(np.isfinite(density)):
+        raise NumericError(f"bandwidth {bandwidth!r} is too small: the density overflows float64")
+    return density
 
 
 def kde_grid(samples, bandwidth=None):

@@ -25,8 +25,10 @@ CURVE_RIPPLE = 0.0133
 CURVE_RIPPLE_CYCLES = 12.0
 CURVE_TAPER = 0.95
 
-# distance_to_curve measures against this many evenly spaced curve points
+# distance_to_curve measures against this many evenly spaced curve points,
+# for this many points at a time (about 10 MB of temporaries per block)
 CURVE_DISCRETIZATION = 4000
+DISTANCE_BLOCK = 64
 # fraction_on_curve counts the points within this distance of the curve
 ON_CURVE_TOLERANCE = 0.05
 
@@ -123,9 +125,13 @@ def distance_to_curve(points):
     """
     curve = curve_point(np.linspace(0.0, 1.0, CURVE_DISCRETIZATION))
     points = np.asarray(points, dtype=float)
-    diffs = points[:, None, :] - curve[None, :, :]
+    distances = np.empty(len(points))
     with np.errstate(over="ignore"):
-        return np.sqrt((diffs ** 2).sum(axis=-1)).min(axis=1)
+        for start in range(0, len(points), DISTANCE_BLOCK):
+            block = slice(start, start + DISTANCE_BLOCK)
+            diffs = points[block, None, :] - curve[None, :, :]
+            distances[block] = np.sqrt((diffs ** 2).sum(axis=-1)).min(axis=1)
+    return distances
 
 
 def fraction_on_curve(points):

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcflow import cli, dataio
+from pcflow import cli, dataio, toy
 from pcflow.conditioner import DenseNet
-from pcflow.flow import load_model, save_model
+from pcflow.flow import FlowModel, load_model, save_model
 
 
 def run(argv):
@@ -371,6 +371,36 @@ def test_sample_n_below_two_is_usage_error(prepared, tmp_path, n):
     assert "Traceback" not in err and not (tmp_path / "s").exists()
 
 
+def oversized_n_exit(trained_model, tmp_path, command, n):
+    model = tmp_path / "model.pcf"
+    model.write_bytes(trained_model)
+    out = tmp_path / "out"
+    argv = {"toy": ["toy", "--epochs", "2"],
+            "sample": ["sample", "--model", str(model)]}[command]
+    code, err = exit_code([*argv, "--n", str(n), "--out-dir", str(out)])
+    assert code == cli.EXIT_USAGE, err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"--n {n} is too large" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["toy", "sample"])
+@pytest.mark.parametrize("n", [10**18, 10**20])
+def test_n_too_large_for_numpy_is_usage_error(trained_model, tmp_path, command, n):
+    # numpy refuses arrays this large before it allocates anything
+    oversized_n_exit(trained_model, tmp_path, command, n)
+
+
+@pytest.mark.parametrize("command", ["toy", "sample"])
+def test_n_too_large_for_memory_is_usage_error(trained_model, tmp_path, command, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(toy, "make_toy_set", out_of_memory)
+    monkeypatch.setattr(FlowModel, "sample", out_of_memory)
+    oversized_n_exit(trained_model, tmp_path, command, 10**11)
+
+
 def test_prepare_non_utf8_raw_file_exits_3(tmp_path):
     raw = tmp_path / "raw.csv"
     raw.write_bytes(b"time,value\n2013-01-01T00:00:00,1.0\n2013-01-01T01:00:00,\xff\n")
@@ -425,6 +455,13 @@ def test_eval_rejects_bad_bandwidth(prepared, tmp_path, bandwidth):
 def test_eval_tiny_bandwidth_runs_quietly(prepared, tmp_path):
     code, err = eval_exit_without_warnings(prepared, tmp_path / "r", "--bandwidth=1e-300")
     assert code == 0, err
+
+
+def test_eval_overflowing_density_is_numeric_error(prepared, tmp_path):
+    code, err = eval_exit_without_warnings(prepared, tmp_path / "r", "--bandwidth=1e-320")
+    assert code == cli.EXIT_NUMERIC, err
+    assert err.count("error:") == 1 and "bandwidth 1e-320 is too small" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_eval_winter_pv_needs_no_bandwidth(tmp_path):

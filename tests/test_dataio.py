@@ -2,6 +2,7 @@
 
 import csv
 import logging
+import re
 import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -280,16 +281,17 @@ def test_load_csv_matches_per_row_reference(tmp_path_factory, n_rows, with_capac
 
 @pytest.mark.parametrize("edits, error", [
     ([], None),
-    ([(50, ("value", "abc"))], "line 8244: malformed value 'abc'"),
+    ([(50, ("value", "abc"))], "line +52: malformed value 'abc'"),
     ([(90, ("stamp", "zulu")), (95, ("capacity", "NULL"))], None),
     ([(80, ("row", "short")), (70, ("capacity", "x")), (60, ("stamp", "basic"))],
-     "line 8264: malformed capacity 'x'"),
-    ([(80, ("row", "short")), (85, ("stamp", "year"))], "line 8274: expected 3 fields, got 1"),
-    ([(20, ("stamp", "year")), (20, ("value", "1.0.0"))], "line 8214: malformed timestamp"),
+     "line +72: malformed capacity 'x'"),
+    ([(80, ("row", "short")), (85, ("stamp", "year"))], "line +82: expected 3 fields, got 1"),
+    ([(20, ("stamp", "year")), (20, ("value", "1.0.0"))], "line +22: malformed timestamp"),
     ([(40, ("row", "repeat"))], "timestamps not increasing"),
 ])
 def test_load_csv_matches_reference_past_first_block(tmp_path, edits, error):
-    # every edit lands in the second block; "at" counts from its first row
+    # every edit lands in the second block; "at" counts from its first row,
+    # and "line +k" is line READ_BLOCK + k (the header is line 1)
     n_rows = dataio.READ_BLOCK + 100
     edits = [(dataio.READ_BLOCK + at, edit) for at, edit in edits]
     path = write_csv(tmp_path / "a.csv", render_rows(n_rows, True, edits),
@@ -298,7 +300,53 @@ def test_load_csv_matches_reference_past_first_block(tmp_path, edits, error):
     if error is None:
         assert len(result[1]) == 8 * n_rows
     else:
-        assert error in result[1]
+        expected = re.sub(r"line \+(\d+)", lambda m: f"line {dataio.READ_BLOCK + int(m[1])}",
+                          error)
+        assert expected in result[1]
+
+
+def timestamps_outcome(parse, cells, line_nos):
+    """The bytes of the seconds parse returns, or its ParseError message."""
+    try:
+        return np.asarray(parse(cells, line_nos), dtype=np.int64).tobytes()
+    except ParseError as exc:
+        return str(exc)
+
+
+def timestamps_cell_by_cell(cells, line_nos):
+    return list(map(dataio._parse_timestamp, cells, line_nos))
+
+
+@pytest.mark.parametrize("spelling", sorted(STAMP_SPELLINGS))
+def test_parse_timestamps_matches_cell_by_cell(spelling):
+    stamps = [START + timedelta(minutes=15 * i) for i in range(6)]
+    spell = STAMP_SPELLINGS[spelling]
+    naive, aware = STAMP_SPELLINGS["canonical"], STAMP_SPELLINGS["offset"]
+    blocks = {
+        "one spelling": [spell(t) for t in stamps],
+        "with naive": [spell(t) if i % 2 else naive(t) for i, t in enumerate(stamps)],
+        "with aware": [spell(t) if i % 2 else aware(t) for i, t in enumerate(stamps)],
+        "last cell only": [naive(t) for t in stamps[:-1]] + [spell(stamps[-1])],
+    }
+    line_nos = list(range(2, 2 + len(stamps)))
+    for name, cells in blocks.items():
+        expected = timestamps_outcome(timestamps_cell_by_cell, cells, line_nos)
+        assert timestamps_outcome(dataio._parse_timestamps, cells, line_nos) == expected, name
+
+
+def test_parse_timestamps_mixes_naive_and_aware_stamps():
+    cells = ["1970-01-01T00:00:00", "1970-01-01T01:00:01+01:00", "1970-01-01T00:00:02Z",
+             " 1969-12-31T23:59:59.5 ", "1969-12-31T18:59:58-05:00"]
+    seconds = dataio._parse_timestamps(cells, [2, 3, 4, 5, 6])
+    assert seconds.dtype == np.int64
+    assert seconds.tolist() == [0, 1, 2, -1, -2]
+
+
+@pytest.mark.parametrize("cell", ["today", "2013-02-29T00:00:00", "0001-01-01T00:30:00+01:00"])
+def test_parse_timestamps_names_a_fault_in_the_last_cell(cell):
+    cells = ["2013-01-01T00:00:00Z", "2013-01-01T00:15:00", cell]
+    with pytest.raises(ParseError, match=rf"^line 9: malformed timestamp {re.escape(repr(cell))}$"):
+        dataio._parse_timestamps(cells, [7, 8, 9])
 
 
 def test_load_csv_memory_stays_bounded(tmp_path):

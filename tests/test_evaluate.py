@@ -257,6 +257,17 @@ def test_kde_tiny_bandwidth_does_not_overflow_noisily():
     assert_matches_dense(kde_without_warnings(samples, grid, h), samples, grid, h)
 
 
+def test_kde_overflowing_density_is_numeric_error():
+    # n * h * sqrt(2 pi) is subnormal, so a grid point on a sample overflows
+    samples = np.array([0.0, 0.0, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^bandwidth 1e-320 is too small"):
+            evaluate.kde_pdf(samples, np.linspace(-0.5, 1.5, 17), 1e-320)
+        # no grid point on a sample: every term is 0.0, and so is the density
+        assert evaluate.kde_pdf(samples, np.array([0.25, 2.0]), 1e-320).tolist() == [0.0, 0.0]
+
+
 # KS test ----------------------------------------------------------------
 
 

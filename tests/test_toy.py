@@ -1,5 +1,7 @@
 """Tests for the synthetic toy datasets and the distance-to-curve oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,37 @@ def test_distance_to_curve_offset_point():
     shifted = base + np.array([[0.0, 0.2]])
     d = toy.distance_to_curve(shifted)[0]
     assert 0.05 < d <= 0.2 + 1e-9
+
+
+def dense_distance_to_curve(points):
+    """The whole points x curve-points difference array at once."""
+    curve = toy.curve_point(np.linspace(0.0, 1.0, toy.CURVE_DISCRETIZATION))
+    diffs = points[:, None, :] - curve[None, :, :]
+    with np.errstate(over="ignore"):
+        return np.sqrt((diffs ** 2).sum(axis=-1)).min(axis=1)
+
+
+def test_distance_to_curve_equals_dense_formula():
+    rng = np.random.default_rng(7)
+    points = toy.make_curve1d(2 * toy.DISTANCE_BLOCK + 5, seed=7)
+    points += rng.normal(0.0, 0.1, points.shape)
+    points[:3] = [[1e200, 0.0], [-3.0, 1e160], [0.0, 0.0]]  # two at distance inf
+    got = toy.distance_to_curve(points)
+    assert np.isinf(got[:2]).all()
+    assert got.tobytes() == dense_distance_to_curve(points).tobytes()
+    assert toy.distance_to_curve(np.empty((0, 2))).shape == (0,)
+
+
+def test_distance_to_curve_memory_stays_bounded():
+    points = toy.make_curve1d(2000, seed=8)
+    tracemalloc.start()
+    try:
+        toy.distance_to_curve(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense (2000, 4000, 2) difference array alone is 128 MB
+    assert peak < 20e6, peak
 
 
 def test_fraction_on_curve():
