@@ -6,6 +6,7 @@ import argparse
 import logging
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from datetime import datetime, timezone
 
@@ -86,12 +87,14 @@ def cmd_train(args):
     log.write_csv(os.path.join(args.out_dir, "trainlog.csv"),
                   header_comment=_timestamp_comment(args))
     if log.diverged:
-        print(f"training diverged at epoch {log.diverged_epoch}; "
-              f"best checkpoint from epoch {log.best_epoch} kept")
+        print(f"training diverged at epoch {log.diverged_epoch}; {log.kept}")
         if not args.allow_divergence:
             raise NumericError("training diverged (re-run with --allow-divergence to accept)")
-    print(f"wrote {model_path} (best epoch {log.best_epoch}, "
-          f"{log.epochs_completed} epochs)")
+    if log.best_epoch < 0:
+        print(f"wrote {model_path} ({log.kept})")
+    else:
+        print(f"wrote {model_path} (best epoch {log.best_epoch}, "
+              f"{log.epochs_completed} epochs)")
     return 0
 
 
@@ -140,7 +143,7 @@ def cmd_toy(args):
     log.write_csv(os.path.join(args.out_dir, "trainlog.csv"), header_comment=comment)
 
     lines = [f"shape={args.shape}", f"mode={args.mode}",
-             f"best_epoch={log.best_epoch}", f"diverged={log.diverged}"]
+             f"best_epoch={log.best_epoch_text}", f"diverged={log.diverged}"]
     if args.shape == "curve1d":
         distances = toy.distance_to_curve(samples.data)
         lines.append(f"mean_distance_to_manifold={float(distances.mean())!r}")
@@ -275,19 +278,26 @@ def _apply_config_file(parser, argv):
     return [argv[0], *flags, *argv[1:]]
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except (PcflowError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, UsageError):
-            return EXIT_USAGE
-        return EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_DATA
+    # the warning filters decide as before; a warning they show is one line
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            argv = _apply_config_file(parser, argv)
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except (PcflowError, OSError, UnicodeDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            if isinstance(exc, UsageError):
+                return EXIT_USAGE
+            return EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_DATA
 
 
 if __name__ == "__main__":

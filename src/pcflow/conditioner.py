@@ -13,6 +13,7 @@ activations so the backward pass returns exact gradients of
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -27,7 +28,9 @@ def forward(weights, biases, x):
     """Evaluate the net(s) on x, (d,) or (n, d); returns (output, tape).
 
     The output is (out,) or (n, out) for one net, and (k, out) or
-    (k, n, out) for a stack of k nets.
+    (k, n, out) for a stack of k nets. A non-finite activation raises
+    NumericError; the check is ``all_finite``, so callers run this under
+    ``np.errstate(over="ignore", invalid="ignore")``.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -45,7 +48,7 @@ def forward(weights, biases, x):
         activations.append(h)
     # one check suffices: NaN passes through matmul and tanh, and tanh maps
     # +-inf to +-1, so a hidden layer is non-finite only if the output is
-    if not np.isfinite(h).all():
+    if not all_finite(h):
         for net in np.ndindex(h.shape[:-2]):  # each net of a stack in turn
             for i, act in enumerate(activations):
                 if not np.all(np.isfinite(act[net])):
@@ -53,28 +56,51 @@ def forward(weights, biases, x):
     return (h[..., 0, :] if squeeze else h), GradientTape(inputs, activations)
 
 
-def backward(weights, tape: GradientTape, cotangent, grads):
+def backward(weights, tape: GradientTape, cotangent, grads, weights_t=None,
+             input_cotangent=True):
     """Gradients of <cotangent, output> w.r.t. parameters and input.
 
     The parameter gradients are written into ``grads``, arrays shaped like
     [W0, b0, W1, b1, ...], summed over the batch; the input cotangent is
-    returned and keeps the batch shape.
+    returned and keeps the batch shape, or is skipped and None returned
+    when ``input_cotangent`` is false. ``weights_t`` may hold the weights
+    with their last two axes swapped, for a caller that keeps those views.
     """
     g = np.asarray(cotangent, dtype=float)
-    if len(tape.activations) != len(weights):
+    inputs, activations = tape
+    last = len(weights) - 1
+    if len(activations) != last + 1:
         raise NumericError("tape does not match network depth")
-    squeeze = g.ndim < tape.activations[-1].ndim  # the forward input was (d,)
+    if weights_t is None:
+        weights_t = [w.swapaxes(-1, -2) for w in weights]
+    squeeze = g.ndim < activations[-1].ndim  # the forward input was (d,)
     if squeeze:
         g = g[..., None, :]
-    for i in range(len(weights) - 1, -1, -1):
-        if i < len(weights) - 1:
-            act = tape.activations[i]
-            g = g * (1.0 - act * act)  # through tanh
+    for i in range(last, -1, -1):
+        if i < last:  # through tanh: g * (1 - act^2)
+            act = activations[i]
+            d = act * act
+            np.subtract(1.0, d, out=d)
+            d *= g
+            g = d
         db = grads[2 * i + 1]
-        np.matmul(tape.inputs[i].swapaxes(-1, -2), g, out=grads[2 * i])
+        np.matmul(inputs[i].swapaxes(-1, -2), g, out=grads[2 * i])
         np.add.reduce(g, axis=-2, out=db, keepdims=db.ndim == g.ndim)
-        g = g @ weights[i].swapaxes(-1, -2)
+        if i == 0 and not input_cotangent:
+            return None
+        g = g @ weights_t[i]
     return g[..., 0, :] if squeeze else g
+
+
+def all_finite(a):
+    """Whether every entry of ``a`` is finite.
+
+    The sum decides when it is finite; otherwise (an entry is non-finite, or
+    the sum of finite entries overflows) the entries are tested one by one.
+    Run it under ``np.errstate(over="ignore", invalid="ignore")``: the sum
+    overflows, or adds +inf to -inf, quietly there.
+    """
+    return math.isfinite(np.add.reduce(a, None)) or bool(np.isfinite(a).all())
 
 
 class DenseNet:
@@ -117,6 +143,8 @@ class DenseNet:
         """Flat list [W0, b0, W1, b1, ...]; arrays are live references."""
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
+    # an overflow leaves a non-finite value, which the check reports
+    @np.errstate(over="ignore", invalid="ignore")
     def forward(self, x):
         """Evaluate the net; x is (d,) or (n, d). Returns (output, tape)."""
         return forward(self.weights, self.biases, x)

@@ -42,6 +42,8 @@ class Standardizer:
         if not (np.all(np.isfinite(self.shift)) and np.all(np.isfinite(self.scale))
                 and np.all(self.scale > 0)):
             raise UsageError("standardizer shifts and scales must be finite, scales positive")
+        # log-det of the standardizing (inverse-generative) direction
+        self.log_det = -float(np.sum(np.log(self.scale)))
 
     @classmethod
     def from_data(cls, data):
@@ -57,11 +59,6 @@ class Standardizer:
     @classmethod
     def identity(cls, dim):
         return cls(np.zeros(dim), np.ones(dim))
-
-    @property
-    def log_det(self):
-        # log-det of the standardizing (inverse-generative) direction
-        return -float(np.sum(np.log(self.scale)))
 
     def standardize(self, x):
         return (x - self.shift) / self.scale
@@ -97,12 +94,14 @@ class CouplingLayer:
         self.s_net = s_net
         self.t_net = t_net
         self.s_cap = float(s_cap)
+        # identity block first half normally, second half when swapped
+        cut = tr_dim if self.swap else id_dim
+        first, second = slice(None, cut), slice(cut, None)
+        self._columns = (second, first) if self.swap else (first, second)
 
     def _split(self, v):
-        # identity block first half normally, second half when swapped
-        if self.swap:
-            return v[..., self.dim - self.id_dim:], v[..., : self.dim - self.id_dim]
-        return v[..., : self.id_dim], v[..., self.id_dim:]
+        ident, rest = self._columns
+        return v[..., ident], v[..., rest]
 
     def _join(self, ident, transformed):
         if self.swap:
@@ -133,50 +132,72 @@ class CouplingLayer:
     def inverse_with_tape(self, x):
         """``inverse`` with the s-net and the t-net evaluated one at a time.
 
-        Returns (z, logdet_inv, cache); the cache holds the two nets' tapes.
+        Returns (z, logdet_inv, cache); the cache holds the scale outputs,
+        exp(-s), the transformed block and the two nets' tapes.
         """
         ident, rest = self._split(np.asarray(x, dtype=float))
         raw, s_tape = self.s_net.forward(ident)
         t, t_tape = self.t_net.forward(ident)
-        return self._invert(ident, rest, raw, t, (s_tape, t_tape))
-
-    def stacked_inverse(self, x, weights, biases):
-        """``inverse_with_tape`` with both nets evaluated in one stacked pass.
-
-        ``weights`` and ``biases`` hold the two nets' arrays stacked, shaped
-        (2, in, out) and (2, 1, out), as ``FlowModel`` views them. The cache
-        is what ``backward_inverse`` takes.
-        """
-        ident, rest = self._split(x)
-        (raw, t), tape = conditioner.forward(weights, biases, ident)
-        return self._invert(ident, rest, raw, t, (tape, weights))
-
-    def _invert(self, ident, rest, raw, t, nets):
         s = self._cap(raw)
         exp_neg_s = np.exp(-s)
         z_rest = (rest - t) * exp_neg_s
         if not np.isfinite(z_rest).all():
             raise NumericError("non-finite coupling inverse")
-        return self._join(ident, z_rest), -s.sum(axis=-1), (s, exp_neg_s, z_rest, nets)
+        return self._join(ident, z_rest), -s.sum(axis=-1), (s, exp_neg_s, z_rest, (s_tape, t_tape))
 
-    def backward_inverse(self, cache, g_out, grads, s_cotangent_extra=0.0):
+    def stacked_inverse(self, x, net):
+        """``inverse_with_tape`` with both nets evaluated in one stacked pass.
+
+        ``net`` is (weights, biases, weights_t): the two nets' arrays
+        stacked, shaped (2, in, out) and (2, 1, out), and the weights with
+        their last two axes swapped, as ``FlowModel`` views them. The cache
+        is what ``backward_inverse`` takes. The caller runs it under
+        ``np.errstate(over="ignore", invalid="ignore")``: an overflow leaves
+        a non-finite value, which the checks report.
+        """
+        weights, biases, _ = net
+        ident, rest = self._split(x)
+        out, tape = conditioner.forward(weights, biases, ident)
+        # -s for s = s_cap tanh(raw / s_cap), the bits of -_cap(raw); a
+        # subnormal s_cap makes raw / s_cap +-inf, which tanh maps to +-1
+        neg_s = np.divide(out[0], self.s_cap)
+        np.tanh(neg_s, out=neg_s)
+        neg_s *= -self.s_cap
+        exp_neg_s = np.exp(neg_s)
+        z_rest = rest - out[1]
+        z_rest *= exp_neg_s
+        if not conditioner.all_finite(z_rest):
+            raise NumericError("non-finite coupling inverse")
+        cache = (neg_s, exp_neg_s, z_rest, tape, net)
+        return self._join(ident, z_rest), np.add.reduce(neg_s, -1), cache
+
+    def backward_inverse(self, cache, g_out, grads, s_cotangent_extra=0.0, input_cotangent=True):
         """Backward pass through ``stacked_inverse``.
 
         ``g_out`` is the cotangent on the inverse output; a constant extra
         cotangent on each scale output (from the log-det term of the loss)
         can be folded in via ``s_cotangent_extra``. Both nets' parameter
         gradients are written into ``grads``, [dW0, db0, dW1, db1, ...]
-        stacked like the weights. Returns the cotangent on the input.
+        stacked like the weights. Returns the cotangent on the input, or
+        None when ``input_cotangent`` is false.
         """
-        s, exp_neg_s, z_rest, (tape, weights) = cache
+        neg_s, exp_neg_s, z_rest, tape, (weights, _, weights_t) = cache
         g_ident, g_rest_out = self._split(g_out)
         g_rest_in = g_rest_out * exp_neg_s
-        cot_s = -g_rest_out * z_rest + s_cotangent_extra
-        cot = np.empty((2, *s.shape))  # the cotangents on the s-net and t-net outputs
-        np.multiply(cot_s, 1.0 - (s / self.s_cap) ** 2, out=cot[0])  # through the tanh cap
+        cot = np.empty((2, *neg_s.shape))  # the cotangents on the s-net and t-net outputs
+        cot_s = g_rest_out * z_rest
+        np.subtract(s_cotangent_extra, cot_s, out=cot_s)
+        slope = np.divide(neg_s, self.s_cap)  # of the tanh cap: 1 - (s / s_cap)^2
+        np.square(slope, out=slope)
+        np.subtract(1.0, slope, out=slope)
+        np.multiply(cot_s, slope, out=cot[0])
         np.negative(g_rest_in, out=cot[1])
-        g_nets = conditioner.backward(weights, tape, cot, grads)
-        return self._join(g_ident + g_nets[0] + g_nets[1], g_rest_in)
+        g_nets = conditioner.backward(weights, tape, cot, grads, weights_t, input_cotangent)
+        if g_nets is None:
+            return None
+        g_ident = g_ident + g_nets[0]
+        g_ident += g_nets[1]
+        return self._join(g_ident, g_rest_in)
 
 
 class FlowModel:
@@ -211,7 +232,8 @@ class FlowModel:
             for net in (layer.s_net, layer.t_net):
                 for i in range(len(net.weights)):
                     net.weights[i], net.biases[i] = next(views), next(views)
-        self._stacks = [(stack[0::2], stack[1::2]) for stack in stacks]
+        self._stacks = [(stack[0::2], stack[1::2], [w.swapaxes(-1, -2) for w in stack[0::2]])
+                        for stack in stacks]
         self._grad_out = self._grad_views = None
 
     def _carve(self, flat):
@@ -272,6 +294,8 @@ class FlowModel:
             raise NumericError("non-finite log-density")
         return float(total[0]) if squeeze else total
 
+    # an overflow leaves a non-finite value, which the checks report
+    @np.errstate(over="ignore", invalid="ignore")
     def nll_and_grads(self, batch, out=None):
         """Mean NLL over the batch and its exact gradients.
 
@@ -295,21 +319,24 @@ class FlowModel:
         u = self.standardizer.standardize(self._to_latent(x))
         caches = []
         total = np.full(n, self.standardizer.log_det)
-        for layer, (weights, biases) in zip(reversed(self.layers), reversed(self._stacks)):
-            u, logdet_inv, cache = layer.stacked_inverse(u, weights, biases)
+        for layer, net in zip(reversed(self.layers), reversed(self._stacks)):
+            u, logdet_inv, cache = layer.stacked_inverse(u, net)
             caches.append(cache)
-            total = total + logdet_inv
-        log_prob = total - 0.5 * np.sum(u * u, axis=-1) - 0.5 * self.dim * LOG_2PI
-        nll = -float(log_prob.mean())
+            total += logdet_inv
+        total -= 0.5 * np.add.reduce(u * u, -1)
+        total -= 0.5 * self.dim * LOG_2PI
+        nll = -(float(np.add.reduce(total)) / n)  # the bits of -total.mean()
         if not math.isfinite(nll):
-            bad = int(np.argmax(~np.isfinite(log_prob)))
+            bad = int(np.argmax(~np.isfinite(total)))
             raise NumericError(f"non-finite NLL (row {bad})")
 
-        g = u / n  # d nll / d z from the Gaussian term
-        # walk back through the inverse evaluations, most recent first,
-        # which visits the layers in order
-        for layer, cache, grads in zip(self.layers, reversed(caches), grad_stacks):
-            g = layer.backward_inverse(cache, g, grads, s_cotangent_extra=1.0 / n)
+        u /= n  # d nll / d z from the Gaussian term
+        # walk back through the inverse evaluations, most recent first, which
+        # visits the layers in order; nothing reads the last one's input cotangent
+        g, last = u, len(caches) - 1
+        for i, (layer, cache, grads) in enumerate(zip(self.layers, reversed(caches), grad_stacks)):
+            g = layer.backward_inverse(cache, g, grads, s_cotangent_extra=1.0 / n,
+                                       input_cotangent=i < last)
         return nll, arrays
 
     # sampling --------------------------------------------------------------

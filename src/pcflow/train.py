@@ -45,7 +45,7 @@ class TrainConfig:
 class TrainLog:
     train_nll: list = field(default_factory=list)
     val_nll: list = field(default_factory=list)
-    best_epoch: int = -1
+    best_epoch: int = -1  # -1: no epoch completed, the initial parameters were kept
     diverged_epoch: int | None = None
 
     @property
@@ -56,11 +56,23 @@ class TrainLog:
     def epochs_completed(self):
         return len(self.train_nll)
 
+    @property
+    def kept(self):
+        """Which parameters the model holds, as the outputs report it."""
+        if self.best_epoch < 0:
+            return "no epoch completed; initial parameters kept"
+        return f"best checkpoint from epoch {self.best_epoch} kept"
+
+    @property
+    def best_epoch_text(self):
+        """``best_epoch`` as trainlog.csv and metrics.txt write it."""
+        return str(self.best_epoch) if self.best_epoch >= 0 else f"none ({self.kept})"
+
     def write_csv(self, path, header_comment=None):
         with open_output(path, header_comment) as fh:
             fh.write("epoch,train_nll,val_nll\n")
             write_rows(fh, zip(range(len(self.train_nll)), self.train_nll, self.val_nll))
-            fh.write(f"# best_epoch={self.best_epoch}\n")
+            fh.write(f"# best_epoch={self.best_epoch_text}\n")
             if self.diverged:
                 fh.write(f"# diverged_at_epoch={self.diverged_epoch}\n")
 
@@ -91,7 +103,7 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
     state.t += 1
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    step, denom = state.scratch
+    step, denom = state.scratch[0], state.scratch[1]
     state.m *= b1
     state.m += np.multiply(1.0 - b1, grads, out=step)
     state.v *= b2
@@ -120,7 +132,8 @@ def _clip_gradients(grads):
 def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig):
     """Mini-batch Adam loop; leaves the model at its best-validation-epoch parameters.
 
-    Returns the log. A non-finite loss ends the loop and is recorded in the log.
+    Returns the log. A non-finite loss ends the loop and is recorded in the
+    log; if that happens in the first epoch, the initial parameters stay.
     """
     log = TrainLog()
     params = model.params
@@ -169,8 +182,6 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig):
         elif epoch - log.best_epoch > config.early_stop_patience:
             break
 
-    if log.best_epoch < 0:
-        log.best_epoch = 0
     params[:] = best
     return log
 

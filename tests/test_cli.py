@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from pcflow import cli, dataio, toy
 from pcflow.conditioner import DenseNet
+from pcflow.errors import NumericError
 from pcflow.flow import FlowModel, load_model, save_model
 
 
@@ -220,6 +221,55 @@ def test_toy_kite2d_fsnf_quick(tmp_path):
     assert run(["toy", "--shape", "kite2d", "--mode", "fsnf", "--n", "300",
                 "--epochs", "3", "--out-dir", str(out), "--no-timestamp"]) == 0
     assert "diverged=False" in (out / "metrics.txt").read_text()
+
+
+def test_toy_shows_the_dimension_one_warning_as_one_line(tmp_path, capsys):
+    # curve1d data always reduce to one principal component
+    assert run(["toy", "--n", "300", "--epochs", "2", "--out-dir", str(tmp_path / "toy"),
+                "--no-timestamp"]) == 0
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "dimension 1" in line] == [
+        "warning: flow dimension 1: coupling layers cannot act; "
+        "falling back to a standardizer-only Gaussian model"]
+    assert "UserWarning" not in err and "build_flow" not in err
+
+
+def test_warning_filters_still_decide_under_the_cli(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        with pytest.raises(UserWarning, match="flow dimension 1"):
+            run(["toy", "--n", "300", "--epochs", "2", "--out-dir", str(tmp_path / "toy"),
+                 "--no-timestamp"])
+
+
+def fail_first_gradient(monkeypatch):
+    def failing(self, *args, **kwargs):
+        raise NumericError("injected")
+
+    monkeypatch.setattr(FlowModel, "nll_and_grads", failing)
+
+
+NO_EPOCH = "no epoch completed; initial parameters kept"
+
+
+def test_train_diverging_before_an_epoch_says_no_epoch_completed(prepared, tmp_path, capsys,
+                                                                  monkeypatch):
+    out = tmp_path / "run"
+    fail_first_gradient(monkeypatch)
+    assert run(train_args(prepared, out, ["--mode", "fsnf", "--allow-divergence"])) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"training diverged at epoch 0; {NO_EPOCH}", f"wrote {out / 'model.pcf'} ({NO_EPOCH})"]
+    assert (out / "trainlog.csv").read_text() == (
+        f"epoch,train_nll,val_nll\n# best_epoch=none ({NO_EPOCH})\n# diverged_at_epoch=0\n")
+
+
+def test_toy_diverging_before_an_epoch_says_no_epoch_completed(tmp_path, monkeypatch):
+    out = tmp_path / "toy"
+    fail_first_gradient(monkeypatch)
+    assert run(["toy", "--mode", "fsnf", "--n", "300", "--epochs", "3", "--out-dir", str(out),
+                "--no-timestamp"]) == 0
+    metrics = (out / "metrics.txt").read_text().splitlines()
+    assert metrics[2:4] == [f"best_epoch=none ({NO_EPOCH})", "diverged=True"]
 
 
 # config file ------------------------------------------------------------

@@ -163,6 +163,18 @@ def test_nonfinite_activation_names_layer():
         net.forward(np.array([1.0]))
 
 
+@pytest.mark.parametrize("values, finite", [
+    ([1.0, -2.0], True),
+    ([1e308, 1e308], True),  # the sum overflows, the entries do not
+    ([np.inf, -np.inf], False),  # the sum is NaN
+    ([1.0, np.nan], False),
+    ([-np.inf, 1.0], False),
+])
+def test_all_finite_tests_entries_not_their_sum(values, finite):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert conditioner.all_finite(np.array(values)) is finite
+
+
 def test_dimension_validation():
     with pytest.raises(UsageError):
         DenseNet([np.zeros((2, 3)), np.zeros((4, 1))], [np.zeros(3), np.zeros(1)])

@@ -9,7 +9,7 @@ import pytest
 
 from pcflow import pca
 from pcflow.conditioner import DenseNet
-from pcflow.errors import ModelFormatError, ModelVersionError, UsageError
+from pcflow.errors import ModelFormatError, ModelVersionError, NumericError, UsageError
 from pcflow.flow import (
     DEFAULT_S_CAP,
     LOG_2PI,
@@ -323,6 +323,47 @@ def test_nll_and_grads_writes_into_out():
                 np.zeros(model.params.size, dtype=np.float32)):
         with pytest.raises(UsageError, match="shaped like params"):
             model.nll_and_grads(batch, out=bad)
+
+
+@pytest.mark.parametrize("case", ["huge rows", "huge parameters"])
+def test_nll_and_grads_overflow_is_a_quiet_numeric_error(case):
+    model = build_flow(2, n_layers=2)
+    x = np.full((3, 2), 1e300)
+    if case == "huge parameters":
+        model.params[:] = 1e200
+        x = np.ones((3, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite log-density"):
+            model.log_prob(x)
+        with pytest.raises(NumericError, match=r"non-finite NLL \(row 0\)"):
+            model.nll_and_grads(x)
+
+
+def overflowing_coupling():
+    # s = 5 tanh(-1), so a transformed value of 1e307 leaves 1e307 exp(-s) = inf
+    layer = CouplingLayer(2, constant_net(1, -5.0), constant_net(1, 0.0))
+    return FlowModel([layer], Standardizer.identity(2)), np.array([[0.0, 1e307]])
+
+
+def nan_hidden_bias():
+    model = build_flow(2, n_layers=2, hidden_dims=(3,), seed=28)
+    model.layers[1].t_net.biases[0][:] = np.nan  # the layer both passes evaluate first
+    return model, np.ones((4, 2))
+
+
+@pytest.mark.parametrize("make, message", [
+    (nan_hidden_bias, "non-finite activation in layer 0"),
+    (overflowing_coupling, "non-finite coupling inverse"),
+])
+def test_nll_and_grads_checks_fire_as_in_log_prob(make, message):
+    model, x = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (model.log_prob, model.nll_and_grads):
+            with pytest.raises(NumericError) as caught:
+                evaluate(x)
+            assert str(caught.value) == message
 
 
 def test_subnormal_s_cap_is_quiet_and_finite():

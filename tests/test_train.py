@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from pcflow import dataio, toy
-from pcflow.flow import LOG_2PI, FlowModel, build_flow
+from pcflow import dataio, pca, toy
+from pcflow.flow import LOG_2PI, FlowModel, Standardizer, build_flow
 from pcflow.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -24,6 +24,7 @@ from pcflow.train import (
     fit_pcf,
 )
 from pcflow.errors import DivergedError, NumericError, UsageError
+from test_flow import per_net_nll_and_grads
 
 
 def gaussian_sets(seed=0, n=300, d=2):
@@ -273,6 +274,21 @@ def test_fit_fsnf_logs_divergence(monkeypatch, tmp_path, name, call):
         "# best_epoch=0\n# diverged_at_epoch=1\n")
 
 
+def test_divergence_in_the_first_epoch_keeps_the_initial_parameters(monkeypatch, tmp_path):
+    train_set, val_set = gaussian_sets(seed=8)
+    config = TrainConfig(epochs=3, seed=3)
+    initial = build_flow(2, seed=3, standardizer=Standardizer.from_data(train_set.data)).params
+    fail_on_call(monkeypatch, "nll_and_grads", 2)  # after one Adam step
+    model, log = fit_fsnf(train_set, val_set, config=config)
+    assert log.diverged_epoch == 0 and log.epochs_completed == 0 and log.best_epoch == -1
+    assert model.params.tobytes() == initial.tobytes()
+    log.write_csv(tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_text() == (
+        "epoch,train_nll,val_nll\n"
+        "# best_epoch=none (no epoch completed; initial parameters kept)\n"
+        "# diverged_at_epoch=0\n")
+
+
 @pytest.mark.parametrize("name, call", DIVERGE_IN_EPOCH_1)
 def test_fit_pcf_raises_on_divergence(monkeypatch, name, call):
     train_set, val_set = gaussian_sets(seed=8)
@@ -289,6 +305,58 @@ def test_trainlog_csv_roundtrip(tmp_path):
     assert "epoch,train_nll,val_nll" in text
     assert "1,1.2,1.4" in text
     assert "# best_epoch=1" in text
+
+
+def reference_fit(model, train_rows, val_rows, config):
+    """``_train_loop`` written out: per-net gradients, Adam's expression form, the clip formula."""
+    params = model.params
+    m, v, best = np.zeros_like(params), np.zeros_like(params), params.copy()
+    shuffle_rng = np.random.default_rng(config.seed + 1)
+    n, t, best_val = train_rows.shape[0], 0, math.inf
+    train_nll, val_nll = [], []
+    for _ in range(config.epochs):
+        perm = shuffle_rng.permutation(n)
+        epoch_nll = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = train_rows[perm[start: start + config.batch_size]]
+            latent = batch if model.pca is None else pca.project(model.pca, batch)
+            nll, grads = per_net_nll_and_grads(model, latent)
+            epoch_nll += nll * batch.shape[0]
+            g = np.concatenate([a.ravel() for a in grads])
+            norm = math.sqrt(float(np.einsum("i,i", g, g)))
+            if norm > GRAD_CLIP_NORM:
+                g = g * (GRAD_CLIP_NORM / norm)
+            t += 1
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            params -= config.learning_rate * (m / (1.0 - ADAM_BETA1 ** t)) / (
+                np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPSILON)
+        train_nll.append(epoch_nll / n)
+        val_nll.append(-float(np.mean(model.log_prob(val_rows))))
+        if val_nll[-1] < best_val:
+            best_val = val_nll[-1]
+            best = params.copy()
+    params[:] = best
+    return train_nll, val_nll
+
+
+@pytest.mark.parametrize("mode, dim", [("fsnf", 2), ("fsnf", 5), ("pcf", 6)])
+def test_training_matches_a_reference_loop_byte_for_byte(mode, dim):
+    train_set, val_set = gaussian_sets(seed=30 + dim, n=300, d=dim)
+    config = TrainConfig(epochs=3, seed=dim, learning_rate=3e-3)
+    if mode == "fsnf":
+        model, log = fit_fsnf(train_set, val_set, config=config)
+        start = build_flow(dim, seed=dim, standardizer=Standardizer.from_data(train_set.data))
+    else:
+        model, log = fit_pcf(train_set, val_set, n_components=3, config=config)
+        mapped = pca.truncate(pca.fit(train_set.data), n_components=3)
+        start = build_flow(3, seed=dim, pca=mapped, standardizer=Standardizer.from_data(
+            pca.project(mapped, train_set.data)))
+    train_nll, val_nll = reference_fit(start, train_set.data, val_set.data, config)
+    assert log.epochs_completed == 3
+    assert np.array(log.train_nll).tobytes() == np.array(train_nll).tobytes()
+    assert np.array(log.val_nll).tobytes() == np.array(val_nll).tobytes()
+    assert model.params.tobytes() == start.params.tobytes()
 
 
 TRAIN_IN_CHILD = """
