@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
@@ -111,10 +112,25 @@ class ScenarioSet:
         if self.scaling in ("capacity_factor", "minmax"):
             if data.min() < -SCALE_TOL or data.max() > 1.0 + SCALE_TOL:
                 raise DataError("scaled entries must lie in [0, 1]")
+        # the rules load_scenarios applies, so save_scenarios writes a readable file
+        for key in ("period_length", "interval_minutes"):
+            if not isinstance(getattr(self, key), numbers.Integral):
+                raise DataError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        if self.scaling == "minmax" and not finite_range(self.scale_min, self.scale_max):
+            raise DataError(f"minmax scaling needs finite scale_min < scale_max, "
+                            f"got {self.scale_min!r} and {self.scale_max!r}")
+        if (self.scale_min is None) != (self.scale_max is None):
+            raise DataError(f"scale_min and scale_max must be given together, "
+                            f"got {self.scale_min!r} and {self.scale_max!r}")
 
     @property
     def n_scenarios(self):
         return self.data.shape[0]
+
+
+def finite_range(low, high):
+    """Whether low < high are both finite; False for None and NaN."""
+    return low is not None and high is not None and -math.inf < low < high < math.inf
 
 
 def as_rows(data):
@@ -471,7 +487,7 @@ def load_scenarios(path) -> ScenarioSet:
     if meta.get("scaling") == "minmax":
         if not {"min", "max"} <= meta.keys():
             raise SchemaError(f"{meta_path}: minmax scaling needs both 'min' and 'max'")
-        if not -math.inf < meta["min"] < meta["max"] < math.inf:  # False for NaN too
+        if not finite_range(meta["min"], meta["max"]):
             raise SchemaError(f"{meta_path}: minmax needs finite min < max, "
                               f"got min={meta['min']!r}, max={meta['max']!r}")
     try:

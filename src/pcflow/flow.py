@@ -9,6 +9,7 @@ zero to the log-density.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 import warnings
@@ -18,7 +19,7 @@ import numpy as np
 from . import pca as pca_mod
 from . import conditioner
 from .conditioner import DenseNet
-from .dataio import ScenarioSet
+from .dataio import SCALING_MODES, ScenarioSet, finite_range
 from .errors import ModelFormatError, ModelVersionError, NumericError, UsageError
 from .pca import PcaMap
 
@@ -108,42 +109,53 @@ class CouplingLayer:
             return np.concatenate([transformed, ident], axis=-1)
         return np.concatenate([ident, transformed], axis=-1)
 
-    def _cap(self, raw):
-        # a subnormal s_cap overflows raw / s_cap to +-inf, which tanh maps to +-1
-        with np.errstate(over="ignore"):
-            return self.s_cap * np.tanh(raw / self.s_cap)
+    def _neg_scale(self, raw):
+        # -s for s = s_cap tanh(raw / s_cap), as a new array; a subnormal
+        # s_cap makes raw / s_cap +-inf, which tanh maps to +-1
+        neg_s = np.divide(raw, self.s_cap)
+        np.tanh(neg_s, out=neg_s)
+        neg_s *= -self.s_cap
+        return neg_s
 
+    def _inverse(self, ident, rest, raw_s, t, *tapes):
+        """The inverse from the two nets' outputs, for either route; the cache
+        holds -s, exp(-s), the transformed block and then ``tapes``."""
+        neg_s = self._neg_scale(raw_s)
+        exp_neg_s = np.exp(neg_s)
+        z_rest = rest - t
+        z_rest *= exp_neg_s
+        if not conditioner.all_finite(z_rest):
+            raise NumericError("non-finite coupling inverse")
+        cache = (neg_s, exp_neg_s, z_rest, *tapes)
+        return self._join(ident, z_rest), np.add.reduce(neg_s, -1), cache
+
+    # an overflow leaves a non-finite value, which the check reports
+    @np.errstate(over="ignore", invalid="ignore")
     def forward(self, z):
         """z -> x; returns (x, logdet) with logdet = sum of scale outputs."""
-        z = np.asarray(z, dtype=float)
-        ident, rest = self._split(z)
-        s = self._cap(self.s_net.forward(ident)[0])
+        ident, rest = self._split(np.asarray(z, dtype=float))
+        s = self._neg_scale(self.s_net.forward(ident)[0])
+        np.negative(s, out=s)
         t, _ = self.t_net.forward(ident)
         x_rest = np.exp(s) * rest + t
-        if not np.all(np.isfinite(x_rest)):
+        if not conditioner.all_finite(x_rest):
             raise NumericError("non-finite coupling output")
-        return self._join(ident, x_rest), s.sum(axis=-1)
+        return self._join(ident, x_rest), np.add.reduce(s, -1)
 
     def inverse(self, x):
         """x -> z; returns (z, logdet_inv) with logdet_inv = -sum(s)."""
         z, logdet_inv, _ = self.inverse_with_tape(x)
         return z, logdet_inv
 
+    # an overflow leaves a non-finite value, which the checks report
+    @np.errstate(over="ignore", invalid="ignore")
     def inverse_with_tape(self, x):
-        """``inverse`` with the s-net and the t-net evaluated one at a time.
-
-        Returns (z, logdet_inv, cache); the cache holds the scale outputs,
-        exp(-s), the transformed block and the two nets' tapes.
-        """
+        """``inverse`` with the s-net and the t-net evaluated one at a time; returns
+        (z, logdet_inv, cache), the cache ending in the two nets' tapes."""
         ident, rest = self._split(np.asarray(x, dtype=float))
         raw, s_tape = self.s_net.forward(ident)
         t, t_tape = self.t_net.forward(ident)
-        s = self._cap(raw)
-        exp_neg_s = np.exp(-s)
-        z_rest = (rest - t) * exp_neg_s
-        if not np.isfinite(z_rest).all():
-            raise NumericError("non-finite coupling inverse")
-        return self._join(ident, z_rest), -s.sum(axis=-1), (s, exp_neg_s, z_rest, (s_tape, t_tape))
+        return self._inverse(ident, rest, raw, t, (s_tape, t_tape))
 
     def stacked_inverse(self, x, net):
         """``inverse_with_tape`` with both nets evaluated in one stacked pass.
@@ -155,21 +167,9 @@ class CouplingLayer:
         ``np.errstate(over="ignore", invalid="ignore")``: an overflow leaves
         a non-finite value, which the checks report.
         """
-        weights, biases, _ = net
         ident, rest = self._split(x)
-        out, tape = conditioner.forward(weights, biases, ident)
-        # -s for s = s_cap tanh(raw / s_cap), the bits of -_cap(raw); a
-        # subnormal s_cap makes raw / s_cap +-inf, which tanh maps to +-1
-        neg_s = np.divide(out[0], self.s_cap)
-        np.tanh(neg_s, out=neg_s)
-        neg_s *= -self.s_cap
-        exp_neg_s = np.exp(neg_s)
-        z_rest = rest - out[1]
-        z_rest *= exp_neg_s
-        if not conditioner.all_finite(z_rest):
-            raise NumericError("non-finite coupling inverse")
-        cache = (neg_s, exp_neg_s, z_rest, tape, net)
-        return self._join(ident, z_rest), np.add.reduce(neg_s, -1), cache
+        out, tape = conditioner.forward(net[0], net[1], ident)
+        return self._inverse(ident, rest, out[0], out[1], tape, net)
 
     def backward_inverse(self, cache, g_out, grads, s_cotangent_extra=0.0, input_cotangent=True):
         """Backward pass through ``stacked_inverse``.
@@ -211,9 +211,17 @@ class FlowModel:
         self.dim = len(standardizer.shift)
         if self.dim < 1:
             raise UsageError("flow dimension must be >= 1")
+        # the rules ScenarioSet and load_model apply, so save_model writes a readable file
+        if not isinstance(interval_minutes, numbers.Integral):
+            raise UsageError(f"interval_minutes must be an integer, got {interval_minutes!r}")
         self.interval_minutes = int(interval_minutes)
-        if not 1 <= self.interval_minutes <= 24 * 60:  # as ScenarioSet requires
+        if not 1 <= self.interval_minutes <= 24 * 60:
             raise UsageError(f"interval_minutes must lie in [1, 1440], got {interval_minutes}")
+        if scaling not in SCALING_MODES:
+            raise UsageError(f"unknown scaling mode {scaling!r}")
+        if scaling == "minmax" and not finite_range(scale_min, scale_max):
+            raise UsageError(f"minmax scaling needs finite scale_min < scale_max, "
+                             f"got {scale_min!r} and {scale_max!r}")
         self.scaling = scaling
         self.scale_min = scale_min
         self.scale_max = scale_max
@@ -226,40 +234,28 @@ class FlowModel:
                 raise UsageError("coupling layer parities must alternate")
         # one flat vector holds every weight and bias; the nets keep views of it
         self.params = np.concatenate([p.ravel() for p in self.parameters()] or [np.zeros(0)])
-        arrays, stacks = self._carve(self.params)
-        views = iter(arrays)
-        for layer in self.layers:
-            for net in (layer.s_net, layer.t_net):
-                for i in range(len(net.weights)):
-                    net.weights[i], net.biases[i] = next(views), next(views)
+        stacks = self._carve(self.params)
+        for layer, stack in zip(self.layers, stacks):
+            for j, net in enumerate((layer.s_net, layer.t_net)):
+                net.weights[:] = [w[j] for w in stack[0::2]]
+                net.biases[:] = [b[j, 0] for b in stack[1::2]]
         self._stacks = [(stack[0::2], stack[1::2], [w.swapaxes(-1, -2) for w in stack[0::2]])
                         for stack in stacks]
         self._grad_out = self._grad_views = None
 
     def _carve(self, flat):
-        """Views into a vector laid out like ``params``.
-
-        Returns the per-array views in ``parameters()`` order and, per layer,
-        the list [W0, b0, W1, b1, ...] of its two nets' arrays stacked,
-        shaped (2, in, out) and (2, 1, out). A layer's s-net and t-net have
-        identical shapes and are stored one after the other, so its block is
-        a (2, S) slab, S the size of one net, and each stacked array is a
-        reshaped column range of the slab.
-        """
-        arrays, stacks = [], []
-        start = 0
+        """Per layer, its nets' [W0, b0, ...] stacked, (2, in, out) and (2, 1, out), as views
+        into a vector laid out like ``params``: column ranges of the layer's (2, S) slab, S the
+        size of one net. Net j's own arrays are the slices W[j] and b[j, 0]."""
+        stacks, start = [], 0
         for layer in self.layers:
             shapes = [p.shape for p in layer.s_net.parameters()]
-            size = sum(math.prod(shape) for shape in shapes)
-            slab = flat[start: start + 2 * size].reshape(2, size)
-            stack, col = [], 0
-            for shape in shapes:
-                stack.append(slab[:, col: col + math.prod(shape)].reshape(2, -1, shape[-1]))
-                col += math.prod(shape)
-            arrays += [v[j].reshape(shape) for j in (0, 1) for v, shape in zip(stack, shapes)]
-            stacks.append(stack)
-            start += 2 * size
-        return arrays, stacks
+            sizes = [math.prod(shape) for shape in shapes]
+            slab = flat[start: start + 2 * sum(sizes)].reshape(2, -1)
+            columns = np.split(slab, np.cumsum(sizes[:-1]), axis=1)
+            stacks.append([c.reshape(2, -1, shape[-1]) for c, shape in zip(columns, shapes)])
+            start += slab.size
+        return stacks
 
     def parameters(self):
         """Views [W0, b0, W1, b1, ...] into ``params`` of each s-net and t-net, layer by layer."""
@@ -313,7 +309,10 @@ class FlowModel:
         if out is not self._grad_out:  # the training loop passes one vector every step
             if out.shape != self.params.shape or out.dtype != float or not out.flags.c_contiguous:
                 raise UsageError("out must be a contiguous float vector shaped like params")
-            self._grad_out, self._grad_views = out, self._carve(out)
+            grad_stacks = self._carve(out)
+            arrays = [a[j] if k % 2 == 0 else a[j, 0] for stack in grad_stacks
+                      for j in (0, 1) for k, a in enumerate(stack)]
+            self._grad_out, self._grad_views = out, (arrays, grad_stacks)
         arrays, grad_stacks = self._grad_views
         n = x.shape[0]
         u = self.standardizer.standardize(self._to_latent(x))
@@ -381,6 +380,13 @@ def build_flow(dim, n_layers=5, hidden_dims=None, seed=0, standardizer=None,
         hidden_dims = (dim, dim)
     if any(width < 1 for width in hidden_dims):
         raise UsageError("hidden widths must be >= 1")
+    id_dim = dim - dim // 2
+    tr_dim = dim - id_dim
+    dims = (id_dim, *hidden_dims, tr_dim)
+    too_large = f"hidden widths {list(hidden_dims)} are too large: the nets do not fit in memory"
+    # numpy refuses such a weight matrix before allocating
+    if any(rows * cols > np.iinfo(np.intp).max // 8 for rows, cols in zip(dims, dims[1:])):
+        raise UsageError(too_large)
 
     layers = []
     if dim == 1:
@@ -389,15 +395,15 @@ def build_flow(dim, n_layers=5, hidden_dims=None, seed=0, standardizer=None,
             "falling back to a standardizer-only Gaussian model",
             stacklevel=2,
         )
-    else:
+    try:
         rng = np.random.default_rng(seed)
-        id_dim = dim - dim // 2
-        tr_dim = dim - id_dim
-        for k in range(n_layers):
+        for k in range(n_layers if dim > 1 else 0):  # a one-dimensional flow has none
             s_net = DenseNet.create(id_dim, tr_dim, hidden_dims, rng)
             t_net = DenseNet.create(id_dim, tr_dim, hidden_dims, rng)
             layers.append(CouplingLayer(dim, s_net, t_net, swap=bool(k % 2)))
-    return FlowModel(layers, standardizer, pca=pca, **model_kwargs)
+        return FlowModel(layers, standardizer, pca=pca, **model_kwargs)
+    except MemoryError:
+        raise UsageError(too_large) from None
 
 
 # model file format ----------------------------------------------------------
@@ -505,7 +511,7 @@ def _read_model(path) -> FlowModel:
             raise ModelFormatError(f"unknown scaling code {scaling_code}")
         scale_min, scale_max = _read(fh, "<dd")
         scaling = _SCALING_NAME[scaling_code]
-        if scaling == "minmax" and not -math.inf < scale_min < scale_max < math.inf:
+        if scaling == "minmax" and not finite_range(scale_min, scale_max):
             raise ModelFormatError(f"{path}: minmax scaling needs finite scale_min < scale_max, "
                                    f"got {scale_min!r} and {scale_max!r}")
         pca_map = None

@@ -192,20 +192,8 @@ def fit_pcf(train_set, val_set, cev_target=None, n_components=None,
 
     A non-finite loss raises DivergedError.
     """
-    config = config or TrainConfig()
-    train_rows = as_rows(train_set)
-    val_rows = as_rows(val_set)
-
-    pca_map = pca_mod.truncate(pca_mod.fit(train_rows), cev_threshold=cev_target,
-                               n_components=n_components)
-    train_lat = pca_mod.project(pca_map, train_rows)
-
-    model = build_flow(
-        pca_map.n_components, n_layers=n_layers, hidden_dims=hidden_dims,
-        seed=config.seed, standardizer=Standardizer.from_data(train_lat),
-        pca=pca_map, **_set_metadata(train_set),
-    )
-    log = _train_loop(model, train_rows, val_rows, config)
+    pca_target = (cev_target, n_components)
+    model, log = _fit_flow(train_set, val_set, n_layers, hidden_dims, config, pca_target)
     if log.diverged:
         raise DivergedError("training loss became non-finite")
     return model, log
@@ -218,19 +206,21 @@ def fit_fsnf(train_set, val_set, n_layers=5, hidden_dims=None,
     On manifold data this is expected to misbehave; a non-finite loss is
     recorded in the log instead of raised.
     """
+    return _fit_flow(train_set, val_set, n_layers, hidden_dims, config)
+
+
+def _fit_flow(train_set, val_set, n_layers, hidden_dims, config, pca_target=None):
+    """Build a flow on the training rows, behind a PCA truncated to
+    ``pca_target`` (cev_target, n_components) if given, and train it."""
     config = config or TrainConfig()
-    train_rows = as_rows(train_set)
-    val_rows = as_rows(val_set)
-    model = build_flow(
-        train_rows.shape[1], n_layers=n_layers, hidden_dims=hidden_dims,
-        seed=config.seed, standardizer=Standardizer.from_data(train_rows),
-        pca=None, **_set_metadata(train_set),
-    )
+    train_rows, val_rows = as_rows(train_set), as_rows(val_set)
+    pca_map, latent = None, train_rows
+    if pca_target is not None:
+        pca_map = pca_mod.truncate(pca_mod.fit(train_rows), *pca_target)
+        latent = pca_mod.project(pca_map, train_rows)
+    provenance = ("interval_minutes", "scaling", "scale_min", "scale_max")
+    model = build_flow(latent.shape[1], n_layers=n_layers, hidden_dims=hidden_dims,
+                       seed=config.seed, standardizer=Standardizer.from_data(latent),
+                       pca=pca_map, **{key: getattr(train_set, key) for key in provenance
+                                       if isinstance(train_set, ScenarioSet)})
     return model, _train_loop(model, train_rows, val_rows, config)
-
-
-def _set_metadata(train_set):
-    if not isinstance(train_set, ScenarioSet):
-        return {}
-    return {"interval_minutes": train_set.interval_minutes, "scaling": train_set.scaling,
-            "scale_min": train_set.scale_min, "scale_max": train_set.scale_max}

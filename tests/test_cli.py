@@ -451,6 +451,28 @@ def test_n_too_large_for_memory_is_usage_error(trained_model, tmp_path, command,
     oversized_n_exit(trained_model, tmp_path, command, 10**11)
 
 
+def oversized_hidden_exit(prepared, tmp_path, width):
+    out = tmp_path / "run"
+    code, err = exit_code(train_args(prepared, out, ["--hidden", str(width)]))
+    assert code == cli.EXIT_USAGE, err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"hidden widths [{width}] are too large" in err
+    assert not out.exists()
+
+
+def test_hidden_too_large_for_numpy_is_usage_error(prepared, tmp_path):
+    # numpy refuses a weight matrix this large before it allocates anything
+    oversized_hidden_exit(prepared, tmp_path, 10**30)
+
+
+def test_hidden_too_large_for_memory_is_usage_error(prepared, tmp_path, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB")
+
+    monkeypatch.setattr(DenseNet, "create", out_of_memory)
+    oversized_hidden_exit(prepared, tmp_path, 10**12)
+
+
 def test_prepare_non_utf8_raw_file_exits_3(tmp_path):
     raw = tmp_path / "raw.csv"
     raw.write_bytes(b"time,value\n2013-01-01T00:00:00,1.0\n2013-01-01T01:00:00,\xff\n")

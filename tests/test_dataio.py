@@ -603,6 +603,19 @@ def test_scaled_set_invariant_enforced():
         make_set([[0.0, 1.5], [0.2, 0.3]], scaling="minmax")
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"scaling": "minmax"}, "minmax scaling needs finite scale_min < scale_max, got None"),
+    ({"scaling": "minmax", "scale_min": 5.0, "scale_max": 1.0}, "got 5.0 and 1.0"),
+    ({"interval_minutes": 15.5}, "interval_minutes must be an integer, got 15.5"),
+    ({"period_length": 2.0}, "period_length must be an integer, got 2.0"),
+    ({"scale_min": 1.0}, "scale_min and scale_max must be given together, got 1.0 and None"),
+])
+def test_scenario_set_rejects_provenance_load_scenarios_rejects(kwargs, match):
+    # save_scenarios would write a .meta file that load_scenarios rejects
+    with pytest.raises(DataError, match=match):
+        make_set([[0.0, 1.0], [0.2, 0.3]], **kwargs)
+
+
 # split ------------------------------------------------------------------
 
 

@@ -380,6 +380,53 @@ def test_subnormal_s_cap_is_quiet_and_finite():
     assert math.isfinite(nll)
 
 
+
+def inverse_outcome(route, layer, x):
+    """(z, logdet_inv, -s, exp(-s), z_rest) of one inverse route, or its NumericError text."""
+    try:
+        z, logdet_inv, cache = route(layer, x)
+    except NumericError as exc:
+        return str(exc)
+    return tuple(np.asarray(a).tobytes() for a in (z, logdet_inv, *cache[:3]))
+
+
+def test_per_net_and_stacked_inverse_agree_byte_for_byte():
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for trial in range(60):
+        dim = int(rng.integers(2, 8))
+        hidden = tuple(int(rng.integers(1, 6)) for _ in range(int(rng.integers(0, 3))))
+        id_dim, tr_dim = dim - dim // 2, dim // 2
+        s_cap = [DEFAULT_S_CAP, 5e-324, float(rng.uniform(0.1, 10))][trial % 3]
+        layer = CouplingLayer(dim, DenseNet.create(id_dim, tr_dim, hidden, rng),
+                              DenseNet.create(id_dim, tr_dim, hidden, rng),
+                              swap=bool(trial % 2), s_cap=s_cap)
+        model = FlowModel([layer], Standardizer.identity(dim))
+        model.params[:] = rng.standard_normal(model.params.size)
+        x = rng.standard_normal((int(rng.integers(1, 40)), dim))
+        if trial % 4 == 3:  # rows that overflow
+            x[rng.integers(0, len(x))] = 1e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            per_net = inverse_outcome(CouplingLayer.inverse_with_tape, layer, x)
+            with np.errstate(over="ignore", invalid="ignore"):  # as nll_and_grads runs it
+                stacked = inverse_outcome(
+                    lambda layer, x: layer.stacked_inverse(x, model._stacks[0]), layer, x)
+        assert per_net == stacked
+        outcomes.add(type(per_net))
+    assert outcomes == {tuple, str}  # both finite rows and NumericErrors were compared
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_standalone_coupling_overflow_is_a_quiet_numeric_error(direction):
+    model = build_flow(4, seed=30)
+    model.params[:] = np.random.default_rng(31).standard_normal(model.params.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite coupling"):
+            getattr(model.layers[0], direction)(np.full((2, 4), 1e308))
+
+
 # save / load ------------------------------------------------------------
 
 
@@ -392,6 +439,18 @@ def trained_like_model(seed=16):
                       standardizer=Standardizer.from_data(latent), pca=mapped,
                       interval_minutes=15, scaling="minmax",
                       scale_min=-1.0, scale_max=4.0)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"scaling": "bogus"}, "unknown scaling mode 'bogus'"),
+    ({"interval_minutes": 15.5}, "interval_minutes must be an integer, got 15.5"),
+    ({"scaling": "minmax"}, "minmax scaling needs finite scale_min < scale_max, got None"),
+    ({"scaling": "minmax", "scale_min": 5.0, "scale_max": 1.0}, "got 5.0 and 1.0"),
+])
+def test_model_rejects_provenance_load_model_rejects(kwargs, match):
+    # save_model would write a file that load_model rejects, or raise a raw KeyError
+    with pytest.raises(UsageError, match=match):
+        build_flow(2, **kwargs)
 
 
 def test_model_roundtrip_identical_log_prob(tmp_path):
