@@ -54,6 +54,8 @@ class RawSeries:
     timestamps: np.ndarray  # datetime64[s], strictly increasing
     values: np.ndarray  # float64, NaN marks missing
     capacity: np.ndarray | None = None  # installed capacity per timestamp
+    # the file line of each timestamp, kept so an error can name it
+    line_nos: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype="datetime64[s]")
@@ -62,8 +64,10 @@ class RawSeries:
         object.__setattr__(self, "values", vals)
         if ts.ndim != 1 or vals.shape != ts.shape:
             raise DataError("timestamps and values must be 1-D and equally long")
-        if len(ts) >= 2 and not np.all(ts[1:] > ts[:-1]):
-            raise DataError("timestamps not increasing")
+        if len(ts) >= 2 and not (increasing := ts[1:] > ts[:-1]).all():
+            i = int(np.argmin(increasing)) + 1
+            where = "" if self.line_nos is None else f"line {self.line_nos[i]}: "
+            raise DataError(f"{where}timestamps not increasing: {ts[i]} after {ts[i - 1]}")
         if self.capacity is not None:
             cap = np.asarray(self.capacity, dtype=float)
             object.__setattr__(self, "capacity", cap)
@@ -168,79 +172,72 @@ def _parse_timestamp(text, line_no):
     return (stamp - _EPOCH) // _SECOND
 
 
-def _parse_timestamps(cells, line_nos):
-    """_parse_timestamp of every cell.
+def _parse_timestamps(cells):
+    """_parse_timestamp of every cell, by C-level maps.
 
-    The cells are parsed and converted by C-level maps: a timedelta keeps
-    0 <= seconds < 86400 and microseconds >= 0, so days * 86400 + seconds
-    is the floored count. A column with a fault is parsed cell by cell.
+    A timedelta keeps 0 <= seconds < 86400 and microseconds >= 0, so
+    days * 86400 + seconds is the floored count.
     """
-    try:
-        stamps = list(map(datetime.fromisoformat, map(str.strip, cells)))
-        if list(map(attrgetter("tzinfo"), stamps)).count(None) < len(stamps):  # some are aware
-            stamps = list(map(_naive_utc, stamps))
-    except (ValueError, OverflowError):
-        return np.fromiter(map(_parse_timestamp, cells, line_nos), np.int64, len(cells))
+    stamps = list(map(datetime.fromisoformat, map(str.strip, cells)))
+    if list(map(attrgetter("tzinfo"), stamps)).count(None) < len(stamps):  # some are aware
+        stamps = list(map(_naive_utc, stamps))
     deltas = list(map(sub, stamps, repeat(_EPOCH)))
     days = np.fromiter(map(attrgetter("days"), deltas), np.int64, len(deltas))
     seconds = np.fromiter(map(attrgetter("seconds"), deltas), np.int64, len(deltas))
     return days * 86400 + seconds
 
 
+def _to_float(text):
+    """float() of a cell; a missing marker becomes NaN."""
+    return math.nan if text.strip().lower() in MISSING_MARKERS else float(text)
+
+
 def _parse_value(text, line_no, what):
-    text = text.strip()
-    if text.lower() in MISSING_MARKERS:
-        return math.nan
     try:
-        return float(text)
+        return _to_float(text)
     except ValueError:
-        raise ParseError(f"line {line_no}: malformed {what} {text!r}") from None
+        raise ParseError(f"line {line_no}: malformed {what} {text.strip()!r}") from None
 
 
-def _parse_values(cells, line_nos, what):
-    """_parse_value of every cell.
-
-    float() reads a cell as _parse_value does unless it is a missing
-    marker, so only a column it fails on is parsed cell by cell.
-    """
+def _parse_values(cells):
+    """_to_float of every cell; float() alone reads all but missing markers."""
     try:
         return np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
-        return np.fromiter(map(_parse_value, cells, line_nos, repeat(what)), float, len(cells))
+        return np.fromiter(map(_to_float, cells), float, len(cells))
 
 
-def _parse_block(rows, line_nos, picks):
-    """Parse full-width, non-blank rows into one array per picked column.
+def _parse_block(rows, line_nos, width, picks):
+    """Parse non-blank rows into one array per picked column.
 
-    Each column is parsed at once. On a fault the rows are parsed again one
-    by one, in column order, so the fault raised is the first in file order.
+    Each column is parsed at once. On a fault the rows are checked again one
+    by one, width first and then each picked cell, so the fault raised is
+    the first in file order and names its line.
     """
-    cells = [list(map(itemgetter(i), rows)) for i in picks]
-    line_nos = line_nos.tolist()
-    whats = ("value", "capacity")
     try:
-        return [_parse_timestamps(cells[0], line_nos),
-                *(_parse_values(column, line_nos, what) for column, what in zip(cells[1:], whats))]
-    except ParseError:
-        for line_no, stamp, *values in zip(line_nos, *cells):
-            _parse_timestamp(stamp, line_no)
-            for text, what in zip(values, whats):
-                _parse_value(text, line_no, what)
+        if min(map(len, rows)) < width:
+            raise IndexError("short row")
+        cells = [list(map(itemgetter(i), rows)) for i in picks]
+        return [_parse_timestamps(cells[0]), *map(_parse_values, cells[1:])]
+    except (IndexError, ValueError, OverflowError):
+        for line_no, row in zip(line_nos.tolist(), rows):
+            if len(row) < width:
+                raise ParseError(f"line {line_no}: expected {width} fields, "
+                                 f"got {len(row)}") from None
+            _parse_timestamp(row[picks[0]], line_no)
+            for i, what in zip(picks[1:], ("value", "capacity")):
+                _parse_value(row[i], line_no, what)
         raise
 
 
 def _read_blocks(reader, width, picks):
-    """Parse the data rows ``READ_BLOCK`` at a time, skipping blank rows."""
+    """Line numbers and parsed columns of the non-blank rows, ``READ_BLOCK`` at a time."""
     line_no = 2  # of the first row in the block; the header is line 1
     while rows := list(islice(reader, READ_BLOCK)):
         nonblank = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
-        short = nonblank & (np.fromiter(map(len, rows), np.intp, len(rows)) < width)
-        end = int(np.argmax(short)) if short.any() else len(rows)
-        kept = np.flatnonzero(nonblank[:end])
-        if len(kept):
-            yield _parse_block(list(compress(rows, nonblank[:end])), line_no + kept, picks)
-        if end < len(rows):
-            raise ParseError(f"line {line_no + end}: expected {width} fields, got {len(rows[end])}")
+        lines = line_no + np.flatnonzero(nonblank)
+        if len(lines):
+            yield [lines, *_parse_block(list(compress(rows, nonblank)), lines, width, picks)]
         line_no += len(rows)
 
 
@@ -248,32 +245,31 @@ def load_csv(path, time_col="time", value_col="value", capacity_col=None):
     """Read a UTF-8 CSV with a header row into a RawSeries.
 
     Empty cells and the usual NaN spellings become missing markers. Rows
-    are parsed ``READ_BLOCK`` at a time, so memory stays bounded.
+    are parsed ``READ_BLOCK`` at a time, so memory stays bounded. Every
+    error names the file.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
-        reader = csv.reader(fh)
-        try:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
+            reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
-                raise SchemaError(f"{path}: empty file")
+                raise SchemaError("empty file")
             header = [h.strip() for h in header]
             picks = []
             for name in (time_col, value_col) + ((capacity_col,) if capacity_col else ()):
                 if name not in header:
-                    raise SchemaError(f"{path}: column {name!r} not found in header {header}")
+                    raise SchemaError(f"column {name!r} not found in header {header}")
                 picks.append(header.index(name))
             blocks = list(_read_blocks(reader, len(header), picks))
-        except csv.Error as exc:
-            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-
-    if not blocks:
-        raise DataError(f"{path}: no data rows")
-    columns = [np.concatenate(parts) for parts in zip(*blocks)]
-    return RawSeries(
-        timestamps=columns[0].view("datetime64[s]"),
-        values=columns[1],
-        capacity=columns[2] if capacity_col else None,
-    )
+        if not blocks:
+            raise DataError("no data rows")
+        line_nos, stamps, values, *capacity = map(np.concatenate, zip(*blocks))
+        return RawSeries(timestamps=stamps.view("datetime64[s]"), values=values,
+                         capacity=capacity[0] if capacity else None, line_nos=line_nos)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    except PcflowError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def clean_and_slice(series: RawSeries, period_length: int) -> ScenarioSet:
@@ -375,8 +371,9 @@ def split(scenario_set: ScenarioSet, validation_fraction: float, seed: int):
         raise UsageError("validation_fraction must lie in (0, 1)")
     n = scenario_set.n_scenarios
     n_val = int(math.floor(validation_fraction * n))
-    if n_val < 1:
-        raise UsageError(f"validation_fraction {validation_fraction} selects no rows from N={n}")
+    if n_val < 2:
+        raise UsageError(f"validation_fraction {validation_fraction} selects {n_val} rows "
+                         f"from N={n}; validation needs at least 2")
     if n - n_val < 2:
         raise InsufficientDataError("split would leave fewer than 2 training scenarios")
 

@@ -277,6 +277,8 @@ def periodogram(signal, sample_rate, window=None):
 def _segment_length(d, segment_length):
     """The Welch segment length for rows of d steps; half a row by default."""
     if segment_length is None:
+        if d < 2:
+            raise DataError(f"a Welch PSD needs rows of at least 2 steps, got {d}")
         segment_length = max(d // 2, 2)
     if not 2 <= segment_length <= d:
         raise UsageError(f"segment_length must lie in [2, {d}], got {segment_length}")

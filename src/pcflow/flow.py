@@ -489,21 +489,23 @@ def save_model(model: FlowModel, path):
 
 
 def load_model(path) -> FlowModel:
-    """Read a model file; any inconsistency in it raises ModelFormatError."""
+    """Read a model file; any inconsistency in it raises ModelFormatError naming the file."""
     try:
         return _read_model(path)
     except (UsageError, NumericError) as exc:  # the constructors' shape and value checks
         raise ModelFormatError(f"{path}: inconsistent model file: {exc}") from None
+    except ModelFormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _read_model(path) -> FlowModel:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
-            raise ModelFormatError(f"{path}: not a pcflow model file")
+            raise ModelFormatError("not a pcflow model file")
         major, _minor = _read(fh, "<HH")
         if major != FORMAT_MAJOR:
-            raise ModelVersionError(f"{path}: format major version {major}, expected {FORMAT_MAJOR}")
+            raise ModelVersionError(f"format major version {major}, expected {FORMAT_MAJOR}")
         (flags,) = _read(fh, "<I")
         (interval_minutes,) = _read(fh, "<I")
         (scaling_code,) = _read(fh, "<B")
@@ -512,7 +514,7 @@ def _read_model(path) -> FlowModel:
         scale_min, scale_max = _read(fh, "<dd")
         scaling = _SCALING_NAME[scaling_code]
         if scaling == "minmax" and not finite_range(scale_min, scale_max):
-            raise ModelFormatError(f"{path}: minmax scaling needs finite scale_min < scale_max, "
+            raise ModelFormatError(f"minmax scaling needs finite scale_min < scale_max, "
                                    f"got {scale_min!r} and {scale_max!r}")
         pca_map = None
         if flags & 1:
@@ -522,7 +524,7 @@ def _read_model(path) -> FlowModel:
             components = _read_array(fh, (d, m))
             (cev,) = _read(fh, "<d")  # derived from the spectrum on load; only checked
             if not math.isfinite(cev):
-                raise ModelFormatError(f"{path}: non-finite cev in the PCA block")
+                raise ModelFormatError("non-finite cev in the PCA block")
             pca_map = PcaMap(mean=mean, components=components, singular_values=singular)
         (dim,) = _read(fh, "<I")
         shift = _read_array(fh, (dim,))

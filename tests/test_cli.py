@@ -481,6 +481,18 @@ def test_prepare_non_utf8_raw_file_exits_3(tmp_path):
     assert "utf-8" in err and "Traceback" not in err
 
 
+def test_prepare_repeated_local_hour_exits_3_naming_the_line(tmp_path):
+    # naive local stamps repeat an hour at the autumn daylight-saving switch
+    raw = tmp_path / "raw.csv"
+    stamps = ["02:00", "02:15", "02:30", "02:45", "02:00"]
+    raw.write_text("time,value\n" + "".join(f"2013-10-27T{t}:00,1.0\n" for t in stamps),
+                   encoding="utf-8")
+    code, err = exit_code(["prepare", "--input", str(raw), "--out-dir", str(tmp_path / "p")])
+    assert code == cli.EXIT_DATA
+    assert err == (f"error: {raw}: line 6: timestamps not increasing: "
+                   "2013-10-27T02:00:00 after 2013-10-27T02:45:00\n")
+
+
 def test_prepare_skips_a_byte_order_mark(prepared, tmp_path):
     # Excel's "CSV UTF-8" export starts the file with one
     raw = tmp_path / "bom.csv"
@@ -575,6 +587,19 @@ def test_eval_rejects_segment_length_below_two(prepared, tmp_path, length):
     assert code == cli.EXIT_USAGE
     assert "segment_length" in err and "Traceback" not in err
     assert not (tmp_path / "r" / "psd.csv").exists()
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    ([], cli.EXIT_DATA, "a Welch PSD needs rows of at least 2 steps, got 1"),
+    (["--segment-length", "2"], cli.EXIT_USAGE, "segment_length must lie in [2, 1], got 2"),
+])
+def test_eval_one_step_rows_blame_the_flag_only_when_given(tmp_path, flags, code, message):
+    path = write_scenarios(tmp_path, ["0.1", "0.3", "0.5"],
+                           ["period_length=1", "interval_minutes=1440"])
+    got, err = exit_code(["eval", "--historical", str(path), "--generated", str(path),
+                          *flags, "--out-dir", str(tmp_path / "r")])
+    assert got == code
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("rows, meta, match", [

@@ -128,6 +128,26 @@ def test_load_csv_cell_too_large_is_parse_error(tmp_path):
         dataio.load_csv(write_csv(tmp_path / "a.csv", rows))
 
 
+@pytest.mark.parametrize("row, message", [
+    ("2013-01-01T00:15:00,x", "line 3: malformed value 'x'"),
+    ("2013-01-01T00:15:00", "line 3: expected 2 fields, got 1"),
+])
+def test_load_csv_errors_name_the_file(tmp_path, row, message):
+    path = write_csv(tmp_path / "a.csv", ["2013-01-01T00:00:00,1.0", row])
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        dataio.load_csv(path)
+
+
+def test_load_csv_repeated_local_hour_names_line_and_stamps(tmp_path):
+    # naive local stamps repeat an hour at the autumn daylight-saving switch
+    stamps = ["02:00", "02:15", "02:30", "02:45", "02:00"]
+    path = write_csv(tmp_path / "a.csv", [f"2013-10-27T{t}:00,1.0" for t in stamps])
+    message = (f"{path}: line 6: timestamps not increasing: "
+               "2013-10-27T02:00:00 after 2013-10-27T02:45:00")
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        dataio.load_csv(path)
+
+
 def reference_timestamp(text, line_no):
     """A timestamp as numpy converts the datetime load_csv reads from the cell."""
     dataio._parse_timestamp(text, line_no)  # load_csv's accepted spellings and errors
@@ -141,27 +161,35 @@ def reference_load_csv(path, time_col="time", value_col="value", capacity_col=No
     """The per-row loop that load_csv replaced, kept as its oracle.
 
     It shares load_csv's cell parsers, which define the accepted spellings
-    and the error messages.
+    and the error messages. Every error names the file.
     """
+    try:
+        return reference_rows(path, time_col, value_col, capacity_col)
+    except PcflowError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def reference_rows(path, time_col, value_col, capacity_col):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
+            raise SchemaError("empty file") from None
         header = [h.strip() for h in header]
         columns = {}
         for name in (time_col, value_col) + ((capacity_col,) if capacity_col else ()):
             if name not in header:
-                raise SchemaError(f"{path}: column {name!r} not found in header {header}")
+                raise SchemaError(f"column {name!r} not found in header {header}")
             columns[name] = header.index(name)
 
-        timestamps, values, capacities = [], [], []
+        line_nos, timestamps, values, capacities = [], [], [], []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < len(header):
                 raise ParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+            line_nos.append(line_no)
             timestamps.append(reference_timestamp(row[columns[time_col]], line_no))
             values.append(dataio._parse_value(row[columns[value_col]], line_no, "value"))
             if capacity_col:
@@ -169,10 +197,12 @@ def reference_load_csv(path, time_col="time", value_col="value", capacity_col=No
                     dataio._parse_value(row[columns[capacity_col]], line_no, "capacity"))
 
     if not timestamps:
-        raise DataError(f"{path}: no data rows")
+        raise DataError("no data rows")
     ts = np.array(timestamps, dtype="datetime64[s]")
-    if len(ts) >= 2 and not np.all(ts[1:] > ts[:-1]):
-        raise DataError("timestamps not increasing")
+    for i in range(1, len(ts)):
+        if ts[i] <= ts[i - 1]:
+            raise DataError(f"line {line_nos[i]}: timestamps not increasing: "
+                            f"{ts[i]} after {ts[i - 1]}")
     return dataio.RawSeries(
         timestamps=ts,
         values=np.array(values),
@@ -317,6 +347,11 @@ def timestamps_cell_by_cell(cells, line_nos):
     return list(map(dataio._parse_timestamp, cells, line_nos))
 
 
+def timestamps_by_block(cells, line_nos):
+    """The seconds _parse_block reads from a one-column block of the cells."""
+    return dataio._parse_block([[cell] for cell in cells], np.array(line_nos), 1, [0])[0]
+
+
 @pytest.mark.parametrize("spelling", sorted(STAMP_SPELLINGS))
 def test_parse_timestamps_matches_cell_by_cell(spelling):
     stamps = [START + timedelta(minutes=15 * i) for i in range(6)]
@@ -331,13 +366,18 @@ def test_parse_timestamps_matches_cell_by_cell(spelling):
     line_nos = list(range(2, 2 + len(stamps)))
     for name, cells in blocks.items():
         expected = timestamps_outcome(timestamps_cell_by_cell, cells, line_nos)
-        assert timestamps_outcome(dataio._parse_timestamps, cells, line_nos) == expected, name
+        assert timestamps_outcome(timestamps_by_block, cells, line_nos) == expected, name
+        if isinstance(expected, bytes):  # a column without a fault converts at once
+            assert dataio._parse_timestamps(cells).tobytes() == expected, name
+        else:
+            with pytest.raises((ValueError, OverflowError)):
+                dataio._parse_timestamps(cells)
 
 
 def test_parse_timestamps_mixes_naive_and_aware_stamps():
     cells = ["1970-01-01T00:00:00", "1970-01-01T01:00:01+01:00", "1970-01-01T00:00:02Z",
              " 1969-12-31T23:59:59.5 ", "1969-12-31T18:59:58-05:00"]
-    seconds = dataio._parse_timestamps(cells, [2, 3, 4, 5, 6])
+    seconds = dataio._parse_timestamps(cells)
     assert seconds.dtype == np.int64
     assert seconds.tolist() == [0, 1, 2, -1, -2]
 
@@ -345,8 +385,10 @@ def test_parse_timestamps_mixes_naive_and_aware_stamps():
 @pytest.mark.parametrize("cell", ["today", "2013-02-29T00:00:00", "0001-01-01T00:30:00+01:00"])
 def test_parse_timestamps_names_a_fault_in_the_last_cell(cell):
     cells = ["2013-01-01T00:00:00Z", "2013-01-01T00:15:00", cell]
+    with pytest.raises((ValueError, OverflowError)):
+        dataio._parse_timestamps(cells)
     with pytest.raises(ParseError, match=rf"^line 9: malformed timestamp {re.escape(repr(cell))}$"):
-        dataio._parse_timestamps(cells, [7, 8, 9])
+        timestamps_by_block(cells, [7, 8, 9])
 
 
 def test_load_csv_memory_stays_bounded(tmp_path):
@@ -647,6 +689,14 @@ def test_split_bad_fraction():
     for bad in (0.0, 1.0, -0.5):
         with pytest.raises(UsageError):
             dataio.split(scenario_set, bad, seed=0)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_split_rejects_a_one_row_validation_set(n):
+    scenario_set = make_set(np.arange(2.0 * n).reshape(n, 2))
+    message = f"validation_fraction 0.2 selects 1 rows from N={n}; validation needs at least 2"
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        dataio.split(scenario_set, 0.2, seed=0)
 
 
 @settings(max_examples=25, deadline=None)

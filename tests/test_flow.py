@@ -1,6 +1,7 @@
 """Tests for coupling layers, the flow model, densities, sampling, and IO."""
 
 import math
+import re
 import struct
 import warnings
 
@@ -13,6 +14,7 @@ from pcflow.errors import ModelFormatError, ModelVersionError, NumericError, Usa
 from pcflow.flow import (
     DEFAULT_S_CAP,
     LOG_2PI,
+    MAGIC,
     CouplingLayer,
     FlowModel,
     Standardizer,
@@ -515,6 +517,13 @@ def test_truncated_file(tmp_path):
     save_model(model, path)
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(ModelFormatError, match="truncated"):
+        load_model(path)
+
+
+def test_model_file_errors_name_the_file(tmp_path):
+    path = tmp_path / "m.pcf"
+    path.write_bytes(MAGIC + b"\x01\x00")  # ends inside the version field
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: truncated model file$"):
         load_model(path)
 
 
