@@ -7,13 +7,12 @@ import logging
 import os
 import sys
 import warnings
-from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import dataio, evaluate, toy
-from .errors import NumericError, PcflowError, UsageError
+from .errors import NumericError, PcflowError, UsageError, fitting
 from .flow import load_model, save_model
 from .train import TrainConfig, fit_fsnf, fit_pcf
 
@@ -28,16 +27,10 @@ def _timestamp_comment(args):
     return f"generated {datetime.now(timezone.utc).isoformat(timespec='seconds')}"
 
 
-@contextmanager
 def _rows_of(n, width):
-    """Run a step whose arrays hold --n rows of width floats; too large an n is a usage error."""
-    message = f"--n {n} is too large: {n} rows of {width} values do not fit in memory"
-    if n * width > np.iinfo(np.intp).max // 8:  # numpy refuses such an array before allocating
-        raise UsageError(message)
-    try:
-        yield
-    except MemoryError:
-        raise UsageError(message) from None
+    """Guard a step whose arrays hold --n rows of width floats; too large an n is a usage error."""
+    return fitting(f"--n {n} is too large: {n} rows of {width} values do not fit in memory",
+                   [(n, width)])
 
 
 def _fit(args, full, cev_target, n_components=None, hidden_dims=None):
@@ -256,7 +249,7 @@ def _apply_config_file(parser, argv):
     options = {a.dest: a for a in commands[argv[0]]._actions if a.option_strings}
     all_keys = {a.dest for command in commands.values() for a in command._actions}
     flags = []
-    with open(known.config, encoding="utf-8-sig") as fh:
+    with dataio.reading(known.config), open(known.config, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -264,7 +257,7 @@ def _apply_config_file(parser, argv):
             key, sep, val = (part.strip() for part in line.partition("="))
             key = key.replace("-", "_")
             if not sep or key not in all_keys:
-                raise UsageError(f"{known.config}: line {line_no}: unknown key in {line!r}")
+                raise UsageError(f"line {line_no}: unknown key in {line!r}")
             action = options.get(key)
             if action is None:
                 continue
@@ -293,7 +286,7 @@ def main(argv=None):
             argv = _apply_config_file(parser, argv)
             args = parser.parse_args(argv)
             return args.func(args)
-        except (PcflowError, OSError, UnicodeDecodeError) as exc:
+        except (PcflowError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             if isinstance(exc, UsageError):
                 return EXIT_USAGE

@@ -12,6 +12,7 @@ import logging
 import math
 import numbers
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from itertools import compress, islice, repeat
@@ -156,6 +157,25 @@ def write_rows(fh, rows):
         fh.write(",".join(map(repr, row)) + "\n")
 
 
+@contextmanager
+def reading(path):
+    """Prefix each input fault raised inside with ``"{path}: "``; bytes not UTF-8 name their line."""
+    try:
+        yield
+    except PcflowError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:  # text I/O decodes in chunks: find the line in the bytes
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((data[:exc.start] + b"x").splitlines())  # \r, \n and \r\n end a line
+            raise ParseError(f"{path}: line {line}: not utf-8 "
+                             f"(byte {data[exc.start]:#04x})") from None
+        raise  # the bytes decode now; keep the original error
+
+
 def _naive_utc(stamp):
     """An aware stamp converted to naive UTC; a naive one as it is."""
     if stamp.tzinfo is None:
@@ -242,15 +262,15 @@ def _read_blocks(reader, width, picks):
 
 
 def load_csv(path, time_col="time", value_col="value", capacity_col=None):
-    """Read a UTF-8 CSV with a header row into a RawSeries.
+    """Read a UTF-8 CSV with a header row into a RawSeries; a byte-order mark is skipped.
 
     Empty cells and the usual NaN spellings become missing markers. Rows
     are parsed ``READ_BLOCK`` at a time, so memory stays bounded. Every
     error names the file.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
-            reader = csv.reader(fh)
+    with reading(path), open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
             header = next(reader, None)
             if header is None:
                 raise SchemaError("empty file")
@@ -261,15 +281,13 @@ def load_csv(path, time_col="time", value_col="value", capacity_col=None):
                     raise SchemaError(f"column {name!r} not found in header {header}")
                 picks.append(header.index(name))
             blocks = list(_read_blocks(reader, len(header), picks))
+        except csv.Error as exc:
+            raise ParseError(f"line {reader.line_num}: {exc}") from None
         if not blocks:
             raise DataError("no data rows")
         line_nos, stamps, values, *capacity = map(np.concatenate, zip(*blocks))
         return RawSeries(timestamps=stamps.view("datetime64[s]"), values=values,
                          capacity=capacity[0] if capacity else None, line_nos=line_nos)
-    except csv.Error as exc:
-        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    except PcflowError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 def clean_and_slice(series: RawSeries, period_length: int) -> ScenarioSet:
@@ -421,11 +439,10 @@ def _read_rows_by_line(path):
             try:
                 row = list(map(float, line.split(",")))
             except ValueError as exc:
-                raise ParseError(f"{path}: line {line_no}: {exc}") from None
+                raise ParseError(f"line {line_no}: {exc}") from None
             if len(row) != width:
                 if rows:
-                    raise ParseError(f"{path}: line {line_no}: expected {width} fields, "
-                                     f"got {len(row)}")
+                    raise ParseError(f"line {line_no}: expected {width} fields, got {len(row)}")
                 width = len(row)
             rows.append(row)
     return np.array(rows)
@@ -459,35 +476,38 @@ def load_scenarios(path) -> ScenarioSet:
     Malformed lines raise ParseError with the line number. A sidecar
     missing period_length or interval_minutes, naming an unknown scaling
     mode, or giving minmax bounds that are not finite with min < max,
-    raises SchemaError.
+    raises SchemaError. Every error names the file it blames.
     """
-    data = _read_rows(path)
+    with reading(path):
+        data = _read_rows(path)
     meta_path = f"{path}.meta"
     convert = {"period_length": int, "interval_minutes": int, "min": float, "max": float}
     meta = {}
-    scaling_line = None
-    with open(meta_path, encoding="utf-8-sig") as fh:
+    key_lines = {}
+    with reading(meta_path), open(meta_path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             key, _, val = (part.strip() for part in line.partition("="))
-            if key == "scaling":
-                scaling_line = line_no
+            key_lines[key] = line_no
             try:
                 meta[key] = convert.get(key, str)(val)
             except ValueError:
-                raise ParseError(f"{meta_path}: line {line_no}: malformed {key} {val!r}") from None
-    for key in ("period_length", "interval_minutes"):
-        if key not in meta:
-            raise SchemaError(f"{meta_path}: missing key {key!r}")
-    if meta.get("scaling", "none") not in SCALING_MODES:
-        raise SchemaError(f"{meta_path}: line {scaling_line}: "
-                          f"unknown scaling mode {meta['scaling']!r}")
-    if meta.get("scaling") == "minmax":
-        if not {"min", "max"} <= meta.keys():
-            raise SchemaError(f"{meta_path}: minmax scaling needs both 'min' and 'max'")
-        if not finite_range(meta["min"], meta["max"]):
-            raise SchemaError(f"{meta_path}: minmax needs finite min < max, "
-                              f"got min={meta['min']!r}, max={meta['max']!r}")
-    try:
+                raise ParseError(f"line {line_no}: malformed {key} {val!r}") from None
+        for key in ("period_length", "interval_minutes"):
+            if key not in meta:
+                raise SchemaError(f"missing key {key!r}")
+        if meta.get("scaling", "none") not in SCALING_MODES:
+            raise SchemaError(f"line {key_lines['scaling']}: "
+                              f"unknown scaling mode {meta['scaling']!r}")
+        if meta.get("scaling") == "minmax":
+            if not {"min", "max"} <= meta.keys():
+                raise SchemaError("minmax scaling needs both 'min' and 'max'")
+            if not finite_range(meta["min"], meta["max"]):
+                raise SchemaError(f"minmax needs finite min < max, "
+                                  f"got min={meta['min']!r}, max={meta['max']!r}")
+        if not 1 <= meta["interval_minutes"] <= 24 * 60:
+            raise DataError(f"line {key_lines['interval_minutes']}: interval_minutes must lie "
+                            f"in [1, 1440], got {meta['interval_minutes']}")
+    with reading(path):  # the constructor's checks; eval reads two files
         return ScenarioSet(
             data=data,
             period_length=meta["period_length"],
@@ -496,5 +516,3 @@ def load_scenarios(path) -> ScenarioSet:
             scale_min=meta.get("min"),
             scale_max=meta.get("max"),
         )
-    except PcflowError as exc:  # the constructor's checks; eval reads two files
-        raise type(exc)(f"{path}: {exc}") from None

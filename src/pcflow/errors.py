@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the memory-size guard that raises one."""
+
+import math
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class PcflowError(Exception):
@@ -43,3 +48,15 @@ class ModelFormatError(PcflowError):
 
 class ModelVersionError(ModelFormatError):
     """Model file was written by an incompatible format version."""
+
+
+@contextmanager
+def fitting(message, shapes):
+    """Run a step that allocates float64 arrays of these shapes; too large is a UsageError."""
+    # numpy refuses an array of more than intp-max bytes before allocating
+    if any(math.prod(shape) > np.iinfo(np.intp).max // 8 for shape in shapes):
+        raise UsageError(message)
+    try:
+        yield
+    except MemoryError:
+        raise UsageError(message) from None

@@ -19,8 +19,8 @@ import numpy as np
 from . import pca as pca_mod
 from . import conditioner
 from .conditioner import DenseNet
-from .dataio import SCALING_MODES, ScenarioSet, finite_range
-from .errors import ModelFormatError, ModelVersionError, NumericError, UsageError
+from .dataio import SCALING_MODES, ScenarioSet, finite_range, reading
+from .errors import ModelFormatError, ModelVersionError, NumericError, UsageError, fitting
 from .pca import PcaMap
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -384,26 +384,20 @@ def build_flow(dim, n_layers=5, hidden_dims=None, seed=0, standardizer=None,
     tr_dim = dim - id_dim
     dims = (id_dim, *hidden_dims, tr_dim)
     too_large = f"hidden widths {list(hidden_dims)} are too large: the nets do not fit in memory"
-    # numpy refuses such a weight matrix before allocating
-    if any(rows * cols > np.iinfo(np.intp).max // 8 for rows, cols in zip(dims, dims[1:])):
-        raise UsageError(too_large)
-
-    layers = []
-    if dim == 1:
-        warnings.warn(
-            "flow dimension 1: coupling layers cannot act; "
-            "falling back to a standardizer-only Gaussian model",
-            stacklevel=2,
-        )
-    try:
+    with fitting(too_large, zip(dims, dims[1:])):
+        if dim == 1:
+            warnings.warn(
+                "flow dimension 1: coupling layers cannot act; "
+                "falling back to a standardizer-only Gaussian model",
+                stacklevel=2,
+            )
+        layers = []
         rng = np.random.default_rng(seed)
         for k in range(n_layers if dim > 1 else 0):  # a one-dimensional flow has none
             s_net = DenseNet.create(id_dim, tr_dim, hidden_dims, rng)
             t_net = DenseNet.create(id_dim, tr_dim, hidden_dims, rng)
             layers.append(CouplingLayer(dim, s_net, t_net, swap=bool(k % 2)))
         return FlowModel(layers, standardizer, pca=pca, **model_kwargs)
-    except MemoryError:
-        raise UsageError(too_large) from None
 
 
 # model file format ----------------------------------------------------------
@@ -490,12 +484,11 @@ def save_model(model: FlowModel, path):
 
 def load_model(path) -> FlowModel:
     """Read a model file; any inconsistency in it raises ModelFormatError naming the file."""
-    try:
-        return _read_model(path)
-    except (UsageError, NumericError) as exc:  # the constructors' shape and value checks
-        raise ModelFormatError(f"{path}: inconsistent model file: {exc}") from None
-    except ModelFormatError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    with reading(path):
+        try:
+            return _read_model(path)
+        except (UsageError, NumericError) as exc:  # the constructors' shape and value checks
+            raise ModelFormatError(f"inconsistent model file: {exc}") from None
 
 
 def _read_model(path) -> FlowModel:

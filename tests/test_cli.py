@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcflow import cli, dataio, toy
 from pcflow.conditioner import DenseNet
-from pcflow.errors import NumericError
+from pcflow.errors import NumericError, PcflowError
 from pcflow.flow import FlowModel, load_model, save_model
 
 
@@ -481,6 +481,31 @@ def test_prepare_non_utf8_raw_file_exits_3(tmp_path):
     assert "utf-8" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("reader", ["prepare", "train", "historical", "generated", "meta",
+                                    "config"])
+def test_non_utf8_byte_names_its_file_and_line(tmp_path, reader):
+    good = str(write_scenarios(tmp_path, GOOD_ROWS, GOOD_META))
+    (tmp_path / "bad").mkdir()
+    bad = str(write_scenarios(tmp_path / "bad", GOOD_ROWS, GOOD_META))
+    raw = write_raw_csv(tmp_path / "raw.csv")
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs=2\nlayers=2\nbandwidth=0.1\n", encoding="utf-8")
+    argv, path = {
+        "prepare": (["prepare", "--input", raw], raw),
+        "train": (["train", "--data", bad], bad),
+        "historical": (["eval", "--historical", bad, "--generated", good], bad),
+        "generated": (["eval", "--historical", good, "--generated", bad], bad),
+        "meta": (["train", "--data", bad], f"{bad}.meta"),
+        "config": (["train", "--data", good, "--config", str(config)], str(config)),
+    }[reader]
+    lines = Path(path).read_bytes().split(b"\n")
+    lines[2] += b"\xff"
+    Path(path).write_bytes(b"\n".join(lines))
+    code, err = exit_code([*argv, "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_DATA
+    assert err == f"error: {path}: line 3: not utf-8 (byte 0xff)\n"
+
+
 def test_prepare_repeated_local_hour_exits_3_naming_the_line(tmp_path):
     # naive local stamps repeat an hour at the autumn daylight-saving switch
     raw = tmp_path / "raw.csv"
@@ -619,16 +644,17 @@ def test_eval_malformed_scenarios_exit_3(tmp_path, rows, meta, match):
     assert match in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("rows, meta, message", [
+@pytest.mark.parametrize("rows, meta, message, blamed", [
     (["0.1,0.2,0.3", "0.4,0.5,0.6"], ["period_length=4", "interval_minutes=360"],
-     "rows have 3 entries, expected 4"),
+     "rows have 3 entries, expected 4", ""),
     (["0.1,0.2,0.3,0.4"], ["period_length=4", "interval_minutes=360"],
-     "need at least 2 scenarios, got 1"),
+     "need at least 2 scenarios, got 1", ""),
+    # the sidecar holds the bad value, so it is blamed
     (["0.1,0.2,0.3,0.4", "0.5,0.6,0.7,0.8"], ["period_length=4", "interval_minutes=0"],
-     "interval_minutes must lie in [1, 1440], got 0"),
+     "interval_minutes must lie in [1, 1440], got 0", ".meta: line 2"),
 ])
 @pytest.mark.parametrize("bad", ["historical", "generated"])
-def test_eval_names_the_file_whose_set_is_invalid(tmp_path, rows, meta, message, bad):
+def test_eval_names_the_file_whose_set_is_invalid(tmp_path, rows, meta, message, blamed, bad):
     files = {"historical": tmp_path / "historical", "generated": tmp_path / "generated"}
     for name, directory in files.items():
         directory.mkdir()
@@ -637,7 +663,7 @@ def test_eval_names_the_file_whose_set_is_invalid(tmp_path, rows, meta, message,
     code, err = exit_code(["eval", "--historical", str(files["historical"]), "--generated",
                            str(files["generated"]), "--out-dir", str(tmp_path / "r")])
     assert code == cli.EXIT_DATA
-    assert f"{files[bad]}: {message}" in err and "Traceback" not in err
+    assert f"{files[bad]}{blamed}: {message}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags, length", [([], 12), (["--segment-length=6"], 6)])
@@ -1015,3 +1041,121 @@ def test_fuzz_overwritten_model_field(trained_model, name, data):
     value = data.draw(st.integers(0, 2**32 - 1) | st.sampled_from([0, 1, 2, 3]) if integer
                       else st.floats())
     sample_exit(overwrite(trained_model, **{name: value}))
+
+
+# byte-level fuzzing: each reader gets a valid file with one byte set, inserted or cut at
+
+BYTE_EDIT = st.tuples(st.sampled_from(["set", "insert", "truncate"]), st.integers(0, 10**6),
+                      st.sampled_from([0xff, 0x80, 0x00, 0x0d]) | st.integers(0, 255))
+
+
+def edited(data, edit):
+    how, at, byte = edit
+    at %= len(data)
+    return {"set": data[:at] + bytes([byte]) + data[at + 1:],
+            "insert": data[:at] + bytes([byte]) + data[at:], "truncate": data[:at]}[how]
+
+
+def assert_reader_names(read, path, *files):
+    """read(path) succeeds, or raises an OSError or a PcflowError naming one of files."""
+    try:
+        read(path)
+    except PcflowError as exc:
+        assert str(exc).startswith(tuple(f"{name}: " for name in files)), exc
+    except OSError:
+        pass
+
+
+def assert_exits_cleanly(argv):
+    """An exit code of the contract, no traceback, and at most one error line, the last."""
+    code, err = exit_code(argv)
+    assert code in (0, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC), err
+    assert "Traceback" not in err
+    lines = err.rstrip("\n").split("\n")
+    assert [i for i, line in enumerate(lines) if "error:" in line] in ([], [len(lines) - 1]), err
+
+
+def edited_scenarios(directory, edit, meta=False):
+    """A good scenario CSV and sidecar in directory, with one of the two edited."""
+    path = write_scenarios(directory, GOOD_ROWS, GOOD_META)
+    target = Path(f"{path}.meta") if meta else path
+    target.write_bytes(edited(target.read_bytes(), edit))
+    return path
+
+
+@settings(max_examples=50, deadline=None)
+@given(edit=BYTE_EDIT)
+@example(edit=("set", 60, 0xff))
+def test_fuzz_raw_csv_bytes(edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = Path(tmp) / "raw.csv"
+        raw.write_bytes(edited(("\n".join(GOOD_RAW) + "\n").encode(), edit))
+        assert_reader_names(lambda p: dataio.load_csv(p, capacity_col="cap"), raw, raw)
+        assert_exits_cleanly(["prepare", "--input", str(raw), "--period-length", "4",
+                              "--scaling", "capacity_factor", "--capacity-col", "cap",
+                              "--out-dir", str(Path(tmp) / "p"), "--no-timestamp"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(edit=BYTE_EDIT)
+@example(edit=("set", 40, 0xff))
+def test_fuzz_scenario_csv_bytes_in_train(edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = edited_scenarios(tmp, edit)
+        assert_reader_names(dataio.load_scenarios, path, path)
+        assert_exits_cleanly(["train", "--data", str(path), "--epochs", "2",
+                              "--val-fraction", "0.25", "--out-dir", str(Path(tmp) / "t"),
+                              "--no-timestamp"])
+
+
+@pytest.mark.parametrize("side", ["historical", "generated"])
+@settings(max_examples=50, deadline=None)
+@given(edit=BYTE_EDIT)
+@example(edit=("set", 40, 0xff))
+def test_fuzz_scenario_csv_bytes_in_eval(side, edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        good = write_scenarios(tmp, GOOD_ROWS, GOOD_META)
+        (Path(tmp) / "bad").mkdir()
+        sets = {"historical": good, "generated": good}
+        sets[side] = edited_scenarios(Path(tmp) / "bad", edit)
+        assert_reader_names(dataio.load_scenarios, sets[side], sets[side])
+        assert_exits_cleanly(["eval", "--historical", str(sets["historical"]), "--generated",
+                              str(sets["generated"]), "--out-dir", str(Path(tmp) / "r"),
+                              "--no-timestamp"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(edit=BYTE_EDIT)
+@example(edit=("set", 20, 0xff))
+def test_fuzz_meta_bytes(edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = edited_scenarios(tmp, edit, meta=True)
+        # a period_length the rows do not have is blamed on the rows
+        assert_reader_names(dataio.load_scenarios, path, f"{path}.meta", path)
+        assert_exits_cleanly(["eval", "--historical", str(path), "--generated", str(path),
+                              "--out-dir", str(Path(tmp) / "r"), "--no-timestamp"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(edit=BYTE_EDIT)
+def test_fuzz_model_bytes(trained_model, edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.pcf"
+        path.write_bytes(edited(trained_model, edit))
+        assert_reader_names(load_model, path, path)
+        assert_exits_cleanly(["sample", "--model", str(path), "--n", "4",
+                              "--out-dir", str(Path(tmp) / "s"), "--no-timestamp"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(edit=BYTE_EDIT)
+@example(edit=("set", 10, 0xff))
+def test_fuzz_config_bytes(edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenarios(tmp, GOOD_ROWS, GOOD_META)
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_bytes(edited(b"bandwidth=0.1\nsegment_length=4\nepochs=3\n", edit))
+        argv = ["eval", "--historical", str(path), "--generated", str(path),
+                "--config", str(cfg), "--out-dir", str(Path(tmp) / "r"), "--no-timestamp"]
+        assert_reader_names(lambda p: cli._apply_config_file(cli.build_parser(), argv), cfg, cfg)
+        assert_exits_cleanly(argv)

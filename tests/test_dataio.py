@@ -797,11 +797,10 @@ def reference_read_rows(path):
             try:
                 row = list(map(float, line.split(",")))
             except ValueError as exc:
-                raise ParseError(f"{path}: line {line_no}: {exc}") from None
+                raise ParseError(f"line {line_no}: {exc}") from None
             if len(row) != width:
                 if rows:
-                    raise ParseError(f"{path}: line {line_no}: expected {width} fields, "
-                                     f"got {len(row)}")
+                    raise ParseError(f"line {line_no}: expected {width} fields, got {len(row)}")
                 width = len(row)
             rows.append(row)
     return np.array(rows)
@@ -833,8 +832,13 @@ def assert_reads_like_reference(tmp_path, text, width):
         try:
             return dataio.ScenarioSet(data=reference_read_rows(path), period_length=width,
                                       interval_minutes=1).data
-        except DataError as exc:
+        except (DataError, ParseError) as exc:
             raise type(exc)(f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            data = path.read_bytes()
+            bad = data.index(b"\xff")  # the only byte of the drawn texts that is not UTF-8
+            line = len(re.split(rb"\r\n|\r|\n", data[:bad]))
+            raise ParseError(f"{path}: line {line}: not utf-8 (byte 0xff)") from None
 
     def load(path):
         return dataio.load_scenarios(path).data
