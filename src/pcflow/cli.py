@@ -199,7 +199,7 @@ def build_parser():
     p.add_argument("--hidden", type=int, nargs="*", default=None,
                    help="conditioner hidden widths (default: two layers of the flow dimension)")
     p.add_argument("--allow-divergence", action="store_true",
-                   help="exit 0 when fsnf training diverges (flagged in the log)")
+                   help="exit 0 when training diverges in either mode (flagged in the log)")
     _add_train_flags(p, epochs=1000, patience=50)
     _add_common(p)
     p.set_defaults(func=cmd_train)

@@ -110,32 +110,42 @@ class ScenarioSet:
             raise InsufficientDataError(f"need at least 2 scenarios, got {n}")
         if not np.all(np.isfinite(data)):
             raise DataError("scenario data contains missing or non-finite values")
-        if self.scaling not in SCALING_MODES:
-            raise UsageError(f"unknown scaling mode {self.scaling!r}")
-        if not 1 <= self.interval_minutes <= 24 * 60:
-            raise DataError(f"interval_minutes must lie in [1, 1440], got {self.interval_minutes}")
         if self.scaling in ("capacity_factor", "minmax"):
             if data.min() < -SCALE_TOL or data.max() > 1.0 + SCALE_TOL:
                 raise DataError("scaled entries must lie in [0, 1]")
         # the rules load_scenarios applies, so save_scenarios writes a readable file
-        for key in ("period_length", "interval_minutes"):
-            if not isinstance(getattr(self, key), numbers.Integral):
-                raise DataError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        if self.scaling == "minmax" and not finite_range(self.scale_min, self.scale_max):
-            raise DataError(f"minmax scaling needs finite scale_min < scale_max, "
-                            f"got {self.scale_min!r} and {self.scale_max!r}")
-        if (self.scale_min is None) != (self.scale_max is None):
-            raise DataError(f"scale_min and scale_max must be given together, "
-                            f"got {self.scale_min!r} and {self.scale_max!r}")
+        if not isinstance(self.period_length, numbers.Integral):
+            raise DataError(f"period_length must be an integer, got {self.period_length!r}")
+        if fault := provenance_fault(self.interval_minutes, self.scaling,
+                                     self.scale_min, self.scale_max):
+            raise DataError(fault[1])
 
     @property
     def n_scenarios(self):
         return self.data.shape[0]
 
 
-def finite_range(low, high):
-    """Whether low < high are both finite; False for None and NaN."""
-    return low is not None and high is not None and -math.inf < low < high < math.inf
+def provenance_fault(interval_minutes, scaling, scale_min, scale_max):
+    """The first rule these provenance fields break, as (key, message), or None; ``key`` names
+    the field at fault, or is None for the scale bounds. ScenarioSet, FlowModel, the .meta
+    reader and load_model share this one statement, so no writer makes a file its reader rejects."""
+    if isinstance(interval_minutes, bool) or not isinstance(interval_minutes, numbers.Integral):
+        return "interval_minutes", f"interval_minutes must be an integer, got {interval_minutes!r}"
+    if not 1 <= interval_minutes <= 24 * 60:
+        return "interval_minutes", f"interval_minutes must lie in [1, 1440], got {interval_minutes}"
+    if scaling not in SCALING_MODES:
+        return "scaling", f"unknown scaling mode {scaling!r}"
+    bounds = (scale_min, scale_max)
+    got = f"got {scale_min!r} and {scale_max!r}"
+    if scaling == "minmax" and not (all(isinstance(b, numbers.Real) for b in bounds)
+                                    and -math.inf < scale_min < scale_max < math.inf):
+        return None, f"minmax scaling needs finite scale_min < scale_max, {got}"
+    if (scale_min is None) != (scale_max is None):
+        return None, f"scale_min and scale_max must be given together, {got}"
+    # NaN is no bound: a .pcf file holds an absent bound as NaN
+    if not all(b is None or isinstance(b, numbers.Real) and b == b for b in bounds):
+        return None, f"scale_min and scale_max must be numbers other than NaN, {got}"
+    return None
 
 
 def as_rows(data):
@@ -420,8 +430,8 @@ def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
         "scaling": scenario_set.scaling,
     }
     if scenario_set.scale_min is not None:
-        meta["min"] = repr(scenario_set.scale_min)
-        meta["max"] = repr(scenario_set.scale_max)
+        meta["min"] = repr(float(scenario_set.scale_min))  # not np.float64(...)
+        meta["max"] = repr(float(scenario_set.scale_max))
     with open(f"{path}.meta", "w", encoding="utf-8") as fh:
         for key, val in meta.items():
             fh.write(f"{key}={val}\n")
@@ -474,9 +484,9 @@ def load_scenarios(path) -> ScenarioSet:
     """Read a scenario CSV and its sidecar metadata file.
 
     Malformed lines raise ParseError with the line number. A sidecar
-    missing period_length or interval_minutes, naming an unknown scaling
-    mode, or giving minmax bounds that are not finite with min < max,
-    raises SchemaError. Every error names the file it blames.
+    missing period_length or interval_minutes raises SchemaError, and
+    provenance that ``provenance_fault`` rejects raises DataError. Every
+    error names the file it blames.
     """
     with reading(path):
         data = _read_rows(path)
@@ -495,18 +505,10 @@ def load_scenarios(path) -> ScenarioSet:
         for key in ("period_length", "interval_minutes"):
             if key not in meta:
                 raise SchemaError(f"missing key {key!r}")
-        if meta.get("scaling", "none") not in SCALING_MODES:
-            raise SchemaError(f"line {key_lines['scaling']}: "
-                              f"unknown scaling mode {meta['scaling']!r}")
-        if meta.get("scaling") == "minmax":
-            if not {"min", "max"} <= meta.keys():
-                raise SchemaError("minmax scaling needs both 'min' and 'max'")
-            if not finite_range(meta["min"], meta["max"]):
-                raise SchemaError(f"minmax needs finite min < max, "
-                                  f"got min={meta['min']!r}, max={meta['max']!r}")
-        if not 1 <= meta["interval_minutes"] <= 24 * 60:
-            raise DataError(f"line {key_lines['interval_minutes']}: interval_minutes must lie "
-                            f"in [1, 1440], got {meta['interval_minutes']}")
+        if fault := provenance_fault(meta["interval_minutes"], meta.get("scaling", "none"),
+                                     meta.get("min"), meta.get("max")):
+            key, message = fault
+            raise DataError(f"line {key_lines[key]}: {message}" if key else message)
     with reading(path):  # the constructor's checks; eval reads two files
         return ScenarioSet(
             data=data,

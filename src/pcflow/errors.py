@@ -38,10 +38,6 @@ class NumericError(PcflowError):
     """Non-finite values or failed numerical procedure (exit code 4)."""
 
 
-class DivergedError(NumericError):
-    """Training loss became non-finite."""
-
-
 class ModelFormatError(PcflowError):
     """Model file is corrupted or not a pcflow model file."""
 

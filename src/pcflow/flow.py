@@ -9,7 +9,6 @@ zero to the log-density.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import struct
 import warnings
@@ -19,8 +18,9 @@ import numpy as np
 from . import pca as pca_mod
 from . import conditioner
 from .conditioner import DenseNet
-from .dataio import SCALING_MODES, ScenarioSet, finite_range, reading
-from .errors import ModelFormatError, ModelVersionError, NumericError, UsageError, fitting
+from .dataio import ScenarioSet, provenance_fault, reading
+from .errors import (DataError, ModelFormatError, ModelVersionError, NumericError, UsageError,
+                     fitting)
 from .pca import PcaMap
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -83,8 +83,6 @@ class CouplingLayer:
         tr_dim = dim - id_dim
         if s_net.input_dim != id_dim or s_net.output_dim != tr_dim:
             raise UsageError(f"s_net must map {id_dim} -> {tr_dim}")
-        if t_net.input_dim != id_dim or t_net.output_dim != tr_dim:
-            raise UsageError(f"t_net must map {id_dim} -> {tr_dim}")
         if [p.shape for p in s_net.parameters()] != [p.shape for p in t_net.parameters()]:
             raise UsageError("s_net and t_net must have identical layer shapes")
         if not (s_cap > 0 and math.isfinite(s_cap)):
@@ -212,16 +210,9 @@ class FlowModel:
         if self.dim < 1:
             raise UsageError("flow dimension must be >= 1")
         # the rules ScenarioSet and load_model apply, so save_model writes a readable file
-        if not isinstance(interval_minutes, numbers.Integral):
-            raise UsageError(f"interval_minutes must be an integer, got {interval_minutes!r}")
+        if fault := provenance_fault(interval_minutes, scaling, scale_min, scale_max):
+            raise DataError(fault[1])
         self.interval_minutes = int(interval_minutes)
-        if not 1 <= self.interval_minutes <= 24 * 60:
-            raise UsageError(f"interval_minutes must lie in [1, 1440], got {interval_minutes}")
-        if scaling not in SCALING_MODES:
-            raise UsageError(f"unknown scaling mode {scaling!r}")
-        if scaling == "minmax" and not finite_range(scale_min, scale_max):
-            raise UsageError(f"minmax scaling needs finite scale_min < scale_max, "
-                             f"got {scale_min!r} and {scale_max!r}")
         self.scaling = scaling
         self.scale_min = scale_min
         self.scale_max = scale_max
@@ -487,7 +478,7 @@ def load_model(path) -> FlowModel:
     with reading(path):
         try:
             return _read_model(path)
-        except (UsageError, NumericError) as exc:  # the constructors' shape and value checks
+        except (UsageError, DataError, NumericError) as exc:  # the constructors' checks
             raise ModelFormatError(f"inconsistent model file: {exc}") from None
 
 
@@ -506,9 +497,6 @@ def _read_model(path) -> FlowModel:
             raise ModelFormatError(f"unknown scaling code {scaling_code}")
         scale_min, scale_max = _read(fh, "<dd")
         scaling = _SCALING_NAME[scaling_code]
-        if scaling == "minmax" and not finite_range(scale_min, scale_max):
-            raise ModelFormatError(f"minmax scaling needs finite scale_min < scale_max, "
-                                   f"got {scale_min!r} and {scale_max!r}")
         pca_map = None
         if flags & 1:
             d, m = _read(fh, "<II")

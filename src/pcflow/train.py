@@ -15,7 +15,7 @@ import numpy as np
 
 from . import pca as pca_mod
 from .dataio import ScenarioSet, as_rows, open_output, write_rows
-from .errors import DivergedError, NumericError, UsageError
+from .errors import NumericError, UsageError
 from .flow import FlowModel, Standardizer, build_flow
 
 GRAD_CLIP_NORM = 100.0
@@ -190,13 +190,10 @@ def fit_pcf(train_set, val_set, cev_target=None, n_components=None,
             n_layers=5, hidden_dims=None, config: TrainConfig | None = None):
     """Fit PCA on the training rows only, then train the flow in latent space.
 
-    A non-finite loss raises DivergedError.
+    A non-finite loss is recorded in the log instead of raised.
     """
     pca_target = (cev_target, n_components)
-    model, log = _fit_flow(train_set, val_set, n_layers, hidden_dims, config, pca_target)
-    if log.diverged:
-        raise DivergedError("training loss became non-finite")
-    return model, log
+    return _fit_flow(train_set, val_set, n_layers, hidden_dims, config, pca_target)
 
 
 def fit_fsnf(train_set, val_set, n_layers=5, hidden_dims=None,

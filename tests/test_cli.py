@@ -252,21 +252,25 @@ def fail_first_gradient(monkeypatch):
 NO_EPOCH = "no epoch completed; initial parameters kept"
 
 
+@pytest.mark.parametrize("mode", ["fsnf", "pcf"])
 def test_train_diverging_before_an_epoch_says_no_epoch_completed(prepared, tmp_path, capsys,
-                                                                  monkeypatch):
+                                                                  monkeypatch, mode):
     out = tmp_path / "run"
     fail_first_gradient(monkeypatch)
-    assert run(train_args(prepared, out, ["--mode", "fsnf", "--allow-divergence"])) == 0
+    assert run(train_args(prepared, out, ["--mode", mode, "--allow-divergence"])) == 0
     assert capsys.readouterr().out.splitlines()[-2:] == [
         f"training diverged at epoch 0; {NO_EPOCH}", f"wrote {out / 'model.pcf'} ({NO_EPOCH})"]
     assert (out / "trainlog.csv").read_text() == (
         f"epoch,train_nll,val_nll\n# best_epoch=none ({NO_EPOCH})\n# diverged_at_epoch=0\n")
 
 
-def test_toy_diverging_before_an_epoch_says_no_epoch_completed(tmp_path, monkeypatch):
+# at the default CEV a pcf curve1d flow is one-dimensional and takes no gradient step
+@pytest.mark.parametrize("flags", [["--mode", "fsnf"], ["--mode", "pcf", "--cev", "1.0"]],
+                         ids=["fsnf", "pcf"])
+def test_toy_diverging_before_an_epoch_says_no_epoch_completed(tmp_path, monkeypatch, flags):
     out = tmp_path / "toy"
     fail_first_gradient(monkeypatch)
-    assert run(["toy", "--mode", "fsnf", "--n", "300", "--epochs", "3", "--out-dir", str(out),
+    assert run(["toy", *flags, "--n", "300", "--epochs", "3", "--out-dir", str(out),
                 "--no-timestamp"]) == 0
     metrics = (out / "metrics.txt").read_text().splitlines()
     assert metrics[2:4] == [f"best_epoch=none ({NO_EPOCH})", "diverged=True"]
@@ -633,7 +637,8 @@ def test_eval_one_step_rows_blame_the_flag_only_when_given(tmp_path, flags, code
     (["0.1,0.2", "0.3,0.4"], ["interval_minutes=720"], "period_length"),
     (["0.1,0.2", "0.3,\udcff"], ["period_length=2", "interval_minutes=720"], "utf-8"),
     *[(["0.1,0.2", "0.3,0.4"], ["period_length=2", "interval_minutes=720", "scaling=minmax",
-                                f"min={low}", f"max={high}"], "meta: minmax needs finite min < max")
+                                f"min={low}", f"max={high}"],
+       "meta: minmax scaling needs finite scale_min < scale_max")
       for low, high in [("nan", "inf"), ("3.0", "1.0")]],
 ])
 def test_eval_malformed_scenarios_exit_3(tmp_path, rows, meta, match):
@@ -968,7 +973,8 @@ def test_fuzz_baseline_model_samples_cleanly(trained_model):
     ({"scale": 0.0}, "scales must be finite, scales positive"),
     ({"scale": float("nan")}, "scales must be finite, scales positive"),
     ({"s_cap": 0.0}, "s_cap must be finite and positive"),
-    *[(bounds, "model.pcf: minmax scaling needs finite scale_min < scale_max")
+    *[(bounds, "model.pcf: inconsistent model file: minmax scaling needs finite "
+               "scale_min < scale_max")
       for bounds in ({"scale_min": float("nan")}, {"scale_max": float("nan")},
                      {"scale_min": 3.0, "scale_max": 1.0})],
     *[({"interval_minutes": minutes}, "model.pcf: inconsistent model file: interval_minutes "

@@ -651,6 +651,8 @@ def test_scaled_set_invariant_enforced():
     ({"interval_minutes": 15.5}, "interval_minutes must be an integer, got 15.5"),
     ({"period_length": 2.0}, "period_length must be an integer, got 2.0"),
     ({"scale_min": 1.0}, "scale_min and scale_max must be given together, got 1.0 and None"),
+    ({"interval_minutes": "15"}, "interval_minutes must be an integer, got '15'"),
+    ({"interval_minutes": None}, "interval_minutes must be an integer, got None"),
 ])
 def test_scenario_set_rejects_provenance_load_scenarios_rejects(kwargs, match):
     # save_scenarios would write a .meta file that load_scenarios rejects
@@ -764,13 +766,14 @@ def test_load_scenarios_bad_row_is_parse_error(tmp_path, rows, match):
 @pytest.mark.parametrize("meta, error, match", [
     (["interval_minutes=720"], SchemaError, "missing key 'period_length'"),
     (["period_length=2"], SchemaError, "missing key 'interval_minutes'"),
-    (GOOD_META[:2] + ["scaling=minmax", "min=0.0"], SchemaError, "both 'min' and 'max'"),
+    (GOOD_META[:2] + ["scaling=minmax", "min=0.0"], DataError,
+     "minmax scaling needs finite scale_min < scale_max, got 0.0 and None"),
     (["period_length=two", "interval_minutes=720"], ParseError, "meta: line 1: .*period_length"),
     (GOOD_META + ["min=low", "max=1.0"], ParseError, "meta: line 4: malformed min 'low'"),
-    (GOOD_META[:2] + ["scaling=log"], SchemaError, "meta: line 3: unknown scaling"),
+    (GOOD_META[:2] + ["scaling=log"], DataError, "meta: line 3: unknown scaling"),
     (["period_length=2", "interval_minutes=0"], DataError, "interval_minutes"),
-    *[(GOOD_META[:2] + ["scaling=minmax", f"min={low}", f"max={high}"], SchemaError,
-       r"scen\.csv\.meta: minmax needs finite min < max")
+    *[(GOOD_META[:2] + ["scaling=minmax", f"min={low}", f"max={high}"], DataError,
+       r"scen\.csv\.meta: minmax scaling needs finite scale_min < scale_max")
       for low, high in [("nan", "inf"), ("3.0", "1.0"), ("0.5", "0.5"), ("-inf", "1.0")]],
 ])
 def test_load_scenarios_bad_meta(tmp_path, meta, error, match):

@@ -1,5 +1,6 @@
 """Tests for coupling layers, the flow model, densities, sampling, and IO."""
 
+import itertools
 import math
 import re
 import struct
@@ -8,9 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from pcflow import pca
+from pcflow import dataio, pca
 from pcflow.conditioner import DenseNet
-from pcflow.errors import ModelFormatError, ModelVersionError, NumericError, UsageError
+from pcflow.errors import DataError, ModelFormatError, ModelVersionError, NumericError, UsageError
 from pcflow.flow import (
     DEFAULT_S_CAP,
     LOG_2PI,
@@ -448,11 +449,41 @@ def trained_like_model(seed=16):
     ({"interval_minutes": 15.5}, "interval_minutes must be an integer, got 15.5"),
     ({"scaling": "minmax"}, "minmax scaling needs finite scale_min < scale_max, got None"),
     ({"scaling": "minmax", "scale_min": 5.0, "scale_max": 1.0}, "got 5.0 and 1.0"),
+    ({"scale_min": 1.0}, "scale_min and scale_max must be given together, got 1.0 and None"),
 ])
 def test_model_rejects_provenance_load_model_rejects(kwargs, match):
     # save_model would write a file that load_model rejects, or raise a raw KeyError
-    with pytest.raises(UsageError, match=match):
+    with pytest.raises(DataError, match=match):
         build_flow(2, **kwargs)
+
+
+PROVENANCE_GRID = list(itertools.product(
+    (1, 15, np.int64(15), 1440, 0, 1441, 15.5, "15", None, True),  # interval_minutes
+    ("none", "capacity_factor", "minmax", "log"),  # scaling
+    [(None, None), (0.0, 1.0), (np.float64(0.25), 0.75), (-3, 7), (5.0, 1.0), (1.0, None),
+     (-math.inf, 1.0), (math.nan, 1.0), (math.nan, math.nan), ("0", "1")],  # the bounds
+))
+
+
+def test_sets_and_models_agree_on_provenance_and_round_trip_it(tmp_path):
+    # neither writer may produce a file that its reader rejects (docs/model_format.md)
+    for interval, scaling, (low, high) in PROVENANCE_GRID:
+        fields = dict(interval_minutes=interval, scaling=scaling, scale_min=low, scale_max=high)
+        built = []
+        rows = [[0.0, 1.0], [0.2, 0.3]]
+        for build, args in ((dataio.ScenarioSet, (rows, 2)), (build_flow, (2,))):
+            try:
+                built.append(build(*args, **fields))
+            except DataError as exc:
+                built.append(str(exc))
+        scenario_set, model = built
+        if isinstance(scenario_set, str) or isinstance(model, str):
+            assert scenario_set == model, fields
+            continue
+        dataio.save_scenarios(scenario_set, tmp_path / "s.csv")
+        save_model(model, tmp_path / "m.pcf")
+        for back in (dataio.load_scenarios(tmp_path / "s.csv"), load_model(tmp_path / "m.pcf")):
+            assert [getattr(back, key) for key in fields] == list(fields.values()), fields
 
 
 def test_model_roundtrip_identical_log_prob(tmp_path):
