@@ -39,10 +39,11 @@ SCALING_MODES = ("none", "capacity_factor", "minmax")
 # entries of a scaled set may exceed [0, 1] by at most this much
 SCALE_TOL = 1e-9
 
-# load_csv parses the raw CSV this many rows at a time. A block's row lists
-# are freed before CPython's cyclic GC counts 700 new container objects, so
-# reading a 105k-row file runs 1 collection instead of 142 at 8192 rows
-READ_BLOCK = 512
+# load_csv parses the raw CSV, and save_scenarios formats a set, this many
+# rows at a time. A block's row lists are freed before CPython's cyclic GC
+# counts 700 new container objects, so reading a 105k-row file runs 1
+# collection instead of 142 at 8192 rows
+BLOCK = 512
 # load_csv counts the seconds of each timestamp from here, as datetime64 does
 _EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
@@ -114,7 +115,8 @@ class ScenarioSet:
             if data.min() < -SCALE_TOL or data.max() > 1.0 + SCALE_TOL:
                 raise DataError("scaled entries must lie in [0, 1]")
         # the rules load_scenarios applies, so save_scenarios writes a readable file
-        if not isinstance(self.period_length, numbers.Integral):
+        if isinstance(self.period_length, bool) or not isinstance(self.period_length,
+                                                                  numbers.Integral):
             raise DataError(f"period_length must be an integer, got {self.period_length!r}")
         if fault := provenance_fault(self.interval_minutes, self.scaling,
                                      self.scale_min, self.scale_max):
@@ -154,10 +156,10 @@ def as_rows(data):
 
 
 def open_output(path, header_comment=None):
-    """Open a UTF-8 text file for writing; a header comment becomes its first line."""
+    """Open a UTF-8 text file for writing; each line of a header comment becomes a ``# `` line."""
     fh = open(path, "w", encoding="utf-8")
     if header_comment:
-        fh.write(f"# {header_comment}\n")
+        fh.writelines(f"# {line}\n" for line in header_comment.splitlines())
     return fh
 
 
@@ -261,9 +263,9 @@ def _parse_block(rows, line_nos, width, picks):
 
 
 def _read_blocks(reader, width, picks):
-    """Line numbers and parsed columns of the non-blank rows, ``READ_BLOCK`` at a time."""
+    """Line numbers and parsed columns of the non-blank rows, ``BLOCK`` at a time."""
     line_no = 2  # of the first row in the block; the header is line 1
-    while rows := list(islice(reader, READ_BLOCK)):
+    while rows := list(islice(reader, BLOCK)):
         nonblank = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
         lines = line_no + np.flatnonzero(nonblank)
         if len(lines):
@@ -275,7 +277,7 @@ def load_csv(path, time_col="time", value_col="value", capacity_col=None):
     """Read a UTF-8 CSV with a header row into a RawSeries; a byte-order mark is skipped.
 
     Empty cells and the usual NaN spellings become missing markers. Rows
-    are parsed ``READ_BLOCK`` at a time, so memory stays bounded. Every
+    are parsed ``BLOCK`` at a time, so memory stays bounded. Every
     error names the file.
     """
     with reading(path), open(path, newline="", encoding="utf-8-sig") as fh:
@@ -421,9 +423,15 @@ def split(scenario_set: ScenarioSet, validation_fraction: float, seed: int):
 
 
 def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
-    """Write one scenario per row plus a sidecar ``<path>.meta`` text file."""
+    """Write one scenario per row plus a sidecar ``<path>.meta`` text file.
+
+    The rows are formatted ``BLOCK`` at a time, so the Python floats alive at
+    once do not grow with the set.
+    """
+    data = scenario_set.data
     with open_output(path, header_comment) as fh:
-        write_rows(fh, scenario_set.data.tolist())
+        for start in range(0, len(data), BLOCK):
+            write_rows(fh, data[start:start + BLOCK].tolist())
     meta = {
         "period_length": scenario_set.period_length,
         "interval_minutes": scenario_set.interval_minutes,

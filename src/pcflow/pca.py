@@ -151,5 +151,7 @@ def embed(pca_map: PcaMap, latent):
     latent = np.asarray(latent, dtype=float)
     if latent.shape[-1] != pca_map.n_components:
         raise UsageError(f"expected dimension {pca_map.n_components}, got {latent.shape[-1]}")
-    return latent @ pca_map.components.T + pca_map.mean
+    x = latent @ pca_map.components.T
+    x += pca_map.mean  # in place: no second (n, D) array
+    return x
 

@@ -294,7 +294,7 @@ def render_rows(n_rows, with_capacity, edits):
     n_rows=st.integers(1, 30),
     with_capacity=st.booleans(),
     edits=st.lists(st.tuples(st.integers(0, 10**6), ROW_EDITS), max_size=4),
-    block=st.sampled_from([1, 2, 3, 7, dataio.READ_BLOCK]),
+    block=st.sampled_from([1, 2, 3, 7, dataio.BLOCK]),
 )
 @example(n_rows=2, with_capacity=False, edits=[(0, ("stamp", "before 1970"))], block=2)
 @example(n_rows=2, with_capacity=False, block=2,
@@ -305,7 +305,7 @@ def test_load_csv_matches_per_row_reference(tmp_path_factory, n_rows, with_capac
     header = "time,value,capacity" if with_capacity else "time,value"
     path = write_csv(tmp_path_factory.mktemp("csv") / "a.csv", rows, header=header)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dataio, "READ_BLOCK", block)
+        patch.setattr(dataio, "BLOCK", block)
         assert_loads_like_reference(path, "capacity" if with_capacity else None)
 
 
@@ -321,16 +321,16 @@ def test_load_csv_matches_per_row_reference(tmp_path_factory, n_rows, with_capac
 ])
 def test_load_csv_matches_reference_past_first_block(tmp_path, edits, error):
     # every edit lands in the second block; "at" counts from its first row,
-    # and "line +k" is line READ_BLOCK + k (the header is line 1)
-    n_rows = dataio.READ_BLOCK + 100
-    edits = [(dataio.READ_BLOCK + at, edit) for at, edit in edits]
+    # and "line +k" is line BLOCK + k (the header is line 1)
+    n_rows = dataio.BLOCK + 100
+    edits = [(dataio.BLOCK + at, edit) for at, edit in edits]
     path = write_csv(tmp_path / "a.csv", render_rows(n_rows, True, edits),
                      header="time,value,capacity")
     result = assert_loads_like_reference(path, "capacity")
     if error is None:
         assert len(result[1]) == 8 * n_rows
     else:
-        expected = re.sub(r"line \+(\d+)", lambda m: f"line {dataio.READ_BLOCK + int(m[1])}",
+        expected = re.sub(r"line \+(\d+)", lambda m: f"line {dataio.BLOCK + int(m[1])}",
                           error)
         assert expected in result[1]
 
@@ -660,6 +660,12 @@ def test_scenario_set_rejects_provenance_load_scenarios_rejects(kwargs, match):
         make_set([[0.0, 1.0], [0.2, 0.3]], **kwargs)
 
 
+def test_scenario_set_rejects_a_bool_period_length():
+    # True == 1 matches one-column rows, but the .meta file would read "period_length=True"
+    with pytest.raises(DataError, match="period_length must be an integer, got True"):
+        make_set([[0.1], [0.2]], period_length=True)
+
+
 # split ------------------------------------------------------------------
 
 
@@ -740,6 +746,48 @@ def test_save_with_comment_header(tmp_path):
     dataio.save_scenarios(scenario_set, path, header_comment="hello")
     assert path.read_text().startswith("# hello\n")
     assert dataio.load_scenarios(path).n_scenarios == 2
+
+
+@pytest.mark.parametrize("comment, lines", [
+    ("run 7\nseed 3", ["# run 7", "# seed 3"]),
+    ("run 7\rseed 3", ["# run 7", "# seed 3"]),
+    ("run 7\r\nseed 3\n", ["# run 7", "# seed 3"]),
+    ("run 7\n\nseed 3", ["# run 7", "# ", "# seed 3"]),
+])
+def test_save_writes_each_comment_line_as_a_comment(tmp_path, comment, lines):
+    scenario_set = make_set(np.arange(8.0).reshape(2, 4))
+    path = tmp_path / "scen.csv"
+    dataio.save_scenarios(scenario_set, path, header_comment=comment)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read().split("\n")[:len(lines)] == lines
+    assert dataio.load_scenarios(path).data.tobytes() == scenario_set.data.tobytes()
+
+
+def test_save_writes_the_repr_of_every_value_across_blocks(tmp_path):
+    # zeros of both signs, subnormals and large values, in the first and the last block
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, -2.5, 0.1, 1 / 3]
+    data = np.random.default_rng(8).normal(scale=1e3, size=(2 * dataio.BLOCK + 1, 3))
+    data.flat[:len(special)] = special
+    data.flat[-len(special):] = special
+    path = tmp_path / "scen.csv"
+    dataio.save_scenarios(make_set(data), path)
+    expected = "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == expected
+    assert dataio.load_scenarios(path).data.tobytes() == data.tobytes()
+
+
+def test_save_memory_does_not_grow_with_the_set(tmp_path):
+    scenario_set = make_set(np.random.default_rng(9).uniform(size=(4096, 96)))
+    path = tmp_path / "scen.csv"
+    tracemalloc.start()
+    try:
+        dataio.save_scenarios(scenario_set, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one Python float per value would be about 4x the array
+    assert peak < scenario_set.data.nbytes, peak
 
 
 def write_scenario_files(tmp_path, rows, meta):
