@@ -169,6 +169,13 @@ def write_rows(fh, rows):
         fh.write(",".join(map(repr, row)) + "\n")
 
 
+def write_table(fh, columns):
+    """Write the header names of ``columns`` (header -> equal-length values), then one line per row."""
+    fh.write(",".join(columns) + "\n")
+    # tolist() keeps an integer column ints and gives each float its shortest round-trip repr
+    write_rows(fh, zip(*(np.asarray(column).tolist() for column in columns.values()), strict=True))
+
+
 @contextmanager
 def reading(path):
     """Prefix each input fault raised inside with ``"{path}: "``; bytes not UTF-8 name their line."""

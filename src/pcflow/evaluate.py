@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pca as pca_mod
-from .dataio import ScenarioSet, open_output, write_rows
+from .dataio import ScenarioSet, open_output, write_table
 from .errors import DataError, NumericError, UsageError
 
 KDE_GRID_POINTS = 512
@@ -134,8 +134,7 @@ def kde_pdf(samples, grid, bandwidth=None):
 def kde_grid(samples, bandwidth=None):
     """KDE_GRID_POINTS evenly spaced points spanning [min - 3h, max + 3h]."""
     samples = np.asarray(samples, dtype=float).ravel()
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(samples)
+    bandwidth = _bandwidth(bandwidth, samples)
     return np.linspace(samples.min() - 3 * bandwidth, samples.max() + 3 * bandwidth,
                        KDE_GRID_POINTS)
 
@@ -342,20 +341,9 @@ def marginal_stats(scenario_set: ScenarioSet, start_minute=0, end_minute=None):
 
 @dataclass
 class EvalReport:
-    kde_grid: np.ndarray
-    kde_historical: np.ndarray
-    kde_generated: np.ndarray
+    tables: dict  # header-row CSV file name -> {column header: values}, in column order
     ks_statistic: float
     ks_p_value: float
-    psd_freqs: np.ndarray
-    psd_historical: np.ndarray
-    psd_generated: np.ndarray
-    cev_historical: dict
-    marginal_minutes: np.ndarray
-    marginal_mean_historical: np.ndarray
-    marginal_var_historical: np.ndarray
-    marginal_mean_generated: np.ndarray
-    marginal_var_generated: np.ndarray
     options: dict
 
 
@@ -380,22 +368,21 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
     _, psd_gen = welch_psd(generated, segment_length, overlap_fraction, window)
     minutes, m_hist, v_hist = marginal_stats(historical, *MARGINAL_WINDOW)
     _, m_gen, v_gen = marginal_stats(generated, *MARGINAL_WINDOW)
+    cev = cev_report(pca_mod.fit(historical))
 
     return EvalReport(
-        kde_grid=grid,
-        kde_historical=kde_pdf(hist_pool, grid, h),
-        kde_generated=kde_pdf(gen_pool, grid, h),
+        tables={
+            "kde.csv": {"value": grid, "density_historical": kde_pdf(hist_pool, grid, h),
+                        "density_generated": kde_pdf(gen_pool, grid, h)},
+            "psd.csv": {"frequency_per_hour": freqs, "power_historical": psd_hist,
+                        "power_generated": psd_gen},
+            "cev.csv": {"threshold": list(cev), "components": list(cev.values())},
+            "marginals.csv": {"minute": minutes, "mean_historical": m_hist,
+                              "var_historical": v_hist, "mean_generated": m_gen,
+                              "var_generated": v_gen},
+        },
         ks_statistic=stat,
         ks_p_value=p_value,
-        psd_freqs=freqs,
-        psd_historical=psd_hist,
-        psd_generated=psd_gen,
-        cev_historical=cev_report(pca_mod.fit(historical)),
-        marginal_minutes=minutes,
-        marginal_mean_historical=m_hist,
-        marginal_var_historical=v_hist,
-        marginal_mean_generated=m_gen,
-        marginal_var_generated=v_gen,
         options={
             "kde_bandwidth": h,
             "welch_window": window,
@@ -408,33 +395,18 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
 
 
 def write_report(report: EvalReport, out_dir, header_comment=None):
-    """Emit the report as CSV files plus a human-readable summary."""
+    """Emit the report's tables as CSV files, the KS test, and a human-readable summary."""
     os.makedirs(out_dir, exist_ok=True)
 
     def _open(name):
         return open_output(os.path.join(out_dir, name), header_comment)
 
-    def _write_columns(fh, *columns):  # tolist() keeps the minutes ints
-        write_rows(fh, zip(*(column.tolist() for column in columns)))
-
-    with _open("kde.csv") as fh:
-        fh.write("value,density_historical,density_generated\n")
-        _write_columns(fh, report.kde_grid, report.kde_historical, report.kde_generated)
-    with _open("psd.csv") as fh:
-        fh.write("frequency_per_hour,power_historical,power_generated\n")
-        _write_columns(fh, report.psd_freqs, report.psd_historical, report.psd_generated)
+    for name, columns in report.tables.items():
+        with _open(name) as fh:
+            write_table(fh, columns)
     with _open("ks.txt") as fh:
         fh.write(f"statistic={report.ks_statistic!r}\n")
         fh.write(f"p_value={report.ks_p_value!r}\n")
-    with _open("cev.csv") as fh:
-        fh.write("threshold,components\n")
-        for threshold, m in report.cev_historical.items():
-            fh.write(f"{threshold},{m}\n")
-    with _open("marginals.csv") as fh:
-        fh.write("minute,mean_historical,var_historical,mean_generated,var_generated\n")
-        _write_columns(fh, report.marginal_minutes, report.marginal_mean_historical,
-                       report.marginal_var_historical, report.marginal_mean_generated,
-                       report.marginal_var_generated)
     with _open("summary.txt") as fh:
         fh.write("scenario evaluation summary\n")
         fh.write("===========================\n")
@@ -442,6 +414,6 @@ def write_report(report: EvalReport, out_dir, header_comment=None):
             fh.write(f"{key}: {val}\n")
         fh.write(f"KS statistic: {report.ks_statistic:.6g}\n")
         fh.write(f"KS p-value: {report.ks_p_value:.6g}\n")
+        cev_rows = zip(*report.tables["cev.csv"].values())  # a CEV level and its count
         fh.write("CEV components (historical): "
-                 + ", ".join(f"{t:g} -> {m}" for t, m in report.cev_historical.items())
-                 + "\n")
+                 + ", ".join(f"{t:g} -> {m}" for t, m in cev_rows) + "\n")

@@ -460,7 +460,7 @@ def save_model(model: FlowModel, path):
             p = model.pca
             fh.write(struct.pack("<II", p.dim, p.n_components))
             _write_array(fh, p.mean)
-            _write_array(fh, p.singular_values)
+            _write_array(fh, p.variances)
             _write_array(fh, p.components)
             fh.write(struct.pack("<d", p.cev))
         fh.write(struct.pack("<I", model.dim))
@@ -501,12 +501,12 @@ def _read_model(path) -> FlowModel:
         if flags & 1:
             d, m = _read(fh, "<II")
             mean = _read_array(fh, (d,))
-            singular = _read_array(fh, (d,))
+            variances = _read_array(fh, (d,))
             components = _read_array(fh, (d, m))
             (cev,) = _read(fh, "<d")  # derived from the spectrum on load; only checked
             if not math.isfinite(cev):
                 raise ModelFormatError("non-finite cev in the PCA block")
-            pca_map = PcaMap(mean=mean, components=components, singular_values=singular)
+            pca_map = PcaMap(mean=mean, components=components, variances=variances)
         (dim,) = _read(fh, "<I")
         shift = _read_array(fh, (dim,))
         scale = _read_array(fh, (dim,))

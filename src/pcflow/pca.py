@@ -20,7 +20,7 @@ from .errors import DataError, NumericError, UsageError
 # eigenvalues in (-1e-12 * trace, 0) are clamped to zero; below that we fail
 EIG_CLAMP_REL = 1e-12
 
-# singular values below 1e-12 * sigma_1 do not count towards the rank
+# variances below 1e-12 * the largest do not count towards the rank
 RANK_TOL_REL = 1e-12
 
 
@@ -34,15 +34,15 @@ class PcaMap:
 
     mean: np.ndarray  # (D,)
     components: np.ndarray  # (D, M), columns = principal directions
-    singular_values: np.ndarray  # full spectrum, (D,), non-increasing, >= 0
+    variances: np.ndarray  # covariance eigenvalues, (D,), non-increasing, >= 0
 
     def __post_init__(self):
         d, m = self.components.shape
         if not 1 <= m <= d:
             raise UsageError("inconsistent PcaMap dimensions")
-        arrays = (self.mean, self.components, self.singular_values)
+        arrays = (self.mean, self.components, self.variances)
         if not all(np.isfinite(a).all() for a in arrays):
-            raise UsageError("non-finite value in the PCA mean, components or singular values")
+            raise UsageError("non-finite value in the PCA mean, components or variances")
 
     @property
     def dim(self):
@@ -54,16 +54,16 @@ class PcaMap:
 
     @property
     def rank(self):
-        sv = self.singular_values
-        if sv[0] <= 0.0:
+        var = self.variances
+        if var[0] <= 0.0:
             return 0
-        return int(np.sum(sv > RANK_TOL_REL * sv[0]))
+        return int(np.sum(var > RANK_TOL_REL * var[0]))
 
     @property
     def cev(self):
         """Cumulative explained variance of the kept components (1.0 for a zero spectrum)."""
-        total = self.singular_values.sum()
-        return float(self.singular_values[:self.n_components].sum() / total) if total > 0 else 1.0
+        total = self.variances.sum()
+        return float(self.variances[:self.n_components].sum() / total) if total > 0 else 1.0
 
 
 def fit(train) -> PcaMap:
@@ -102,18 +102,18 @@ def fit(train) -> PcaMap:
     # deterministic sign: largest-magnitude entry of each component positive
     largest = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
     vectors[:, largest < 0] *= -1.0
-    return PcaMap(mean=mean, components=vectors, singular_values=values)
+    return PcaMap(mean=mean, components=vectors, variances=values)
 
 
 def truncate(pca_map: PcaMap, cev_threshold=None, n_components=None) -> PcaMap:
     """Keep the leading components by explicit count or CEV threshold.
 
     An explicit count wins if both are given. A threshold of 1.0 selects the
-    numerical rank; zero singular values never count. The result never has
+    numerical rank; zero variances never count. The result never has
     more columns than ``pca_map``.
     """
-    sv = pca_map.singular_values
-    total = sv.sum()
+    variances = pca_map.variances
+    total = variances.sum()
     k = pca_map.n_components
     rank = min(max(pca_map.rank, 1), k)
 
@@ -129,13 +129,13 @@ def truncate(pca_map: PcaMap, cev_threshold=None, n_components=None) -> PcaMap:
         elif total <= 0.0:
             m = 1
         else:
-            ratios = np.cumsum(sv) / total
+            ratios = np.cumsum(variances) / total
             m = min(int(np.searchsorted(ratios, cev_threshold) + 1), rank)
     else:
         raise UsageError("give either cev_threshold or n_components")
 
     return PcaMap(mean=pca_map.mean, components=pca_map.components[:, :m].copy(),
-                  singular_values=sv)
+                  variances=variances)
 
 
 def project(pca_map: PcaMap, x):

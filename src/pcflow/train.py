@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pca as pca_mod
-from .dataio import ScenarioSet, as_rows, open_output, write_rows
+from .dataio import ScenarioSet, as_rows, open_output, write_table
 from .errors import NumericError, UsageError
 from .flow import FlowModel, Standardizer, build_flow
 
@@ -70,8 +70,8 @@ class TrainLog:
 
     def write_csv(self, path, header_comment=None):
         with open_output(path, header_comment) as fh:
-            fh.write("epoch,train_nll,val_nll\n")
-            write_rows(fh, zip(range(len(self.train_nll)), self.train_nll, self.val_nll))
+            write_table(fh, {"epoch": range(len(self.train_nll)), "train_nll": self.train_nll,
+                             "val_nll": self.val_nll})
             fh.write(f"# best_epoch={self.best_epoch_text}\n")
             if self.diverged:
                 fh.write(f"# diverged_at_epoch={self.diverged_epoch}\n")

@@ -926,7 +926,7 @@ def model_fields(model):
     of the first layer of the first s-net.
     """
     d, m = struct.unpack_from("<II", model, 37)
-    at = 45 + 8 * (2 * d + d * m)  # past the mean, singular values and components
+    at = 45 + 8 * (2 * d + d * m)  # past the mean, variances and components
     (dim,) = struct.unpack_from("<I", model, at + 8)
     layers = at + 12 + 16 * dim  # the layer count, after cev, dim, shift and scale
     rows, cols = struct.unpack_from("<II", model, layers + 17)

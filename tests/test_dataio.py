@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, cleaning, scaling, splitting, and persistence."""
 
 import csv
+import io
 import logging
 import re
 import tracemalloc
@@ -788,6 +789,18 @@ def test_save_memory_does_not_grow_with_the_set(tmp_path):
         tracemalloc.stop()
     # one Python float per value would be about 4x the array
     assert peak < scenario_set.data.nbytes, peak
+
+
+def test_write_table_writes_the_header_then_reprs_row_by_row():
+    fh = io.StringIO()
+    dataio.write_table(fh, {"minute": np.array([0, 15]), "mean": [0.1 + 0.2, float("nan")],
+                            "count": range(2)})
+    assert fh.getvalue() == "minute,mean,count\n0,0.30000000000000004,0\n15,nan,1\n"
+
+
+def test_write_table_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError):
+        dataio.write_table(io.StringIO(), {"a": [1.0, 2.0], "b": [1.0]})
 
 
 def write_scenario_files(tmp_path, rows, meta):

@@ -1,16 +1,18 @@
 """Tests for KDE, KS test, Welch PSD, CEV report, and marginal statistics."""
 
+import ast
 import itertools
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcflow import dataio, evaluate, pca
+from pcflow import dataio, evaluate, pca, toy
 from pcflow.errors import DataError, NumericError, UsageError
 
 
@@ -57,6 +59,14 @@ def test_kde_rejects_bad_bandwidth():
     for bandwidth in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(UsageError, match="bandwidth"):
             evaluate.kde_pdf([0.0, 1.0], np.array([0.0]), bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize("bandwidth", [float("nan"), -1.0, 0.0, float("inf")])
+def test_kde_grid_rejects_bad_bandwidth(bandwidth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(UsageError, match="bandwidth must be finite and positive"):
+            evaluate.kde_grid([0.0, 1.0, 2.0], bandwidth)
 
 
 def test_kde_rejects_non_finite_samples_and_grid():
@@ -517,7 +527,7 @@ def test_white_noise_psd_is_flat():
 def test_welch_overflow_is_numeric_error_without_warnings():
     # the PSD overflows float64 a little below where the covariance does
     data = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 96)) * 2e153
-    assert np.all(np.isfinite(pca.fit(make_set(data)).singular_values))
+    assert np.all(np.isfinite(pca.fit(make_set(data)).variances))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="power spectrum overflows float64"):
@@ -641,8 +651,8 @@ def test_evaluate_sets_and_write_report(tmp_path):
     report = evaluate.evaluate_sets(hist, gen)
     assert 0.0 <= report.ks_statistic <= 1.0
     assert 0.0 <= report.ks_p_value <= 1.0
-    assert np.all(report.kde_historical >= 0)
-    assert np.all(np.diff(report.psd_freqs) > 0)
+    assert np.all(report.tables["kde.csv"]["density_historical"] >= 0)
+    assert np.all(np.diff(report.tables["psd.csv"]["frequency_per_hour"]) > 0)
     out = tmp_path / "report"
     evaluate.write_report(report, out)
     for name in ("kde.csv", "psd.csv", "ks.txt", "cev.csv", "marginals.csv", "summary.txt"):
@@ -652,13 +662,100 @@ def test_evaluate_sets_and_write_report(tmp_path):
         assert len([float(v) for v in line.split(",")]) == 3
 
 
+def zero_column_pair():
+    rng = np.random.default_rng(14)
+    hist, gen = rng.uniform(size=(30, 24)), rng.uniform(size=(40, 24))
+    hist[:, :8] = 0.0
+    gen[:, :4] = gen[:, 20:] = 0.0
+    return make_set(hist, interval_minutes=60), make_set(gen, interval_minutes=60)
+
+
+REPORT_PAIRS = {
+    "pv_like": lambda: (toy.make_pv_like(60, 1), toy.make_pv_like(80, 2)),
+    "zero_columns": zero_column_pair,
+    "toy_two_step": lambda: (toy.make_toy_set("curve1d", 50, 3), toy.make_toy_set("curve1d", 70, 4)),
+}
+
+
+def literal_report_files(historical, generated):
+    """The report files written out by hand: each statistic from its public function,
+    each header a literal string, one ``repr`` per value and the CEV rows as
+    ``f"{threshold},{m}"``."""
+    hist_pool, gen_pool = historical.data.ravel(), generated.data.ravel()
+    h = evaluate.silverman_bandwidth(hist_pool)
+    grid = evaluate.kde_grid(np.concatenate([hist_pool, gen_pool]), h)
+    stat, p_value = evaluate.ks_two_sample(hist_pool, gen_pool)
+    segment = max(historical.period_length // 2, 2)
+    freqs, psd_hist = evaluate.welch_psd(historical, segment)
+    _, psd_gen = evaluate.welch_psd(generated, segment)
+    minutes, m_hist, v_hist = evaluate.marginal_stats(historical, 0, 240)
+    _, m_gen, v_gen = evaluate.marginal_stats(generated, 0, 240)
+    cev = evaluate.cev_report(pca.fit(historical))
+
+    def rows(*columns):
+        return "".join(",".join(repr(v) for v in row) + "\n"
+                       for row in zip(*(c.tolist() for c in columns)))
+
+    return {
+        "kde.csv": "value,density_historical,density_generated\n"
+                   + rows(grid, evaluate.kde_pdf(hist_pool, grid, h),
+                          evaluate.kde_pdf(gen_pool, grid, h)),
+        "psd.csv": "frequency_per_hour,power_historical,power_generated\n"
+                   + rows(freqs, psd_hist, psd_gen),
+        "ks.txt": f"statistic={stat!r}\np_value={p_value!r}\n",
+        "cev.csv": "threshold,components\n" + "".join(f"{t},{m}\n" for t, m in cev.items()),
+        "marginals.csv": "minute,mean_historical,var_historical,mean_generated,var_generated\n"
+                         + rows(minutes, m_hist, v_hist, m_gen, v_gen),
+        "summary.txt": "scenario evaluation summary\n"
+                       "===========================\n"
+                       f"kde_bandwidth: {h}\n"
+                       "welch_window: hann\n"
+                       "welch_overlap: 0.5\n"
+                       f"welch_segment_length: {segment}\n"
+                       "welch_detrend: none\n"
+                       "ks_pooling: all time steps of all scenarios flattened\n"
+                       f"KS statistic: {stat:.6g}\n"
+                       f"KS p-value: {p_value:.6g}\n"
+                       "CEV components (historical): "
+                       + ", ".join(f"{t:g} -> {m}" for t, m in cev.items()) + "\n",
+    }
+
+
+@pytest.mark.parametrize("pair", list(REPORT_PAIRS))
+def test_write_report_bytes_match_the_literal_format(tmp_path, pair):
+    historical, generated = REPORT_PAIRS[pair]()
+    evaluate.write_report(evaluate.evaluate_sets(historical, generated), tmp_path)
+    want = literal_report_files(historical, generated)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == {
+        name: text.encode("utf-8") for name, text in want.items()}
+
+
+def benchmark_eval_files():
+    """The report files ``perfbench/run.py`` requires of the eval stage (its ``eval_files``)."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
+                "eval_files"]:
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/run.py assigns no eval_files")
+
+
+def test_write_report_writes_the_files_the_benchmark_checks(tmp_path):
+    hist = make_set(np.random.default_rng(15).uniform(size=(30, 24)), interval_minutes=60)
+    report = evaluate.evaluate_sets(hist, hist)
+    evaluate.write_report(report, tmp_path)
+    written = {path.name for path in tmp_path.iterdir()}
+    assert written == {*report.tables, "ks.txt", "summary.txt"} == benchmark_eval_files()
+
+
 def test_evaluate_sets_identical_inputs():
     rng = np.random.default_rng(12)
     hist = make_set(rng.uniform(size=(20, 24)), interval_minutes=60)
     report = evaluate.evaluate_sets(hist, hist)
     assert report.ks_statistic == 0.0
     assert report.ks_p_value == 1.0
-    assert np.array_equal(report.psd_historical, report.psd_generated)
+    psd = report.tables["psd.csv"]
+    assert np.array_equal(psd["power_historical"], psd["power_generated"])
 
 
 @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf")])

@@ -32,8 +32,8 @@ def test_fit_returns_full_map():
 
 def test_fit_collinear_points():
     dec = pca.fit(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
-    assert dec.singular_values[0] > 0
-    assert dec.singular_values[1] == pytest.approx(0.0, abs=1e-15)
+    assert dec.variances[0] > 0
+    assert dec.variances[1] == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(np.abs(dec.components[:, 0]), 1 / np.sqrt(2))
     assert dec.rank == 1
 
@@ -41,13 +41,13 @@ def test_fit_collinear_points():
 def test_fit_cross_points_hand_eigenpairs():
     dec = pca.fit(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]]))
     assert np.allclose(dec.mean, [0.0, 0.0])
-    assert np.allclose(dec.singular_values, [8 / 3, 2 / 3])
+    assert np.allclose(dec.variances, [8 / 3, 2 / 3])
     assert np.allclose(np.abs(dec.components), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
 
 def test_fit_repeated_point():
     dec = pca.fit(np.array([[5.0, 5.0], [5.0, 5.0]]))
-    assert np.allclose(dec.singular_values, 0.0)
+    assert np.allclose(dec.variances, 0.0)
     assert np.allclose(dec.mean, [5.0, 5.0])
     assert dec.rank == 0
 
@@ -70,8 +70,8 @@ def test_fit_constant_columns_exact_zero_eigenvalues():
         x[:, varying] = rng.standard_normal((80, len(varying)))
         dec = pca.fit(x)
         k = len(varying)
-        assert np.all(dec.singular_values[:k] > 0)
-        assert np.all(dec.singular_values[k:] == 0.0)
+        assert np.all(dec.variances[:k] > 0)
+        assert np.all(dec.variances[k:] == 0.0)
         assert dec.rank == k
         constant = np.setdiff1d(np.arange(24), varying)
         assert np.all(dec.components[constant, :k] == 0.0)
@@ -93,7 +93,7 @@ rng = np.random.default_rng(12)
 x = rng.standard_normal((2000, 96)) @ rng.standard_normal((96, 96))
 x[:, :20] = 0.0
 dec = pca.fit(x)
-sys.stdout.buffer.write(dec.components.tobytes() + dec.singular_values.tobytes())
+sys.stdout.buffer.write(dec.components.tobytes() + dec.variances.tobytes())
 """
 
 
@@ -125,7 +125,7 @@ def test_fit_reconstruction_matches_spectrum():
         mapped = pca.truncate(dec, n_components=m)
         recon = pca.embed(mapped, pca.project(mapped, x))
         residual = np.sum((x - recon) ** 2)
-        expected = (x.shape[0] - 1) * dec.singular_values[m:].sum()
+        expected = (x.shape[0] - 1) * dec.variances[m:].sum()
         assert residual == pytest.approx(expected, rel=1e-6)
 
 
@@ -191,9 +191,9 @@ def test_project_mean_is_zero():
     assert np.allclose(pca.project(mapped, mapped.mean), 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("field", ["mean", "components", "singular_values"])
+@pytest.mark.parametrize("field", ["mean", "components", "variances"])
 def test_pca_map_rejects_non_finite(field):
-    arrays = {"mean": np.zeros(2), "components": np.eye(2), "singular_values": np.ones(2)}
+    arrays = {"mean": np.zeros(2), "components": np.eye(2), "variances": np.ones(2)}
     arrays[field].flat[0] = np.nan
     with pytest.raises(UsageError, match="non-finite"):
         pca.PcaMap(**arrays)
@@ -201,7 +201,7 @@ def test_pca_map_rejects_non_finite(field):
 
 def test_project_coordinate_pick():
     mapped = pca.PcaMap(mean=np.zeros(2), components=np.array([[1.0], [0.0]]),
-                        singular_values=np.array([1.0, 0.0]))
+                        variances=np.array([1.0, 0.0]))
     assert pca.project(mapped, np.array([3.0, 4.0])) == pytest.approx([3.0])
 
 

@@ -31,7 +31,7 @@ def test_curve_is_near_rank_one():
     # cev of one component stays above the 0.99 truncation default
     data = toy.make_curve1d(4000, seed=0)
     dec = pca.fit(data)
-    assert dec.singular_values[0] / dec.singular_values.sum() > 0.99
+    assert dec.variances[0] / dec.variances.sum() > 0.99
     assert pca.truncate(dec, cev_threshold=0.99).n_components == 1
 
 
@@ -131,4 +131,4 @@ def test_make_pv_like_low_rank():
     scenario_set = toy.make_pv_like(500, seed=6)
     dec = pca.fit(scenario_set)
     # three generating factors dominate the spectrum
-    assert dec.singular_values[:3].sum() / dec.singular_values.sum() > 0.99
+    assert dec.variances[:3].sum() / dec.variances.sum() > 0.99

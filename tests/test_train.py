@@ -310,6 +310,22 @@ def test_trainlog_csv_roundtrip(tmp_path):
     assert "# best_epoch=1" in text
 
 
+@pytest.mark.parametrize("log", [
+    TrainLog(train_nll=[1.5, 0.1 + 0.2, -3e-20], val_nll=[1.6, 1.25, float("nan")],
+             best_epoch=1, diverged_epoch=2),
+    TrainLog(diverged_epoch=0),
+], ids=["nan_val_nll", "zero_epochs"])
+def test_trainlog_csv_bytes_match_the_literal_format(tmp_path, log):
+    path = tmp_path / "log.csv"
+    log.write_csv(path)
+    want = ("epoch,train_nll,val_nll\n"
+            + "".join(f"{i!r},{t!r},{v!r}\n"
+                      for i, (t, v) in enumerate(zip(log.train_nll, log.val_nll)))
+            + f"# best_epoch={log.best_epoch_text}\n"
+            + f"# diverged_at_epoch={log.diverged_epoch}\n")
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def reference_fit(model, train_rows, val_rows, config):
     """``_train_loop`` written out: per-net gradients, Adam's expression form, the clip formula."""
     params = model.params
