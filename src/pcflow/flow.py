@@ -75,7 +75,7 @@ class CouplingLayer:
     element-wise affine map of the other block. ``swap`` selects which block
     is the identity one; the scale output is squashed to (-s_cap, s_cap).
     The s-net and the t-net have identical shapes, so training can evaluate
-    them as one stack (``stacked_inverse``).
+    them as one stack (``stacked_inverse``), held once ``adopt`` lays it out.
     """
 
     def __init__(self, dim, s_net: DenseNet, t_net: DenseNet, swap=False, s_cap=DEFAULT_S_CAP):
@@ -155,31 +155,43 @@ class CouplingLayer:
         t, t_tape = self.t_net.forward(ident)
         return self._inverse(ident, rest, raw, t, (s_tape, t_tape))
 
-    def stacked_inverse(self, x, net):
+    def adopt(self, stack, grads):
+        """Hold the two nets' arrays as ``stack``, [W0, b0, W1, b1, ...] stacked,
+        shaped (2, in, out) and (2, 1, out); net j's own arrays become the slices
+        W[j] and b[j, 0]. ``grads`` is laid out alike and receives the gradients
+        ``backward_inverse`` computes.
+        """
+        weights, biases = stack[0::2], stack[1::2]
+        for j, net in enumerate((self.s_net, self.t_net)):
+            net.weights[:] = [w[j] for w in weights]
+            net.biases[:] = [b[j, 0] for b in biases]
+        self.net = (weights, biases, [w.swapaxes(-1, -2) for w in weights])
+        self.grads = grads
+
+    def stacked_inverse(self, x):
         """``inverse_with_tape`` with both nets evaluated in one stacked pass.
 
-        ``net`` is (weights, biases, weights_t): the two nets' arrays
-        stacked, shaped (2, in, out) and (2, 1, out), and the weights with
-        their last two axes swapped, as ``FlowModel`` views them. The cache
-        is what ``backward_inverse`` takes. The caller runs it under
+        The layer must hold its stack (``adopt``). The cache is what
+        ``backward_inverse`` takes. The caller runs it under
         ``np.errstate(over="ignore", invalid="ignore")``: an overflow leaves
         a non-finite value, which the checks report.
         """
         ident, rest = self._split(x)
-        out, tape = conditioner.forward(net[0], net[1], ident)
-        return self._inverse(ident, rest, out[0], out[1], tape, net)
+        out, tape = conditioner.forward(self.net[0], self.net[1], ident)
+        return self._inverse(ident, rest, out[0], out[1], tape)
 
-    def backward_inverse(self, cache, g_out, grads, s_cotangent_extra=0.0, input_cotangent=True):
+    def backward_inverse(self, cache, g_out, s_cotangent_extra=0.0, input_cotangent=True):
         """Backward pass through ``stacked_inverse``.
 
         ``g_out`` is the cotangent on the inverse output; a constant extra
         cotangent on each scale output (from the log-det term of the loss)
         can be folded in via ``s_cotangent_extra``. Both nets' parameter
-        gradients are written into ``grads``, [dW0, db0, dW1, db1, ...]
-        stacked like the weights. Returns the cotangent on the input, or
-        None when ``input_cotangent`` is false.
+        gradients are written into ``self.grads``, stacked like the weights.
+        Returns the cotangent on the input, or None when ``input_cotangent``
+        is false.
         """
-        neg_s, exp_neg_s, z_rest, tape, (weights, _, weights_t) = cache
+        neg_s, exp_neg_s, z_rest, tape = cache
+        weights, _, weights_t = self.net
         g_ident, g_rest_out = self._split(g_out)
         g_rest_in = g_rest_out * exp_neg_s
         cot = np.empty((2, *neg_s.shape))  # the cotangents on the s-net and t-net outputs
@@ -190,7 +202,7 @@ class CouplingLayer:
         np.subtract(1.0, slope, out=slope)
         np.multiply(cot_s, slope, out=cot[0])
         np.negative(g_rest_in, out=cot[1])
-        g_nets = conditioner.backward(weights, tape, cot, grads, weights_t, input_cotangent)
+        g_nets = conditioner.backward(weights, tape, cot, self.grads, weights_t, input_cotangent)
         if g_nets is None:
             return None
         g_ident = g_ident + g_nets[0]
@@ -223,21 +235,20 @@ class FlowModel:
                 raise UsageError("all coupling layers must act in the flow dimension")
             if i > 0 and layer.swap == self.layers[i - 1].swap:
                 raise UsageError("coupling layer parities must alternate")
-        # one flat vector holds every weight and bias; the nets keep views of it
+        # one flat vector holds every weight and bias, one more their gradients;
+        # each layer holds its stacked views of both, and its nets views of the first
         self.params = np.concatenate([p.ravel() for p in self.parameters()] or [np.zeros(0)])
-        stacks = self._carve(self.params)
-        for layer, stack in zip(self.layers, stacks):
-            for j, net in enumerate((layer.s_net, layer.t_net)):
-                net.weights[:] = [w[j] for w in stack[0::2]]
-                net.biases[:] = [b[j, 0] for b in stack[1::2]]
-        self._stacks = [(stack[0::2], stack[1::2], [w.swapaxes(-1, -2) for w in stack[0::2]])
-                        for stack in stacks]
-        self._grad_out = self._grad_views = None
+        self.grads = np.zeros_like(self.params)
+        for layer, stack, grads in zip(self.layers, self._carve(self.params),
+                                       self._carve(self.grads)):
+            layer.adopt(stack, grads)
+        self._grad_arrays = [g[j] if k % 2 == 0 else g[j, 0] for layer in self.layers
+                             for j in (0, 1) for k, g in enumerate(layer.grads)]
 
     def _carve(self, flat):
         """Per layer, its nets' [W0, b0, ...] stacked, (2, in, out) and (2, 1, out), as views
         into a vector laid out like ``params``: column ranges of the layer's (2, S) slab, S the
-        size of one net. Net j's own arrays are the slices W[j] and b[j, 0]."""
+        size of one net."""
         stacks, start = [], 0
         for layer in self.layers:
             shapes = [p.shape for p in layer.s_net.parameters()]
@@ -283,34 +294,21 @@ class FlowModel:
 
     # an overflow leaves a non-finite value, which the checks report
     @np.errstate(over="ignore", invalid="ignore")
-    def nll_and_grads(self, batch, out=None):
-        """Mean NLL over the batch and its exact gradients.
+    def nll_and_grads(self, batch):
+        """Mean NLL over the batch, (n, D) rows with n >= 1, and its exact gradients.
 
-        The gradients are written into ``out``, a float vector shaped like
-        ``params`` (a new one when None). Returns (nll, views of it in
-        ``parameters()`` order).
+        The gradients are written into ``grads``. Returns (nll, views of it in
+        ``parameters()`` order), which the next call overwrites.
         """
         x = np.asarray(batch, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.shape[0] == 0:
-            raise UsageError("empty batch")
-        if out is None:
-            out = np.empty_like(self.params)
-        if out is not self._grad_out:  # the training loop passes one vector every step
-            if out.shape != self.params.shape or out.dtype != float or not out.flags.c_contiguous:
-                raise UsageError("out must be a contiguous float vector shaped like params")
-            grad_stacks = self._carve(out)
-            arrays = [a[j] if k % 2 == 0 else a[j, 0] for stack in grad_stacks
-                      for j in (0, 1) for k, a in enumerate(stack)]
-            self._grad_out, self._grad_views = out, (arrays, grad_stacks)
-        arrays, grad_stacks = self._grad_views
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise UsageError(f"batch must be (n, D) rows with n >= 1, got shape {x.shape}")
         n = x.shape[0]
         u = self.standardizer.standardize(self._to_latent(x))
         caches = []
         total = np.full(n, self.standardizer.log_det)
-        for layer, net in zip(reversed(self.layers), reversed(self._stacks)):
-            u, logdet_inv, cache = layer.stacked_inverse(u, net)
+        for layer in reversed(self.layers):
+            u, logdet_inv, cache = layer.stacked_inverse(u)
             caches.append(cache)
             total += logdet_inv
         total -= 0.5 * np.add.reduce(u * u, -1)
@@ -324,10 +322,10 @@ class FlowModel:
         # walk back through the inverse evaluations, most recent first, which
         # visits the layers in order; nothing reads the last one's input cotangent
         g, last = u, len(caches) - 1
-        for i, (layer, cache, grads) in enumerate(zip(self.layers, reversed(caches), grad_stacks)):
-            g = layer.backward_inverse(cache, g, grads, s_cotangent_extra=1.0 / n,
+        for i, (layer, cache) in enumerate(zip(self.layers, reversed(caches))):
+            g = layer.backward_inverse(cache, g, s_cotangent_extra=1.0 / n,
                                        input_cotangent=i < last)
-        return nll, arrays
+        return nll, self._grad_arrays
 
     # sampling --------------------------------------------------------------
 

@@ -136,7 +136,7 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig):
     log; if that happens in the first epoch, the initial parameters stay.
     """
     log = TrainLog()
-    params = model.params
+    params, grads = model.params, model.grads
     if params.size == 0:
         # standardizer-only fallback has nothing to optimize
         log.train_nll.append(-float(np.mean(model.log_prob(train_rows))))
@@ -149,7 +149,6 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig):
     n = train_rows.shape[0]
     best_val = math.inf
     best = params.copy()
-    grads = np.empty_like(params)
 
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
@@ -157,7 +156,7 @@ def _train_loop(model: FlowModel, train_rows, val_rows, config: TrainConfig):
         try:
             for start in range(0, n, config.batch_size):
                 batch = train_rows[perm[start: start + config.batch_size]]
-                nll, _ = model.nll_and_grads(batch, out=grads)
+                nll, _ = model.nll_and_grads(batch)  # writes model.grads
                 epoch_nll += nll * batch.shape[0]
                 adam_step(params, _clip_gradients(grads), state, config)
         except NumericError:

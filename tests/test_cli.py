@@ -16,6 +16,7 @@ from pcflow import cli, dataio, toy
 from pcflow.conditioner import DenseNet
 from pcflow.errors import NumericError, PcflowError
 from pcflow.flow import FlowModel, load_model, save_model
+from test_train import fail_on_call
 
 
 def run(argv):
@@ -144,6 +145,21 @@ def test_sample_original_units(prepared, tmp_path):
     assert samples.data.max() > 2.0
 
 
+@pytest.mark.parametrize("scaling", ["capacity_factor", "none"])
+def test_sample_original_units_needs_minmax_scaling(tmp_path, scaling):
+    raw = write_raw_csv(tmp_path / "raw.csv", with_capacity=True)
+    prep, out, s = tmp_path / "prep", tmp_path / "run", tmp_path / "s"
+    assert run(["prepare", "--input", raw, "--period-length", "24", "--scaling", scaling,
+                "--capacity-col", "cap", "--out-dir", str(prep), "--no-timestamp"]) == 0
+    assert run(train_args(prep / "scenarios.csv", out, ["--components", "2"])) == 0
+    assert load_model(out / "model.pcf").scaling == scaling
+    code, err = exit_code(["sample", "--model", str(out / "model.pcf"), "--n", "30",
+                           "--original-units", "--out-dir", str(s), "--no-timestamp"])
+    assert code == cli.EXIT_USAGE
+    assert err == "error: only minmax scaling can be inverted without a capacity series\n"
+    assert not s.exists()
+
+
 def test_sample_bad_model_path(tmp_path):
     assert run(["sample", "--model", str(tmp_path / "nope.pcf"),
                 "--out-dir", str(tmp_path)]) == cli.EXIT_DATA
@@ -262,6 +278,25 @@ def test_train_diverging_before_an_epoch_says_no_epoch_completed(prepared, tmp_p
         f"training diverged at epoch 0; {NO_EPOCH}", f"wrote {out / 'model.pcf'} ({NO_EPOCH})"]
     assert (out / "trainlog.csv").read_text() == (
         f"epoch,train_nll,val_nll\n# best_epoch=none ({NO_EPOCH})\n# diverged_at_epoch=0\n")
+
+
+@pytest.mark.parametrize("mode", ["fsnf", "pcf"])
+def test_train_divergence_exits_numeric_without_allow_divergence(prepared, tmp_path, capsys,
+                                                                 monkeypatch, mode):
+    # 10 training rows make one batch an epoch, so the 2nd gradient call is in epoch 1
+    one_epoch, out = tmp_path / "one", tmp_path / "run"
+    assert run(train_args(prepared, one_epoch, ["--mode", mode, "--epochs", "1"])) == 0
+    capsys.readouterr()
+    fail_on_call(monkeypatch, "nll_and_grads", 2)
+    assert run(train_args(prepared, out, ["--mode", mode])) == cli.EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: training diverged (re-run with --allow-divergence to accept)\n")
+    assert captured.out == "training diverged at epoch 1; best checkpoint from epoch 0 kept\n"
+    # the outputs are still written, holding the epoch-0 checkpoint
+    assert (out / "model.pcf").read_bytes() == (one_epoch / "model.pcf").read_bytes()
+    assert (out / "trainlog.csv").read_text().endswith(
+        "# best_epoch=0\n# diverged_at_epoch=1\n")
 
 
 # at the default CEV a pcf curve1d flow is one-dimensional and takes no gradient step

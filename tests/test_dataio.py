@@ -597,6 +597,8 @@ def test_capacity_factor_scaling(tmp_path):
     assert scaled.data[0, 0] == 0.25
     assert scaled.data[1, 0] == 0.5
     assert scaled.scaling == "capacity_factor"
+    back = dataio.unscale(scaled, capacity=series.capacity)
+    assert np.array_equal(back.data, scenario_set.data) and back.scaling == "none"
 
 
 def test_minmax_scaling_hand_value():
@@ -639,6 +641,11 @@ def test_minmax_roundtrip():
     back = dataio.unscale(scaled)
     assert np.allclose(back.data, scenario_set.data, rtol=1e-9)
     assert back.scaling == "none"
+
+
+def test_unscale_returns_an_unscaled_set_unchanged():
+    scenario_set = make_set([[10.0, 35.0], [60.0, 20.0]])
+    assert dataio.unscale(scenario_set) is scenario_set
 
 
 def test_scaled_set_invariant_enforced():
@@ -706,6 +713,14 @@ def test_split_rejects_a_one_row_validation_set(n):
     message = f"validation_fraction 0.2 selects 1 rows from N={n}; validation needs at least 2"
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
         dataio.split(scenario_set, 0.2, seed=0)
+
+
+def test_split_rejects_a_one_row_training_set():
+    scenario_set = make_set(np.arange(6.0).reshape(3, 2))
+    # 0.9 of 3 rows is 2 validation rows, leaving 1 for training
+    with pytest.raises(InsufficientDataError,
+                       match="^split would leave fewer than 2 training scenarios$"):
+        dataio.split(scenario_set, 0.9, seed=0)
 
 
 @settings(max_examples=25, deadline=None)

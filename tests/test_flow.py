@@ -313,19 +313,29 @@ def test_stacked_nll_and_grads_match_per_net_route_bit_for_bit():
             assert got.shape == exp.shape and got.tobytes() == exp.tobytes()
 
 
-def test_nll_and_grads_writes_into_out():
+def test_nll_and_grads_writes_into_model_grads():
     model = build_flow(5, n_layers=3, hidden_dims=(4, 3), seed=25)
     batch = np.random.default_rng(26).standard_normal((7, 5))
-    out = np.full_like(model.params, np.nan)
-    nll, grads = model.nll_and_grads(batch, out=out)
-    assert all(np.shares_memory(g, out) for g in grads)
-    fresh_nll, fresh = model.nll_and_grads(batch)
-    assert nll == fresh_nll
-    assert out.tobytes() == np.concatenate([g.ravel() for g in fresh]).tobytes()
-    for bad in (np.zeros(model.params.size + 1), np.zeros(2 * model.params.size)[::2],
-                np.zeros(model.params.size, dtype=np.float32)):
-        with pytest.raises(UsageError, match="shaped like params"):
-            model.nll_and_grads(batch, out=bad)
+    model.grads[:] = np.nan
+    nll, grads = model.nll_and_grads(batch)
+    assert all(np.shares_memory(g, model.grads) for g in grads)
+    want_nll, want = per_net_nll_and_grads(model, batch)
+    assert nll == want_nll
+    assert model.grads.tobytes() == np.concatenate([g.ravel() for g in want]).tobytes()
+    # the next call overwrites the same views
+    again_nll, again = model.nll_and_grads(2.0 * batch)
+    want_nll, want = per_net_nll_and_grads(model, 2.0 * batch)
+    assert again_nll == want_nll
+    assert all(a is g for a, g in zip(again, grads))
+    assert model.grads.tobytes() == np.concatenate([g.ravel() for g in want]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5,), (0, 5), (1, 2, 5)])
+def test_nll_and_grads_takes_a_nonempty_batch_of_rows(shape):
+    model = build_flow(5, n_layers=2, seed=25)
+    with pytest.raises(UsageError, match=re.escape(
+            f"batch must be (n, D) rows with n >= 1, got shape {shape}")):
+        model.nll_and_grads(np.zeros(shape))
 
 
 @pytest.mark.parametrize("case", ["huge rows", "huge parameters"])
@@ -413,8 +423,7 @@ def test_per_net_and_stacked_inverse_agree_byte_for_byte():
             warnings.simplefilter("error")
             per_net = inverse_outcome(CouplingLayer.inverse_with_tape, layer, x)
             with np.errstate(over="ignore", invalid="ignore"):  # as nll_and_grads runs it
-                stacked = inverse_outcome(
-                    lambda layer, x: layer.stacked_inverse(x, model._stacks[0]), layer, x)
+                stacked = inverse_outcome(CouplingLayer.stacked_inverse, layer, x)
         assert per_net == stacked
         outcomes.add(type(per_net))
     assert outcomes == {tuple, str}  # both finite rows and NumericErrors were compared

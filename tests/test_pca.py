@@ -146,6 +146,14 @@ def test_truncate_threshold_one_is_rank():
     assert pca.truncate(dec, cev_threshold=0.99).n_components == 1
 
 
+def test_truncate_keeps_one_component_of_an_all_zero_spectrum():
+    dec = pca.fit(np.full((4, 3), 2.5))  # constant rows: every variance is 0
+    assert np.array_equal(dec.variances, np.zeros(3))
+    mapped = pca.truncate(dec, cev_threshold=0.5)
+    assert mapped.n_components == 1
+    assert np.array_equal(mapped.components, dec.components[:, :1])
+
+
 def test_truncate_explicit_m_wins():
     rng = np.random.default_rng(4)
     dec = pca.fit(random_dataset(rng, 50, 4))

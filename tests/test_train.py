@@ -55,6 +55,7 @@ def test_nll_gradients_match_finite_differences():
                            hidden_dims=(2,), seed=trial)
         batch = rng.standard_normal((3, dim))
         nll, grads = model.nll_and_grads(batch)
+        grads = [g.copy() for g in grads]  # the calls below overwrite the views
         params = model.parameters()
         step = 1e-5
         for p, g in zip(params, grads):
@@ -75,6 +76,7 @@ def test_nll_invariant_under_row_duplication():
     model = build_flow(3, n_layers=2, seed=2)
     batch = np.random.default_rng(3).standard_normal((4, 3))
     nll, grads = model.nll_and_grads(batch)
+    grads = [g.copy() for g in grads]  # the next call overwrites the views
     nll2, grads2 = model.nll_and_grads(np.vstack([batch, batch]))
     assert nll2 == pytest.approx(nll)
     for a, b in zip(grads, grads2):
