@@ -98,11 +98,7 @@ def cmd_sample(args):
     with _rows_of(args.n, model.pca.dim if model.pca is not None else model.dim):
         scenario_set = model.sample(args.n, args.seed + 2)
         if args.original_units:
-            data = scenario_set.data * (model.scale_max - model.scale_min) + model.scale_min
-            scenario_set = dataio.ScenarioSet(
-                data=data, period_length=scenario_set.period_length,
-                interval_minutes=scenario_set.interval_minutes, scaling="none",
-            )
+            scenario_set = dataio.unscale(scenario_set)
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "samples.csv")
     dataio.save_scenarios(scenario_set, out_path, header_comment=_timestamp_comment(args))
@@ -248,8 +244,9 @@ def _apply_config_file(parser, argv):
         return argv
     options = {a.dest: a for a in commands[argv[0]]._actions if a.option_strings}
     all_keys = {a.dest for command in commands.values() for a in command._actions}
-    flags = []
-    with dataio.reading(known.config), open(known.config, encoding="utf-8-sig") as fh:
+
+    def config_flags(fh):
+        flags = []
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -268,6 +265,11 @@ def _apply_config_file(parser, argv):
                 flags += [flag, *val.split()]
             else:
                 flags.append(f"{flag}={val}")
+        return flags
+
+    with dataio.reading(known.config, config_flags), open(known.config,
+                                                          encoding="utf-8-sig") as fh:
+        flags = config_flags(fh)
     return [argv[0], *flags, *argv[1:]]
 
 

@@ -8,6 +8,7 @@ dropped as a whole.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import numbers
@@ -15,6 +16,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter, sub
 
@@ -35,8 +37,10 @@ logger = logging.getLogger(__name__)
 MISSING_MARKERS = {"", "nan", "null", "na", "none"}
 
 SCALING_MODES = ("none", "capacity_factor", "minmax")
+# the fields that say what a set's values mean; a model keeps its training set's
+PROVENANCE = ("interval_minutes", "scaling", "scale_min", "scale_max")
 
-# entries of a scaled set may exceed [0, 1] by at most this much
+# a capacity factor may exceed [0, 1] by at most this much
 SCALE_TOL = 1e-9
 
 # load_csv parses the raw CSV, and save_scenarios formats a set, this many
@@ -111,9 +115,6 @@ class ScenarioSet:
             raise InsufficientDataError(f"need at least 2 scenarios, got {n}")
         if not np.all(np.isfinite(data)):
             raise DataError("scenario data contains missing or non-finite values")
-        if self.scaling in ("capacity_factor", "minmax"):
-            if data.min() < -SCALE_TOL or data.max() > 1.0 + SCALE_TOL:
-                raise DataError("scaled entries must lie in [0, 1]")
         # the rules load_scenarios applies, so save_scenarios writes a readable file
         if isinstance(self.period_length, bool) or not isinstance(self.period_length,
                                                                   numbers.Integral):
@@ -177,20 +178,30 @@ def write_table(fh, columns):
 
 
 @contextmanager
-def reading(path):
-    """Prefix each input fault raised inside with ``"{path}: "``; bytes not UTF-8 name their line."""
+def reading(path, parse=None):
+    """Prefix each input fault raised inside with ``"{path}: "``; bytes not UTF-8 name their line.
+
+    Text I/O decodes in chunks, so a bad byte can stop a reader before it
+    parses the lines ahead of it. ``parse``, the reader's row check over a
+    text stream, then reads the lines before the bad one, and a fault it
+    finds there is raised in place of the bad byte.
+    """
     try:
         yield
     except PcflowError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     except UnicodeDecodeError:
-        with open(path, "rb") as fh:  # text I/O decodes in chunks: find the line in the bytes
+        with open(path, "rb") as fh:  # find the line in the bytes
             data = fh.read()
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = len((data[:exc.start] + b"x").splitlines())  # \r, \n and \r\n end a line
-            raise ParseError(f"{path}: line {line}: not utf-8 "
+            # \r, \n and \r\n end a line; the last one holds the bad byte
+            lines = (data[:exc.start] + b"x").splitlines(keepends=True)
+            if parse is not None and len(lines) > 1:
+                with reading(path):
+                    parse(io.StringIO(b"".join(lines[:-1]).decode("utf-8-sig"), newline=""))
+            raise ParseError(f"{path}: line {len(lines)}: not utf-8 "
                              f"(byte {data[exc.start]:#04x})") from None
         raise  # the bytes decode now; keep the original error
 
@@ -280,6 +291,29 @@ def _read_blocks(reader, width, picks):
         line_no += len(rows)
 
 
+def _read_series(fh, time_col, value_col, capacity_col):
+    """The RawSeries of a raw CSV's text stream, or None if it holds no data rows."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("empty file")
+        header = [h.strip() for h in header]
+        picks = []
+        for name in (time_col, value_col) + ((capacity_col,) if capacity_col else ()):
+            if name not in header:
+                raise SchemaError(f"column {name!r} not found in header {header}")
+            picks.append(header.index(name))
+        blocks = list(_read_blocks(reader, len(header), picks))
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    if not blocks:
+        return None
+    line_nos, stamps, values, *capacity = map(np.concatenate, zip(*blocks))
+    return RawSeries(timestamps=stamps.view("datetime64[s]"), values=values,
+                     capacity=capacity[0] if capacity else None, line_nos=line_nos)
+
+
 def load_csv(path, time_col="time", value_col="value", capacity_col=None):
     """Read a UTF-8 CSV with a header row into a RawSeries; a byte-order mark is skipped.
 
@@ -287,26 +321,13 @@ def load_csv(path, time_col="time", value_col="value", capacity_col=None):
     are parsed ``BLOCK`` at a time, so memory stays bounded. Every
     error names the file.
     """
-    with reading(path), open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise SchemaError("empty file")
-            header = [h.strip() for h in header]
-            picks = []
-            for name in (time_col, value_col) + ((capacity_col,) if capacity_col else ()):
-                if name not in header:
-                    raise SchemaError(f"column {name!r} not found in header {header}")
-                picks.append(header.index(name))
-            blocks = list(_read_blocks(reader, len(header), picks))
-        except csv.Error as exc:
-            raise ParseError(f"line {reader.line_num}: {exc}") from None
-        if not blocks:
+    parse = partial(_read_series, time_col=time_col, value_col=value_col,
+                    capacity_col=capacity_col)
+    with reading(path, parse), open(path, newline="", encoding="utf-8-sig") as fh:
+        series = parse(fh)
+        if series is None:
             raise DataError("no data rows")
-        line_nos, stamps, values, *capacity = map(np.concatenate, zip(*blocks))
-        return RawSeries(timestamps=stamps.view("datetime64[s]"), values=values,
-                         capacity=capacity[0] if capacity else None, line_nos=line_nos)
+        return series
 
 
 def clean_and_slice(series: RawSeries, period_length: int) -> ScenarioSet:
@@ -348,7 +369,7 @@ def clean_and_slice(series: RawSeries, period_length: int) -> ScenarioSet:
 
 
 def scale(scenario_set: ScenarioSet, mode: str, capacity=None) -> ScenarioSet:
-    """Scale raw values to [0, 1] and record the provenance for inversion."""
+    """Scale raw values to [0, 1] and record the provenance; only here must they lie in it."""
     if mode not in SCALING_MODES:
         raise UsageError(f"unknown scaling mode {mode!r}")
     if scenario_set.scaling != "none":
@@ -372,12 +393,22 @@ def scale(scenario_set: ScenarioSet, mode: str, capacity=None) -> ScenarioSet:
         if overflow.any():
             raise ScalingError(f"capacity {float(cap[overflow][0])!r} is too small: "
                                "the capacity factor overflows float64")
+        outside = (scaled < -SCALE_TOL) | (scaled > 1.0 + SCALE_TOL)
+        if outside.any():
+            row, step = np.argwhere(outside)[0]
+            raise ScalingError(f"scenario {row}, step {step}: capacity factor "
+                               f"{float(scaled[row, step])!r} lies outside [0, 1]")
         return replace(scenario_set, data=scaled, scaling="capacity_factor")
 
+    # lies in [0, 1] by construction: rounding keeps data - lo <= hi - lo
     lo, hi = float(data.min()), float(data.max())
     if hi <= lo:
         raise ScalingError("degenerate range: min equals max under minmax scaling")
-    scaled = (data - lo) / (hi - lo)
+    width = hi - lo  # Python floats overflow to inf without a warning
+    if not math.isfinite(width):
+        raise ScalingError(f"range [{lo!r}, {hi!r}] is too wide: "
+                           "its width overflows float64 under minmax scaling")
+    scaled = (data - lo) / width
     return replace(scenario_set, data=scaled, scaling="minmax", scale_min=lo, scale_max=hi)
 
 
@@ -452,24 +483,23 @@ def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
             fh.write(f"{key}={val}\n")
 
 
-def _read_rows_by_line(path):
-    """Parse a scenario CSV line by line; every fault names its line."""
+def _read_rows_by_line(fh):
+    """Parse a scenario CSV's text stream line by line; every fault names its line."""
     rows = []
     width = None
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = list(map(float, line.split(",")))
-            except ValueError as exc:
-                raise ParseError(f"line {line_no}: {exc}") from None
-            if len(row) != width:
-                if rows:
-                    raise ParseError(f"line {line_no}: expected {width} fields, got {len(row)}")
-                width = len(row)
-            rows.append(row)
+    for line_no, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            row = list(map(float, line.split(",")))
+        except ValueError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from None
+        if len(row) != width:
+            if rows:
+                raise ParseError(f"line {line_no}: expected {width} fields, got {len(row)}")
+            width = len(row)
+        rows.append(row)
     return np.array(rows)
 
 
@@ -492,7 +522,23 @@ def _read_rows(path):
                 return rows
         except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
             pass
-    return _read_rows_by_line(path)
+    with open(path, encoding="utf-8-sig") as fh:
+        return _read_rows_by_line(fh)
+
+
+def _read_meta(fh):
+    """The values of a .meta text stream by key, converted, and the line of each key."""
+    convert = {"period_length": int, "interval_minutes": int, "min": float, "max": float}
+    meta = {}
+    key_lines = {}
+    for line_no, line in enumerate(fh, start=1):
+        key, _, val = (part.strip() for part in line.partition("="))
+        key_lines[key] = line_no
+        try:
+            meta[key] = convert.get(key, str)(val)
+        except ValueError:
+            raise ParseError(f"line {line_no}: malformed {key} {val!r}") from None
+    return meta, key_lines
 
 
 def load_scenarios(path) -> ScenarioSet:
@@ -503,20 +549,11 @@ def load_scenarios(path) -> ScenarioSet:
     provenance that ``provenance_fault`` rejects raises DataError. Every
     error names the file it blames.
     """
-    with reading(path):
+    with reading(path, _read_rows_by_line):
         data = _read_rows(path)
     meta_path = f"{path}.meta"
-    convert = {"period_length": int, "interval_minutes": int, "min": float, "max": float}
-    meta = {}
-    key_lines = {}
-    with reading(meta_path), open(meta_path, encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            key, _, val = (part.strip() for part in line.partition("="))
-            key_lines[key] = line_no
-            try:
-                meta[key] = convert.get(key, str)(val)
-            except ValueError:
-                raise ParseError(f"line {line_no}: malformed {key} {val!r}") from None
+    with reading(meta_path, _read_meta), open(meta_path, encoding="utf-8-sig") as fh:
+        meta, key_lines = _read_meta(fh)
         for key in ("period_length", "interval_minutes"):
             if key not in meta:
                 raise SchemaError(f"missing key {key!r}")

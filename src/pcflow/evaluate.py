@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pca as pca_mod
-from .dataio import ScenarioSet, open_output, write_table
+from .dataio import PROVENANCE, ScenarioSet, open_output, write_table
 from .errors import DataError, NumericError, UsageError
 
 KDE_GRID_POINTS = 512
@@ -135,8 +135,13 @@ def kde_grid(samples, bandwidth=None):
     """KDE_GRID_POINTS evenly spaced points spanning [min - 3h, max + 3h]."""
     samples = np.asarray(samples, dtype=float).ravel()
     bandwidth = _bandwidth(bandwidth, samples)
-    return np.linspace(samples.min() - 3 * bandwidth, samples.max() + 3 * bandwidth,
-                       KDE_GRID_POINTS)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the bandwidth
+        grid = np.linspace(samples.min() - 3 * bandwidth, samples.max() + 3 * bandwidth,
+                           KDE_GRID_POINTS)
+    if not np.all(np.isfinite(grid)):
+        raise NumericError(f"bandwidth {bandwidth!r} is too large: "
+                           "the KDE grid overflows float64")
+    return grid
 
 
 # Kolmogorov-Smirnov -----------------------------------------------------------
@@ -351,11 +356,10 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
                   bandwidth=None, segment_length=None, overlap_fraction=0.5,
                   window="hann") -> EvalReport:
     """Run the full comparison suite on two scenario sets."""
-    if historical.period_length != generated.period_length:
-        raise UsageError("sets must have equal period length")
-    if historical.interval_minutes != generated.interval_minutes:
-        raise UsageError(f"sets must have equal interval_minutes, got "
-                         f"{historical.interval_minutes} and {generated.interval_minutes}")
+    for key in ("period_length", *PROVENANCE):  # both sets in the same units
+        a, b = getattr(historical, key), getattr(generated, key)
+        if a != b:
+            raise UsageError(f"sets must have equal {key}, got {a!r} and {b!r}")
     hist_pool = historical.data.ravel()
     gen_pool = generated.data.ravel()
 

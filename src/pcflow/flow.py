@@ -18,7 +18,7 @@ import numpy as np
 from . import pca as pca_mod
 from . import conditioner
 from .conditioner import DenseNet
-from .dataio import ScenarioSet, provenance_fault, reading
+from .dataio import PROVENANCE, ScenarioSet, provenance_fault, reading
 from .errors import (DataError, ModelFormatError, ModelVersionError, NumericError, UsageError,
                      fitting)
 from .pca import PcaMap
@@ -349,7 +349,7 @@ class FlowModel:
             raise UsageError(f"n must be >= 2 to draw a scenario set, got {n}")
         data = self.sample_array(n, seed)
         return ScenarioSet(data=data, period_length=data.shape[1],
-                           interval_minutes=self.interval_minutes)
+                           **{key: getattr(self, key) for key in PROVENANCE})
 
 
 def build_flow(dim, n_layers=5, hidden_dims=None, seed=0, standardizer=None,

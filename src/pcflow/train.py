@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pca as pca_mod
-from .dataio import ScenarioSet, as_rows, open_output, write_table
+from .dataio import PROVENANCE, ScenarioSet, as_rows, open_output, write_table
 from .errors import NumericError, UsageError
 from .flow import FlowModel, Standardizer, build_flow
 
@@ -214,9 +214,8 @@ def _fit_flow(train_set, val_set, n_layers, hidden_dims, config, pca_target=None
     if pca_target is not None:
         pca_map = pca_mod.truncate(pca_mod.fit(train_rows), *pca_target)
         latent = pca_mod.project(pca_map, train_rows)
-    provenance = ("interval_minutes", "scaling", "scale_min", "scale_max")
     model = build_flow(latent.shape[1], n_layers=n_layers, hidden_dims=hidden_dims,
                        seed=config.seed, standardizer=Standardizer.from_data(latent),
-                       pca=pca_map, **{key: getattr(train_set, key) for key in provenance
+                       pca=pca_map, **{key: getattr(train_set, key) for key in PROVENANCE
                                        if isinstance(train_set, ScenarioSet)})
     return model, _train_loop(model, train_rows, val_rows, config)

@@ -143,6 +143,49 @@ def test_sample_original_units(prepared, tmp_path):
     # de-scaled values live on the raw scale, not in [0, 1]
     assert samples.scaling == "none"
     assert samples.data.max() > 2.0
+    # the minmax inversion, as sample wrote it before it called dataio.unscale
+    model = load_model(out / "model.pcf")
+    data = model.sample(30, 2).data  # sample draws with --seed + 2
+    data = data * (model.scale_max - model.scale_min) + model.scale_min
+    dataio.save_scenarios(dataio.ScenarioSet(data=data, period_length=24, interval_minutes=60),
+                          tmp_path / "expected.csv")
+    for suffix in ("", ".meta"):
+        assert ((s / f"samples.csv{suffix}").read_bytes()
+                == (tmp_path / f"expected.csv{suffix}").read_bytes())
+
+
+@pytest.mark.parametrize("scaling", ["minmax", "capacity_factor", "none"])
+def test_samples_carry_their_models_units_into_eval(tmp_path, scaling):
+    raw = write_raw_csv(tmp_path / "raw.csv", with_capacity=True)
+    prep, out, s = tmp_path / "prep", tmp_path / "run", tmp_path / "s"
+    assert run(["prepare", "--input", raw, "--period-length", "24", "--scaling", scaling,
+                "--capacity-col", "cap", "--out-dir", str(prep), "--no-timestamp"]) == 0
+    assert run(train_args(prep / "scenarios.csv", out, ["--components", "2"])) == 0
+    assert run(["sample", "--model", str(out / "model.pcf"), "--n", "30", "--out-dir", str(s),
+                "--no-timestamp"]) == 0
+    units = ("scaling", "scale_min", "scale_max")
+    prepared = dataio.load_scenarios(prep / "scenarios.csv")
+    samples = dataio.load_scenarios(s / "samples.csv")
+    model = load_model(out / "model.pcf")
+    assert ([getattr(samples, key) for key in units] == [getattr(model, key) for key in units]
+            == [getattr(prepared, key) for key in units])
+    assert prepared.scaling == scaling
+    code, err = exit_code(["eval", "--historical", str(prep / "scenarios.csv"),
+                           "--generated", str(s / "samples.csv"), "--out-dir",
+                           str(tmp_path / "r"), "--no-timestamp"])
+    assert code == 0, err
+
+
+def test_eval_of_original_units_against_the_scaled_set_is_usage_error(prepared, tmp_path):
+    out, s = tmp_path / "run", tmp_path / "s"
+    assert run(train_args(prepared, out, ["--components", "2"])) == 0
+    assert run(["sample", "--model", str(out / "model.pcf"), "--n", "30", "--original-units",
+                "--out-dir", str(s), "--no-timestamp"]) == 0
+    code, err = exit_code(["eval", "--historical", str(prepared), "--generated",
+                           str(s / "samples.csv"), "--out-dir", str(tmp_path / "r")])
+    assert code == cli.EXIT_USAGE
+    assert err == "error: sets must have equal scaling, got 'minmax' and 'none'\n"
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("scaling", ["capacity_factor", "none"])
@@ -520,9 +563,11 @@ def test_prepare_non_utf8_raw_file_exits_3(tmp_path):
     assert "utf-8" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("reader", ["prepare", "train", "historical", "generated", "meta",
-                                    "config"])
-def test_non_utf8_byte_names_its_file_and_line(tmp_path, reader):
+def reader_input(tmp_path, reader, line2=None):
+    """The argv of a command that reads the file a reader reads, and that file's path.
+
+    The file's line 3 ends in the byte 0xff, which is not UTF-8; line2 replaces its line 2.
+    """
     good = str(write_scenarios(tmp_path, GOOD_ROWS, GOOD_META))
     (tmp_path / "bad").mkdir()
     bad = str(write_scenarios(tmp_path / "bad", GOOD_ROWS, GOOD_META))
@@ -538,11 +583,35 @@ def test_non_utf8_byte_names_its_file_and_line(tmp_path, reader):
         "config": (["train", "--data", good, "--config", str(config)], str(config)),
     }[reader]
     lines = Path(path).read_bytes().split(b"\n")
+    if line2 is not None:
+        lines[1] = line2.encode()
     lines[2] += b"\xff"
     Path(path).write_bytes(b"\n".join(lines))
-    code, err = exit_code([*argv, "--out-dir", str(tmp_path / "out")])
+    return [*argv, "--out-dir", str(tmp_path / "out")], path
+
+
+@pytest.mark.parametrize("reader", ["prepare", "train", "historical", "generated", "meta",
+                                    "config"])
+def test_non_utf8_byte_names_its_file_and_line(tmp_path, reader):
+    argv, path = reader_input(tmp_path, reader)
+    code, err = exit_code(argv)
     assert code == cli.EXIT_DATA
     assert err == f"error: {path}: line 3: not utf-8 (byte 0xff)\n"
+
+
+@pytest.mark.parametrize("reader, line2, exit_, message", [
+    ("prepare", "2013-01-01T00:00:00,x", cli.EXIT_DATA, "malformed value 'x'"),
+    ("train", "0.5,x,0.5,0.5", cli.EXIT_DATA, "could not convert string to float: 'x'"),
+    ("meta", "interval_minutes=x", cli.EXIT_DATA, "malformed interval_minutes 'x'"),
+    ("config", "bogus=1", cli.EXIT_USAGE, "unknown key in 'bogus=1'"),
+], ids=["prepare", "train", "meta", "config"])
+def test_fault_before_a_non_utf8_byte_is_reported_first(tmp_path, reader, line2, exit_,
+                                                        message):
+    # text I/O decodes line 3 before the reader parses line 2
+    argv, path = reader_input(tmp_path, reader, line2)
+    code, err = exit_code(argv)
+    assert code == exit_
+    assert err == f"error: {path}: line 2: {message}\n"
 
 
 def test_prepare_repeated_local_hour_exits_3_naming_the_line(tmp_path):
@@ -590,6 +659,18 @@ def eval_exit_without_warnings(prepared, out, *flags):
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     return code, err
+
+
+@pytest.mark.parametrize("bandwidth, code", [("4e307", cli.EXIT_NUMERIC),
+                                             ("1e308", cli.EXIT_NUMERIC), ("2e307", 0)])
+def test_eval_huge_bandwidth_overflowing_the_grid_is_numeric_error(prepared, tmp_path,
+                                                                   bandwidth, code):
+    got, err = eval_exit_without_warnings(prepared, tmp_path / "r", f"--bandwidth={bandwidth}")
+    assert got == code, err
+    if code:
+        assert err == (f"error: bandwidth {float(bandwidth)!r} is too large: "
+                       "the KDE grid overflows float64\n")
+        assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("bandwidth", ["0", "-1", "nan", "inf"])
@@ -641,6 +722,22 @@ def test_eval_interval_mismatch_is_usage_error(tmp_path):
                            "--out-dir", str(tmp_path / "r")])
     assert code == cli.EXIT_USAGE
     assert "equal interval_minutes, got 360 and 60" in err and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("meta, message", [
+    (["scaling=minmax", "min=0.0", "max=2.0"], "scaling, got 'none' and 'minmax'"),
+    (["scaling=capacity_factor"], "scaling, got 'none' and 'capacity_factor'"),
+    (["scaling=none", "min=0.0", "max=2.0"], "scale_min, got None and 0.0"),
+], ids=["minmax", "capacity_factor", "bounds"])
+def test_eval_units_mismatch_is_usage_error(tmp_path, meta, message):
+    (tmp_path / "gen").mkdir()
+    hist = write_scenarios(tmp_path, GOOD_ROWS, GOOD_META)
+    gen = write_scenarios(tmp_path / "gen", GOOD_ROWS, GOOD_META[:2] + meta)
+    code, err = exit_code(["eval", "--historical", str(hist), "--generated", str(gen),
+                           "--out-dir", str(tmp_path / "r")])
+    assert code == cli.EXIT_USAGE
+    assert err == f"error: sets must have equal {message}\n"
     assert not (tmp_path / "r").exists()
 
 
@@ -966,7 +1063,8 @@ def model_fields(model):
     layers = at + 12 + 16 * dim  # the layer count, after cev, dim, shift and scale
     rows, cols = struct.unpack_from("<II", model, layers + 17)
     return {
-        "flags": (12, "<I"), "interval_minutes": (16, "<I"), "scale_min": (21, "<d"),
+        "flags": (12, "<I"), "interval_minutes": (16, "<I"), "scaling": (20, "<B"),
+        "scale_min": (21, "<d"),
         "scale_max": (29, "<d"), "d": (37, "<I"), "m": (41, "<I"),
         "mean": (45, "<d"), "singular": (45 + 8 * d, "<d"), "component": (45 + 16 * d, "<d"),
         "cev": (at, "<d"), "dim": (at + 8, "<I"), "scale": (at + 12 + 8 * dim, "<d"),
@@ -1014,6 +1112,7 @@ def test_fuzz_baseline_model_samples_cleanly(trained_model):
                      {"scale_min": 3.0, "scale_max": 1.0})],
     *[({"interval_minutes": minutes}, "model.pcf: inconsistent model file: interval_minutes "
       f"must lie in [1, 1440], got {minutes}") for minutes in (0, 1441)],
+    ({"scaling": 3}, "model.pcf: unknown scaling code 3"),
 ])
 def test_sample_corrupt_model_is_format_error(trained_model, values, match):
     code, err = sample_exit(overwrite(trained_model, **values))

@@ -648,9 +648,66 @@ def test_unscale_returns_an_unscaled_set_unchanged():
     assert dataio.unscale(scenario_set) is scenario_set
 
 
-def test_scaled_set_invariant_enforced():
-    with pytest.raises(DataError, match=r"\[0, 1\]"):
-        make_set([[0.0, 1.5], [0.2, 0.3]], scaling="minmax")
+def test_scaled_set_invariant_enforced(tmp_path):
+    # scale is the one place a value must lie in [0, 1]; it names the value's place
+    rows = day_rows("2013-01-01", period_length=24, value=5.0, capacity=10.0)
+    rows += day_rows("2013-01-02", period_length=24, value=5.0, capacity=10.0)
+    rows[24 + 3] = rows[24 + 3].replace(",5.0,", ",15.0,")
+    path = write_csv(tmp_path / "a.csv", rows, header="time,value,cap")
+    series = dataio.load_csv(path, capacity_col="cap")
+    scenario_set = dataio.clean_and_slice(series, 24)
+    with pytest.raises(ScalingError, match=r"^scenario 1, step 3: capacity factor 1\.5 "
+                                           r"lies outside \[0, 1\]$"):
+        dataio.scale(scenario_set, "capacity_factor", capacity=series.capacity)
+
+
+@pytest.mark.parametrize("units", [{"scaling": "minmax", "scale_min": 2.0, "scale_max": 9.0},
+                                   {"scaling": "capacity_factor"}])
+def test_scaled_set_may_leave_the_unit_interval(tmp_path, units):
+    # a flow's samples do: the set keeps its model's units all the same
+    scenario_set = make_set([[-0.5, 1.5], [0.2, 0.3]], **units)
+    path = tmp_path / "s.csv"
+    dataio.save_scenarios(scenario_set, path)
+    back = dataio.load_scenarios(path)
+    assert np.array_equal(back.data, scenario_set.data)
+    assert [getattr(back, key) for key in dataio.PROVENANCE] == [
+        getattr(scenario_set, key) for key in dataio.PROVENANCE]
+
+
+def test_minmax_range_too_wide_for_float64():
+    scenario_set = make_set([[-1e308, 1.0], [2.0, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScalingError, match=r"range \[-1e\+308, 1e\+308\] is too wide"):
+            dataio.scale(scenario_set, "minmax")
+
+
+@pytest.mark.parametrize("scaling, mode, capacity, keep_index, match", [
+    ("none", "log", None, True, "unknown scaling mode 'log'"),
+    ("capacity_factor", "minmax", None, True, r"set is already scaled \(capacity_factor\)"),
+    ("none", "capacity_factor", None, True, "capacity_factor scaling requires a capacity series"),
+    ("none", "capacity_factor", 1.0, False, "carries no source indices for capacity lookup"),
+])
+def test_scale_usage_errors(scaling, mode, capacity, keep_index, match):
+    scenario_set = make_set([[0.2, 0.4], [0.6, 0.8]], scaling=scaling,
+                            source_index=np.arange(4).reshape(2, 2) if keep_index else None)
+    if capacity is not None:
+        capacity = np.full(4, capacity)
+    with pytest.raises(UsageError, match=match):
+        dataio.scale(scenario_set, mode, capacity=capacity)
+
+
+@pytest.mark.parametrize("capacity, keep_index, match", [
+    (None, True, "inverting capacity_factor scaling requires the capacity series"),
+    (1.0, False, "carries no source indices for capacity lookup"),
+])
+def test_unscale_usage_errors(capacity, keep_index, match):
+    scenario_set = make_set([[0.2, 0.4], [0.6, 0.8]], scaling="capacity_factor",
+                            source_index=np.arange(4).reshape(2, 2) if keep_index else None)
+    if capacity is not None:
+        capacity = np.full(4, capacity)
+    with pytest.raises(UsageError, match=match):
+        dataio.unscale(scenario_set, capacity=capacity)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -916,8 +973,15 @@ def assert_reads_like_reference(tmp_path, text, width):
         except UnicodeDecodeError:
             data = path.read_bytes()
             bad = data.index(b"\xff")  # the only byte of the drawn texts that is not UTF-8
-            line = len(re.split(rb"\r\n|\r|\n", data[:bad]))
-            raise ParseError(f"{path}: line {line}: not utf-8 (byte 0xff)") from None
+            lines = re.split(rb"\r\n|\r|\n", data[:bad])
+            # a fault in the lines before the bad one is reported first
+            head = path.with_name("head.csv")
+            head.write_bytes(data[:bad - len(lines[-1])])
+            try:
+                reference_read_rows(head)
+            except ParseError as exc:
+                raise ParseError(f"{path}: {exc}") from None
+            raise ParseError(f"{path}: line {len(lines)}: not utf-8 (byte 0xff)") from None
 
     def load(path):
         return dataio.load_scenarios(path).data
@@ -978,6 +1042,7 @@ def test_load_scenarios_matches_line_loop(tmp_path_factory, file):
     ("", 2),  # an empty file
     ("# generated\n# nothing else\n", 2),  # comments only
     ("0.5,0.25\n0.75,\udcff\n", 2),  # not UTF-8
+    ("0.5,x\n0.75,\udcff\n", 2),  # a malformed row before a byte that is not UTF-8
     ("\ufeff0.5,0.25\n0.75,1.0\n", 2),  # a leading byte-order mark
     ("0.5,0.25\n\ufeff0.75,1.0\n", 2),  # U+FEFF inside the file
 ])

@@ -778,5 +778,5 @@ def test_evaluate_sets_interval_mismatch():
 def test_evaluate_sets_dimension_mismatch():
     a = make_set(np.ones((3, 24)) * np.arange(24), interval_minutes=60)
     b = make_set(np.ones((3, 12)) * np.arange(12), interval_minutes=120)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^sets must have equal period_length, got 24 and 12$"):
         evaluate.evaluate_sets(a, b)
