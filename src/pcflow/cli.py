@@ -144,7 +144,8 @@ def cmd_toy(args):
     return 0
 
 
-def _add_common(parser):
+def _add_seed(parser):
+    """--seed, for the commands that draw random numbers: train, sample and toy."""
     def seed(text):  # argparse names the function in its "invalid seed value" message
         value = int(text)
         if value < 0:
@@ -153,6 +154,9 @@ def _add_common(parser):
 
     parser.add_argument("--seed", type=seed, default=0,
                         help="master seed (>= 0); named streams are derived from it")
+
+
+def _add_common(parser):
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--config", default=None, help="key=value file overriding flags")
     parser.add_argument("--no-timestamp", action="store_true",
@@ -197,6 +201,7 @@ def build_parser():
     p.add_argument("--allow-divergence", action="store_true",
                    help="exit 0 when training diverges in either mode (flagged in the log)")
     _add_train_flags(p, epochs=1000, patience=50)
+    _add_seed(p)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -205,6 +210,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--original-units", action="store_true",
                    help="invert the recorded minmax scaling")
+    _add_seed(p)
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 
@@ -224,6 +230,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--cev", type=float, default=0.99)
     _add_train_flags(p, epochs=600, patience=15)
+    _add_seed(p)
     _add_common(p)
     p.set_defaults(func=cmd_toy)
 

@@ -46,11 +46,13 @@ def silverman_bandwidth(samples):
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
-    # data near the float64 limit overflows here; welch_psd or PCA reports it
+    # data near the float64 limit overflows here; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         std = samples.std()
         q75, q25 = np.percentile(samples, [75, 25])
         iqr = q75 - q25
+    if not (math.isfinite(std) and math.isfinite(iqr)):
+        raise NumericError("the spread of the values overflows float64: rescale the data")
     spread = min(std, iqr / 1.34) if iqr > 0 else std
     if spread <= 0 or samples.min() == samples.max():
         raise DataError("degenerate sample (zero spread): give a bandwidth explicitly")
@@ -134,10 +136,13 @@ def kde_pdf(samples, grid, bandwidth=None):
 def kde_grid(samples, bandwidth=None):
     """KDE_GRID_POINTS evenly spaced points spanning [min - 3h, max + 3h]."""
     samples = np.asarray(samples, dtype=float).ravel()
+    lo, hi = float(samples.min()), float(samples.max())
+    if not math.isfinite(hi - lo):  # Python floats overflow to inf without a warning
+        raise NumericError(f"the values span [{lo!r}, {hi!r}], whose width overflows float64: "
+                           "rescale the data")
     bandwidth = _bandwidth(bandwidth, samples)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names the bandwidth
-        grid = np.linspace(samples.min() - 3 * bandwidth, samples.max() + 3 * bandwidth,
-                           KDE_GRID_POINTS)
+        grid = np.linspace(lo - 3 * bandwidth, hi + 3 * bandwidth, KDE_GRID_POINTS)
     if not np.all(np.isfinite(grid)):
         raise NumericError(f"bandwidth {bandwidth!r} is too large: "
                            "the KDE grid overflows float64")

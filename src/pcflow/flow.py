@@ -74,8 +74,8 @@ class CouplingLayer:
     One block of coordinates passes through unchanged and conditions an
     element-wise affine map of the other block. ``swap`` selects which block
     is the identity one; the scale output is squashed to (-s_cap, s_cap).
-    The s-net and the t-net have identical shapes, so training can evaluate
-    them as one stack (``stacked_inverse``), held once ``adopt`` lays it out.
+    The s-net and the t-net have identical shapes, so training evaluates
+    them as one stack (``stacked_inverse``) that ``adopt`` lays out.
     """
 
     def __init__(self, dim, s_net: DenseNet, t_net: DenseNet, swap=False, s_cap=DEFAULT_S_CAP):
@@ -97,6 +97,8 @@ class CouplingLayer:
         cut = tr_dim if self.swap else id_dim
         first, second = slice(None, cut), slice(cut, None)
         self._columns = (second, first) if self.swap else (first, second)
+        params = np.concatenate([p.ravel() for net in (s_net, t_net) for p in net.parameters()])
+        self.adopt(params, np.zeros_like(params))
 
     def _split(self, v):
         ident, rest = self._columns
@@ -155,24 +157,32 @@ class CouplingLayer:
         t, t_tape = self.t_net.forward(ident)
         return self._inverse(ident, rest, raw, t, (s_tape, t_tape))
 
-    def adopt(self, stack, grads):
-        """Hold the two nets' arrays as ``stack``, [W0, b0, W1, b1, ...] stacked,
-        shaped (2, in, out) and (2, 1, out); net j's own arrays become the slices
-        W[j] and b[j, 0]. ``grads`` is laid out alike and receives the gradients
-        ``backward_inverse`` computes.
+    def adopt(self, params, grads):
+        """Hold the nets' arrays as views of ``params``, the s-net's [W0, b0, W1, b1, ...]
+        raveled and then the t-net's, and their gradients as views of ``grads``, laid out alike.
+        As a (2, S) slab, S the size of one net, each vector's column ranges are the arrays
+        stacked, (2, in, out) and (2, 1, out), which ``stacked_inverse`` evaluates and
+        ``backward_inverse`` differentiates; net j's own arrays are the slices W[j] and b[j, 0].
         """
-        weights, biases = stack[0::2], stack[1::2]
+        shapes = [p.shape for p in self.s_net.parameters()]
+        cuts = np.cumsum([math.prod(shape) for shape in shapes[:-1]])
+
+        def stack(flat):
+            columns = np.split(flat.reshape(2, -1), cuts, axis=1)
+            return [c.reshape(2, -1, shape[-1]) for c, shape in zip(columns, shapes)]
+
+        arrays = stack(params)
+        weights, biases = arrays[0::2], arrays[1::2]
         for j, net in enumerate((self.s_net, self.t_net)):
             net.weights[:] = [w[j] for w in weights]
             net.biases[:] = [b[j, 0] for b in biases]
-        self.net = (weights, biases, [w.swapaxes(-1, -2) for w in weights])
-        self.grads = grads
+        self.params, self.grads = params, grads
+        self.net = (weights, biases, [w.swapaxes(-1, -2) for w in weights], stack(grads))
 
     def stacked_inverse(self, x):
         """``inverse_with_tape`` with both nets evaluated in one stacked pass.
 
-        The layer must hold its stack (``adopt``). The cache is what
-        ``backward_inverse`` takes. The caller runs it under
+        The cache is what ``backward_inverse`` takes. The caller runs it under
         ``np.errstate(over="ignore", invalid="ignore")``: an overflow leaves
         a non-finite value, which the checks report.
         """
@@ -186,12 +196,12 @@ class CouplingLayer:
         ``g_out`` is the cotangent on the inverse output; a constant extra
         cotangent on each scale output (from the log-det term of the loss)
         can be folded in via ``s_cotangent_extra``. Both nets' parameter
-        gradients are written into ``self.grads``, stacked like the weights.
+        gradients are written into ``grads``, through the views ``adopt`` stacks.
         Returns the cotangent on the input, or None when ``input_cotangent``
         is false.
         """
         neg_s, exp_neg_s, z_rest, tape = cache
-        weights, _, weights_t = self.net
+        weights, _, weights_t, grads = self.net
         g_ident, g_rest_out = self._split(g_out)
         g_rest_in = g_rest_out * exp_neg_s
         cot = np.empty((2, *neg_s.shape))  # the cotangents on the s-net and t-net outputs
@@ -202,7 +212,7 @@ class CouplingLayer:
         np.subtract(1.0, slope, out=slope)
         np.multiply(cot_s, slope, out=cot[0])
         np.negative(g_rest_in, out=cot[1])
-        g_nets = conditioner.backward(weights, tape, cot, self.grads, weights_t, input_cotangent)
+        g_nets = conditioner.backward(weights, tape, cot, grads, weights_t, input_cotangent)
         if g_nets is None:
             return None
         g_ident = g_ident + g_nets[0]
@@ -235,29 +245,17 @@ class FlowModel:
                 raise UsageError("all coupling layers must act in the flow dimension")
             if i > 0 and layer.swap == self.layers[i - 1].swap:
                 raise UsageError("coupling layer parities must alternate")
-        # one flat vector holds every weight and bias, one more their gradients;
-        # each layer holds its stacked views of both, and its nets views of the first
-        self.params = np.concatenate([p.ravel() for p in self.parameters()] or [np.zeros(0)])
+        # one flat vector holds every weight and bias, one more their gradients; each
+        # layer re-adopts its block of both, so its stacks and its nets' arrays are views
+        self.params = np.concatenate([layer.params for layer in self.layers] or [np.zeros(0)])
         self.grads = np.zeros_like(self.params)
-        for layer, stack, grads in zip(self.layers, self._carve(self.params),
-                                       self._carve(self.grads)):
-            layer.adopt(stack, grads)
-        self._grad_arrays = [g[j] if k % 2 == 0 else g[j, 0] for layer in self.layers
-                             for j in (0, 1) for k, g in enumerate(layer.grads)]
-
-    def _carve(self, flat):
-        """Per layer, its nets' [W0, b0, ...] stacked, (2, in, out) and (2, 1, out), as views
-        into a vector laid out like ``params``: column ranges of the layer's (2, S) slab, S the
-        size of one net."""
-        stacks, start = [], 0
-        for layer in self.layers:
-            shapes = [p.shape for p in layer.s_net.parameters()]
-            sizes = [math.prod(shape) for shape in shapes]
-            slab = flat[start: start + 2 * sum(sizes)].reshape(2, -1)
-            columns = np.split(slab, np.cumsum(sizes[:-1]), axis=1)
-            stacks.append([c.reshape(2, -1, shape[-1]) for c, shape in zip(columns, shapes)])
-            start += slab.size
-        return stacks
+        cuts = np.cumsum([layer.params.size for layer in self.layers[:-1]])
+        for layer, params, grads in zip(self.layers, np.split(self.params, cuts),
+                                        np.split(self.grads, cuts)):
+            layer.adopt(params, grads)
+        views = self.parameters()
+        cuts = np.cumsum([p.size for p in views[:-1]])
+        self._grad_arrays = [g.reshape(p.shape) for g, p in zip(np.split(self.grads, cuts), views)]
 
     def parameters(self):
         """Views [W0, b0, W1, b1, ...] into ``params`` of each s-net and t-net, layer by layer."""

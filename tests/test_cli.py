@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
 import io
+import re
+import shlex
 import struct
 import tempfile
 import warnings
@@ -89,6 +91,27 @@ def test_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         run(["prepare"])
     assert err.value.code == 2
+
+
+def readme_commands():
+    """The argv of each `pcflow ...` line in the README's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("pcflow ")]
+
+
+def test_readme_commands_parse():
+    parser = cli.build_parser()
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(parser._subparsers._group_actions[0].choices)
+    for argv in commands:
+        err = io.StringIO()
+        try:
+            with redirect_stderr(err):
+                parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command {shlex.join(['pcflow', *argv])}: {err.getvalue()}")
 
 
 # train / sample ---------------------------------------------------------
@@ -400,9 +423,9 @@ def test_config_file_rejects_unknown_key(tmp_path):
 
 
 def test_config_file_serves_every_subcommand(prepared, tmp_path):
-    # eval ignores the training keys and train ignores the eval keys
+    # eval ignores the training keys and the seed, and train ignores the eval keys
     config = tmp_path / "run.cfg"
-    config.write_text("epochs=2\ncomponents=2\nbandwidth=0.05\n", encoding="utf-8")
+    config.write_text("epochs=2\ncomponents=2\nbandwidth=0.05\nseed=3\n", encoding="utf-8")
     assert run(["train", "--data", str(prepared), "--config", str(config),
                 "--out-dir", str(tmp_path / "run"), "--no-timestamp"]) == 0
     assert run(["eval", "--historical", str(prepared), "--generated", str(prepared),
@@ -490,6 +513,16 @@ def test_negative_seed_is_usage_error(prepared, trained_model, tmp_path, command
     assert code == cli.EXIT_USAGE, err
     assert "argument --seed: must be >= 0" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["prepare", "eval"])
+def test_seed_is_not_a_flag_of_commands_that_draw_nothing(prepared, tmp_path, command):
+    argv = {"prepare": ["prepare", "--input", write_raw_csv(tmp_path / "raw.csv")],
+            "eval": ["eval", "--historical", str(prepared), "--generated", str(prepared)]}
+    code, err = exit_code([*argv[command], "--seed", "1", "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_USAGE, err
+    assert "unrecognized arguments: --seed 1" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("n", ["1", "0"])
@@ -651,11 +684,11 @@ def test_prepare_capacity_factor_needs_column_whatever_the_file(tmp_path, lines)
     assert "capacity_factor scaling requires --capacity-col" in err and "Traceback" not in err
 
 
-def eval_exit_without_warnings(prepared, out, *flags):
+def eval_exit_without_warnings(prepared, out, *flags, generated=None):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, err = exit_code(["eval", "--historical", str(prepared), "--generated",
-                               str(prepared), *flags, "--out-dir", str(out)])
+                               str(generated or prepared), *flags, "--out-dir", str(out)])
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     return code, err
@@ -671,6 +704,33 @@ def test_eval_huge_bandwidth_overflowing_the_grid_is_numeric_error(prepared, tmp
         assert err == (f"error: bandwidth {float(bandwidth)!r} is too large: "
                        "the KDE grid overflows float64\n")
         assert not (tmp_path / "r").exists()
+
+
+def test_eval_overflowing_spread_blames_the_data_not_a_bandwidth(tmp_path):
+    # no --bandwidth: Silverman's rule meets a pooled std and IQR that overflow
+    rows = 1e308 * np.random.default_rng(5).uniform(-1.0, 1.0, (10, 4))
+    path = write_scenarios(tmp_path, [",".join(map(repr, row)) for row in rows.tolist()],
+                           GOOD_META)
+    code, err = eval_exit_without_warnings(path, tmp_path / "r")
+    assert code == cli.EXIT_NUMERIC, err
+    assert err == "error: the spread of the values overflows float64: rescale the data\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_eval_overflowing_span_names_the_span_not_the_bandwidth(tmp_path):
+    # the historical set alone sets a small bandwidth; the pooled span overflows
+    rows = np.random.default_rng(6).uniform(size=(10, 4))
+    hist = write_scenarios(tmp_path, [",".join(map(repr, row)) for row in rows.tolist()],
+                           GOOD_META)
+    rows[2, 1], rows[7, 3] = -1.7e308, 1.7e308
+    (tmp_path / "gen").mkdir()
+    gen = write_scenarios(tmp_path / "gen", [",".join(map(repr, row)) for row in rows.tolist()],
+                          GOOD_META)
+    code, err = eval_exit_without_warnings(hist, tmp_path / "r", generated=gen)
+    assert code == cli.EXIT_NUMERIC, err
+    assert err == ("error: the values span [-1.7e+308, 1.7e+308], whose width overflows "
+                   "float64: rescale the data\n")
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("bandwidth", ["0", "-1", "nan", "inf"])

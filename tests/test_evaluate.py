@@ -100,6 +100,28 @@ def test_silverman_falls_back_to_std_when_iqr_is_zero():
         evaluate.silverman_bandwidth(np.full(50, 0.3))
 
 
+@pytest.mark.parametrize("samples", [
+    [1e300, -1e300] * 5,  # the std overflows, the IQR does not
+    [1e308] * 4 + [-1e308] * 4,  # both overflow
+])
+def test_silverman_overflowing_spread_is_numeric_error(samples):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError) as caught:
+            evaluate.silverman_bandwidth(samples)
+    assert str(caught.value) == "the spread of the values overflows float64: rescale the data"
+
+
+@pytest.mark.parametrize("bandwidth", [None, 0.1])
+def test_kde_grid_overflowing_span_names_the_span(bandwidth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError) as caught:
+            evaluate.kde_grid([-1.7e308, 0.0, 0.5, 1.7e308], bandwidth)
+    assert str(caught.value) == ("the values span [-1.7e+308, 1.7e+308], whose width "
+                                 "overflows float64: rescale the data")
+
+
 def dense_kde(samples, grid, bandwidth):
     """The dense grid x samples kernel sum that kde_pdf must reproduce."""
     z = (grid[:, None] - samples[None, :]) / bandwidth

@@ -260,16 +260,27 @@ def test_dim_one_fallback_warns():
 # flat parameter vector --------------------------------------------------
 
 
-def test_params_vector_backs_every_weight():
-    model = build_flow(3, n_layers=2, hidden_dims=(4,), seed=22)
-    views = model.parameters()
-    assert model.params.size == sum(p.size for p in views)
-    x = np.random.default_rng(23).standard_normal((5, 3))
-    before = model.log_prob(x)
-    model.params[:] += 0.1
-    assert not np.allclose(model.log_prob(x), before)
-    assert np.array_equal(np.concatenate([p.ravel() for p in views]), model.params)
-    assert all(np.shares_memory(p, model.params) for p in views)
+def test_params_vector_backs_every_weight(tmp_path):
+    built = build_flow(3, n_layers=2, hidden_dims=(4,), seed=22)
+    save_model(built, tmp_path / "m.pcf")
+    for model in (built, load_model(tmp_path / "m.pcf")):
+        views = model.parameters()
+        assert model.params.size == sum(p.size for p in views)
+        x = np.random.default_rng(23).standard_normal((5, 3))
+        before = model.log_prob(x)
+        model.params[:] += 0.1
+        assert not np.allclose(model.log_prob(x), before)
+        assert np.array_equal(np.concatenate([p.ravel() for p in views]), model.params)
+        assert all(np.shares_memory(p, model.params) for p in views)
+        # each layer's stacks, their transposes and its gradients are views of the two vectors
+        for layer in model.layers:
+            weights, biases, weights_t, grads = layer.net
+            for j, net in enumerate((layer.s_net, layer.t_net)):
+                assert all(np.array_equal(w[j], v) for w, v in zip(weights, net.weights))
+                assert all(np.array_equal(b[j, 0], v) for b, v in zip(biases, net.biases))
+            assert all(np.shares_memory(a, model.params)
+                       for a in (layer.params, *weights, *biases, *weights_t))
+            assert all(np.shares_memory(g, model.grads) for g in (layer.grads, *grads))
 
 
 def per_net_nll_and_grads(model, batch):
@@ -427,6 +438,25 @@ def test_per_net_and_stacked_inverse_agree_byte_for_byte():
         assert per_net == stacked
         outcomes.add(type(per_net))
     assert outcomes == {tuple, str}  # both finite rows and NumericErrors were compared
+
+
+def test_layer_outside_a_model_runs_the_stacked_route_like_the_model_layer():
+    model = build_flow(5, n_layers=3, hidden_dims=(4, 3), seed=32)
+    model.params[:] = np.random.default_rng(33).standard_normal(model.params.size)
+    rng = np.random.default_rng(34)
+    x, g_out = rng.standard_normal((2, 9, 5))
+    for layer in model.layers:
+        nets = [DenseNet([w.copy() for w in net.weights], [b.copy() for b in net.biases])
+                for net in (layer.s_net, layer.t_net)]
+        alone = CouplingLayer(layer.dim, *nets, swap=layer.swap, s_cap=layer.s_cap)
+        outcomes = []
+        for each in (layer, alone):
+            with np.errstate(over="ignore", invalid="ignore"):  # as nll_and_grads runs it
+                z, logdet_inv, cache = each.stacked_inverse(x)
+            g_in = each.backward_inverse(cache, g_out, s_cotangent_extra=0.25)
+            outcomes.append([a.tobytes() for a in (z, logdet_inv, *cache[:3], g_in, each.grads)])
+        assert outcomes[0] == outcomes[1]
+        assert not np.shares_memory(alone.params, model.params)
 
 
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
