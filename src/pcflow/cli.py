@@ -241,7 +241,8 @@ def _apply_config_file(parser, argv):
     """Insert --config key=value lines as flags ahead of the command line's own.
 
     argparse checks their values, and later flags win. Keys of other
-    subcommands are skipped; keys no subcommand defines are usage errors.
+    subcommands are skipped; keys no subcommand defines are usage errors,
+    and so are ``help`` and ``config``, which are not settings.
     """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
@@ -251,6 +252,7 @@ def _apply_config_file(parser, argv):
         return argv
     options = {a.dest: a for a in commands[argv[0]]._actions if a.option_strings}
     all_keys = {a.dest for command in commands.values() for a in command._actions}
+    all_keys -= {"help", "config"}
 
     def config_flags(fh):
         flags = []

@@ -56,23 +56,19 @@ def forward(weights, biases, x):
     return (h[..., 0, :] if squeeze else h), GradientTape(inputs, activations)
 
 
-def backward(weights, tape: GradientTape, cotangent, grads, weights_t=None,
-             input_cotangent=True):
+def backward(weights, tape: GradientTape, cotangent, grads, input_cotangent=True):
     """Gradients of <cotangent, output> w.r.t. parameters and input.
 
     The parameter gradients are written into ``grads``, arrays shaped like
     [W0, b0, W1, b1, ...], summed over the batch; the input cotangent is
     returned and keeps the batch shape, or is skipped and None returned
-    when ``input_cotangent`` is false. ``weights_t`` may hold the weights
-    with their last two axes swapped, for a caller that keeps those views.
+    when ``input_cotangent`` is false.
     """
     g = np.asarray(cotangent, dtype=float)
     inputs, activations = tape
     last = len(weights) - 1
     if len(activations) != last + 1:
         raise NumericError("tape does not match network depth")
-    if weights_t is None:
-        weights_t = [w.swapaxes(-1, -2) for w in weights]
     squeeze = g.ndim < activations[-1].ndim  # the forward input was (d,)
     if squeeze:
         g = g[..., None, :]
@@ -88,7 +84,7 @@ def backward(weights, tape: GradientTape, cotangent, grads, weights_t=None,
         np.add.reduce(g, axis=-2, out=db, keepdims=db.ndim == g.ndim)
         if i == 0 and not input_cotangent:
             return None
-        g = g @ weights_t[i]
+        g = g @ weights[i].swapaxes(-1, -2)
     return g[..., 0, :] if squeeze else g
 
 

@@ -45,6 +45,8 @@ def silverman_bandwidth(samples):
     (whose std may round to a tiny positive value) is degenerate.
     """
     samples = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(samples)):
+        raise DataError("KDE samples must be finite")
     n = len(samples)
     # data near the float64 limit overflows here; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -136,6 +138,8 @@ def kde_pdf(samples, grid, bandwidth=None):
 def kde_grid(samples, bandwidth=None):
     """KDE_GRID_POINTS evenly spaced points spanning [min - 3h, max + 3h]."""
     samples = np.asarray(samples, dtype=float).ravel()
+    if not np.all(np.isfinite(samples)):
+        raise DataError("KDE samples must be finite")
     lo, hi = float(samples.min()), float(samples.max())
     if not math.isfinite(hi - lo):  # Python floats overflow to inf without a warning
         raise NumericError(f"the values span [{lo!r}, {hi!r}], whose width overflows float64: "

@@ -74,8 +74,8 @@ class CouplingLayer:
     One block of coordinates passes through unchanged and conditions an
     element-wise affine map of the other block. ``swap`` selects which block
     is the identity one; the scale output is squashed to (-s_cap, s_cap).
-    The s-net and the t-net have identical shapes, so training evaluates
-    them as one stack (``stacked_inverse``) that ``adopt`` lays out.
+    The s-net and the t-net have identical shapes, so sampling and training
+    evaluate them as one stack that ``adopt`` lays out.
     """
 
     def __init__(self, dim, s_net: DenseNet, t_net: DenseNet, swap=False, s_cap=DEFAULT_S_CAP):
@@ -134,9 +134,9 @@ class CouplingLayer:
     def forward(self, z):
         """z -> x; returns (x, logdet) with logdet = sum of scale outputs."""
         ident, rest = self._split(np.asarray(z, dtype=float))
-        s = self._neg_scale(self.s_net.forward(ident)[0])
+        (raw_s, t), _ = conditioner.forward(self.net[0], self.net[1], ident)
+        s = self._neg_scale(raw_s)
         np.negative(s, out=s)
-        t, _ = self.t_net.forward(ident)
         x_rest = np.exp(s) * rest + t
         if not conditioner.all_finite(x_rest):
             raise NumericError("non-finite coupling output")
@@ -161,7 +161,7 @@ class CouplingLayer:
         """Hold the nets' arrays as views of ``params``, the s-net's [W0, b0, W1, b1, ...]
         raveled and then the t-net's, and their gradients as views of ``grads``, laid out alike.
         As a (2, S) slab, S the size of one net, each vector's column ranges are the arrays
-        stacked, (2, in, out) and (2, 1, out), which ``stacked_inverse`` evaluates and
+        stacked, (2, in, out) and (2, 1, out), which ``forward``/``stacked_inverse`` evaluate and
         ``backward_inverse`` differentiates; net j's own arrays are the slices W[j] and b[j, 0].
         """
         shapes = [p.shape for p in self.s_net.parameters()]
@@ -177,7 +177,7 @@ class CouplingLayer:
             net.weights[:] = [w[j] for w in weights]
             net.biases[:] = [b[j, 0] for b in biases]
         self.params, self.grads = params, grads
-        self.net = (weights, biases, [w.swapaxes(-1, -2) for w in weights], stack(grads))
+        self.net = (weights, biases, stack(grads))
 
     def stacked_inverse(self, x):
         """``inverse_with_tape`` with both nets evaluated in one stacked pass.
@@ -201,7 +201,7 @@ class CouplingLayer:
         is false.
         """
         neg_s, exp_neg_s, z_rest, tape = cache
-        weights, _, weights_t, grads = self.net
+        weights, _, grads = self.net
         g_ident, g_rest_out = self._split(g_out)
         g_rest_in = g_rest_out * exp_neg_s
         cot = np.empty((2, *neg_s.shape))  # the cotangents on the s-net and t-net outputs
@@ -212,7 +212,7 @@ class CouplingLayer:
         np.subtract(1.0, slope, out=slope)
         np.multiply(cot_s, slope, out=cot[0])
         np.negative(g_rest_in, out=cot[1])
-        g_nets = conditioner.backward(weights, tape, cot, grads, weights_t, input_cotangent)
+        g_nets = conditioner.backward(weights, tape, cot, grads, input_cotangent)
         if g_nets is None:
             return None
         g_ident = g_ident + g_nets[0]

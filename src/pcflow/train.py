@@ -1,9 +1,15 @@
 """Log-likelihood maximization with Adam and validation-based early stopping.
 
-Randomness is split into named streams derived from one seed: parameter
-initialization uses the seed itself, epoch shuffling uses seed + 1, and
-sampling elsewhere uses seed + 2, so changing one stage never perturbs the
-others.
+Randomness comes from streams derived from one seed:
+
+- ``seed``: the validation split (``dataio.split``) and parameter
+  initialization (``build_flow``), each from its own generator;
+- ``seed + 1``: epoch shuffling;
+- ``seed + 2``: sampling (``pcflow sample`` and ``pcflow toy``) and, in
+  ``pcflow toy``, the toy data set.
+
+The split and initialization share a seed, as do sampling and the toy data,
+so each pair's draws start from the same bit stream.
 """
 
 from __future__ import annotations
@@ -81,40 +87,26 @@ class TrainLog:
 class AdamState:
     m: np.ndarray
     v: np.ndarray
-    scratch: np.ndarray  # (2, size) work space for adam_step's temporaries
     t: int = 0
 
     @classmethod
     def for_params(cls, params):
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
-                   scratch=np.empty((2,) + params.shape))
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(params, grads, state: AdamState, config: TrainConfig):
-    """One in-place Adam update of a flat parameter vector.
-
-    The temporaries of m += (1 - b1) g, v += (1 - b2) g g and
-    params -= lr (m / bc1) / (sqrt(v / bc2) + eps) go to state.scratch, in
-    that expression's operation order.
-    """
+    """One in-place Adam update of a flat parameter vector."""
     if params.shape != grads.shape:
         raise UsageError("params/grads shape mismatch")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.t += 1
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    step, denom = state.scratch[0], state.scratch[1]
     state.m *= b1
-    state.m += np.multiply(1.0 - b1, grads, out=step)
+    state.m += (1.0 - b1) * grads
     state.v *= b2
-    np.multiply(1.0 - b2, grads, out=step)
-    state.v += np.multiply(step, grads, out=step)
-    np.divide(state.m, bc1, out=step)
-    np.multiply(config.learning_rate, step, out=step)
-    np.divide(state.v, bc2, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPSILON
-    params -= np.divide(step, denom, out=step)
+    state.v += (1.0 - b2) * grads * grads
+    params -= config.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPSILON)
 
 
 def _clip_gradients(grads):

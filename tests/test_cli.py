@@ -422,6 +422,19 @@ def test_config_file_rejects_unknown_key(tmp_path):
     assert not (tmp_path / "toy").exists()
 
 
+@pytest.mark.parametrize("line", ["help=true", "help=false", "config=other.cfg"])
+def test_config_file_holds_settings_only(prepared, tmp_path, line):
+    # help would print the usage and skip the command; a nested config would be ignored
+    config = tmp_path / "run.cfg"
+    config.write_text(f"epochs=2\n{line}\n", encoding="utf-8")
+    out = tmp_path / "run"
+    code, err = exit_code(["train", "--data", str(prepared), "--config", str(config),
+                           "--out-dir", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert f"line 2: unknown key in {line!r}" in err
+    assert not out.exists()
+
+
 def test_config_file_serves_every_subcommand(prepared, tmp_path):
     # eval ignores the training keys and the seed, and train ignores the eval keys
     config = tmp_path / "run.cfg"

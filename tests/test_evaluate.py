@@ -79,6 +79,18 @@ def test_kde_rejects_non_finite_samples_and_grid():
                 evaluate.kde_pdf(samples, np.array(grid), bandwidth=bandwidth)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("function", [evaluate.kde_grid, evaluate.silverman_bandwidth])
+def test_kde_grid_and_bandwidth_reject_non_finite_samples(function, bad):
+    # the finiteness check comes first, so no span or spread check blames overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for samples in ([0.0, bad, 1.0], [bad] * 3, [-1.7e308, bad, 1.7e308]):
+            with pytest.raises(DataError) as caught:
+                function(samples)
+            assert str(caught.value) == "KDE samples must be finite"
+
+
 def test_silverman_formula():
     rng = np.random.default_rng(1)
     samples = rng.normal(size=200)

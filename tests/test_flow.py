@@ -272,14 +272,14 @@ def test_params_vector_backs_every_weight(tmp_path):
         assert not np.allclose(model.log_prob(x), before)
         assert np.array_equal(np.concatenate([p.ravel() for p in views]), model.params)
         assert all(np.shares_memory(p, model.params) for p in views)
-        # each layer's stacks, their transposes and its gradients are views of the two vectors
+        # each layer's stacks and its gradients are views of the two vectors
         for layer in model.layers:
-            weights, biases, weights_t, grads = layer.net
+            weights, biases, grads = layer.net
             for j, net in enumerate((layer.s_net, layer.t_net)):
                 assert all(np.array_equal(w[j], v) for w, v in zip(weights, net.weights))
                 assert all(np.array_equal(b[j, 0], v) for b, v in zip(biases, net.biases))
             assert all(np.shares_memory(a, model.params)
-                       for a in (layer.params, *weights, *biases, *weights_t))
+                       for a in (layer.params, *weights, *biases))
             assert all(np.shares_memory(g, model.grads) for g in (layer.grads, *grads))
 
 
@@ -438,6 +438,54 @@ def test_per_net_and_stacked_inverse_agree_byte_for_byte():
         assert per_net == stacked
         outcomes.add(type(per_net))
     assert outcomes == {tuple, str}  # both finite rows and NumericErrors were compared
+
+
+def per_net_forward(layer, z):
+    """``CouplingLayer.forward`` with the s-net and then the t-net evaluated on their own."""
+    ident, rest = layer._split(np.asarray(z, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_s, _ = layer.s_net.forward(ident)
+        t, _ = layer.t_net.forward(ident)
+        s = layer.s_cap * np.tanh(raw_s / layer.s_cap)
+        x_rest = np.exp(s) * rest + t
+        if not np.all(np.isfinite(x_rest)):
+            raise NumericError("non-finite coupling output")
+    return layer._join(ident, x_rest), np.sum(s, axis=-1)
+
+
+def forward_outcome(route, layer, z):
+    """(x, logdet) of one forward route as bytes, or its NumericError text."""
+    try:
+        return tuple(np.asarray(a).tobytes() for a in route(layer, z))
+    except NumericError as exc:
+        return str(exc)
+
+
+def test_stacked_forward_agrees_with_the_per_net_forward_byte_for_byte():
+    rng = np.random.default_rng(35)
+    outcomes = set()
+    for trial in range(60):
+        dim = int(rng.integers(2, 8))
+        hidden = tuple(int(rng.integers(1, 6)) for _ in range(int(rng.integers(0, 3))))
+        id_dim, tr_dim = dim - dim // 2, dim // 2
+        s_cap = [DEFAULT_S_CAP, 5e-324, float(rng.uniform(0.1, 10))][trial % 3]
+        layer = CouplingLayer(dim, DenseNet.create(id_dim, tr_dim, hidden, rng),
+                              DenseNet.create(id_dim, tr_dim, hidden, rng),
+                              swap=bool(trial % 2), s_cap=s_cap)
+        model = FlowModel([layer], Standardizer.identity(dim))
+        model.params[:] = rng.standard_normal(model.params.size)
+        # 1-D inputs on two trials in five; a row that overflows on every fourth
+        one_d = trial % 5 >= 3
+        z = rng.standard_normal(dim if one_d else (int(rng.integers(1, 40)), dim))
+        if trial % 4 == 3:
+            z[... if one_d else rng.integers(0, len(z))] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = forward_outcome(CouplingLayer.forward, layer, z)
+        assert stacked == forward_outcome(per_net_forward, layer, z)
+        outcomes.add((z.ndim, type(stacked)))
+    # finite outputs and NumericErrors were both compared, for 1-D and 2-D inputs
+    assert outcomes == {(1, tuple), (1, str), (2, tuple), (2, str)}
 
 
 def test_layer_outside_a_model_runs_the_stacked_route_like_the_model_layer():
