@@ -14,7 +14,7 @@ import math
 import numbers
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from itertools import compress, islice, repeat
@@ -39,6 +39,13 @@ MISSING_MARKERS = {"", "nan", "null", "na", "none"}
 SCALING_MODES = ("none", "capacity_factor", "minmax")
 # the fields that say what a set's values mean; a model keeps its training set's
 PROVENANCE = ("interval_minutes", "scaling", "scale_min", "scale_max")
+# a scenario CSV's .meta sidecar: each key, in the order written, with the
+# ScenarioSet field it holds and the type its text converts to and from
+SIDECAR = (("period_length", "period_length", int),
+           ("interval_minutes", "interval_minutes", int),
+           ("scaling", "scaling", str),
+           ("min", "scale_min", float),
+           ("max", "scale_max", float))
 
 # a capacity factor may exceed [0, 1] by at most this much
 SCALE_TOL = 1e-9
@@ -461,7 +468,7 @@ def split(scenario_set: ScenarioSet, validation_fraction: float, seed: int):
 
 
 def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
-    """Write one scenario per row plus a sidecar ``<path>.meta`` text file.
+    """Write one scenario per row, and each ``SIDECAR`` field that is not None to ``<path>.meta``.
 
     The rows are formatted ``BLOCK`` at a time, so the Python floats alive at
     once do not grow with the set.
@@ -470,17 +477,10 @@ def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
     with open_output(path, header_comment) as fh:
         for start in range(0, len(data), BLOCK):
             write_rows(fh, data[start:start + BLOCK].tolist())
-    meta = {
-        "period_length": scenario_set.period_length,
-        "interval_minutes": scenario_set.interval_minutes,
-        "scaling": scenario_set.scaling,
-    }
-    if scenario_set.scale_min is not None:
-        meta["min"] = repr(float(scenario_set.scale_min))  # not np.float64(...)
-        meta["max"] = repr(float(scenario_set.scale_max))
     with open(f"{path}.meta", "w", encoding="utf-8") as fh:
-        for key, val in meta.items():
-            fh.write(f"{key}={val}\n")
+        for key, name, kind in SIDECAR:
+            if (value := getattr(scenario_set, name)) is not None:
+                fh.write(f"{key}={kind(value)}\n")  # a NumPy scalar as its Python value
 
 
 def _read_rows_by_line(fh):
@@ -527,8 +527,8 @@ def _read_rows(path):
 
 
 def _read_meta(fh):
-    """The values of a .meta text stream by key, converted, and the line of each key."""
-    convert = {"period_length": int, "interval_minutes": int, "min": float, "max": float}
+    """A .meta text stream's values by key, each SIDECAR key's converted, and each key's line."""
+    convert = {key: kind for key, _, kind in SIDECAR}
     meta = {}
     key_lines = {}
     for line_no, line in enumerate(fh, start=1):
@@ -544,29 +544,24 @@ def _read_meta(fh):
 def load_scenarios(path) -> ScenarioSet:
     """Read a scenario CSV and its sidecar metadata file.
 
-    Malformed lines raise ParseError with the line number. A sidecar
-    missing period_length or interval_minutes raises SchemaError, and
-    provenance that ``provenance_fault`` rejects raises DataError. Every
-    error names the file it blames.
+    Keys outside ``SIDECAR`` are ignored; an absent key leaves its field at
+    the ScenarioSet default. Malformed lines raise ParseError with the line
+    number, a missing key without a default SchemaError, and provenance that
+    ``provenance_fault`` rejects DataError. Every error names the file it blames.
     """
     with reading(path, _read_rows_by_line):
         data = _read_rows(path)
     meta_path = f"{path}.meta"
     with reading(meta_path, _read_meta), open(meta_path, encoding="utf-8-sig") as fh:
         meta, key_lines = _read_meta(fh)
-        for key in ("period_length", "interval_minutes"):
-            if key not in meta:
+        defaults = {f.name: f.default for f in fields(ScenarioSet)}
+        values, lines = {}, {}  # by field
+        for key, name, _ in SIDECAR:
+            if key not in meta and defaults[name] is MISSING:
                 raise SchemaError(f"missing key {key!r}")
-        if fault := provenance_fault(meta["interval_minutes"], meta.get("scaling", "none"),
-                                     meta.get("min"), meta.get("max")):
-            key, message = fault
-            raise DataError(f"line {key_lines[key]}: {message}" if key else message)
+            values[name], lines[name] = meta.get(key, defaults[name]), key_lines.get(key)
+        if fault := provenance_fault(**{name: values[name] for name in PROVENANCE}):
+            name, message = fault
+            raise DataError(f"line {lines[name]}: {message}" if name else message)
     with reading(path):  # the constructor's checks; eval reads two files
-        return ScenarioSet(
-            data=data,
-            period_length=meta["period_length"],
-            interval_minutes=meta["interval_minutes"],
-            scaling=meta.get("scaling", "none"),
-            scale_min=meta.get("min"),
-            scale_max=meta.get("max"),
-        )
+        return ScenarioSet(data=data, **values)

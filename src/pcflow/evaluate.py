@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pca as pca_mod
-from .dataio import PROVENANCE, ScenarioSet, open_output, write_table
+from .dataio import SIDECAR, ScenarioSet, open_output, write_table
 from .errors import DataError, NumericError, UsageError
 
 KDE_GRID_POINTS = 512
@@ -36,6 +36,16 @@ MARGINAL_WINDOW = (0, 240)
 
 # kernel density estimation ---------------------------------------------------
 
+def _kde_samples(samples):
+    """The samples as a flat float array of at least 2 finite values, or a DataError."""
+    samples = np.asarray(samples, dtype=float).ravel()
+    if len(samples) < 2:
+        raise DataError("KDE needs at least 2 samples")
+    if not np.all(np.isfinite(samples)):
+        raise DataError("KDE samples must be finite")
+    return samples
+
+
 def silverman_bandwidth(samples):
     """h = 0.9 * min(std, IQR/1.34) * n^(-1/5).
 
@@ -44,9 +54,7 @@ def silverman_bandwidth(samples):
     alone sets the spread, as in R's ``bw.nrd0``; only a constant sample
     (whose std may round to a tiny positive value) is degenerate.
     """
-    samples = np.asarray(samples, dtype=float)
-    if not np.all(np.isfinite(samples)):
-        raise DataError("KDE samples must be finite")
+    samples = _kde_samples(samples)
     n = len(samples)
     # data near the float64 limit overflows here; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -90,12 +98,10 @@ def kde_pdf(samples, grid, bandwidth=None):
     scratch allocated once for the widest block, so memory stays bounded by
     KDE_BLOCK times the number of distinct values, however long the grid.
     """
-    samples = np.asarray(samples, dtype=float).ravel()
+    samples = _kde_samples(samples)
     grid = np.asarray(grid, dtype=float)
-    if len(samples) < 2:
-        raise DataError("KDE needs at least 2 samples")
-    if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(grid))):
-        raise DataError("KDE samples and grid points must be finite")
+    if not np.all(np.isfinite(grid)):
+        raise DataError("KDE grid points must be finite")
     bandwidth = _bandwidth(bandwidth, samples)
     values, counts = np.unique(samples, return_counts=True)
     counts = counts.astype(float)
@@ -137,9 +143,7 @@ def kde_pdf(samples, grid, bandwidth=None):
 
 def kde_grid(samples, bandwidth=None):
     """KDE_GRID_POINTS evenly spaced points spanning [min - 3h, max + 3h]."""
-    samples = np.asarray(samples, dtype=float).ravel()
-    if not np.all(np.isfinite(samples)):
-        raise DataError("KDE samples must be finite")
+    samples = _kde_samples(samples)
     lo, hi = float(samples.min()), float(samples.max())
     if not math.isfinite(hi - lo):  # Python floats overflow to inf without a warning
         raise NumericError(f"the values span [{lo!r}, {hi!r}], whose width overflows float64: "
@@ -365,10 +369,10 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
                   bandwidth=None, segment_length=None, overlap_fraction=0.5,
                   window="hann") -> EvalReport:
     """Run the full comparison suite on two scenario sets."""
-    for key in ("period_length", *PROVENANCE):  # both sets in the same units
-        a, b = getattr(historical, key), getattr(generated, key)
+    for _, name, _ in SIDECAR:  # both sets in the same units
+        a, b = getattr(historical, name), getattr(generated, name)
         if a != b:
-            raise UsageError(f"sets must have equal {key}, got {a!r} and {b!r}")
+            raise UsageError(f"sets must have equal {name}, got {a!r} and {b!r}")
     hist_pool = historical.data.ravel()
     gen_pool = generated.data.ravel()
 

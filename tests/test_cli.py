@@ -412,6 +412,11 @@ def write_scenarios(directory, rows, meta):
     return path
 
 
+GOOD_ROWS = [",".join(repr(float(v)) for v in row)
+             for row in np.random.default_rng(0).uniform(size=(8, 4))]
+GOOD_META = ["period_length=4", "interval_minutes=360", "scaling=none"]
+
+
 def test_config_file_rejects_unknown_key(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("epoch=3\n", encoding="utf-8")
@@ -798,15 +803,22 @@ def test_eval_interval_mismatch_is_usage_error(tmp_path):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("meta, message", [
-    (["scaling=minmax", "min=0.0", "max=2.0"], "scaling, got 'none' and 'minmax'"),
-    (["scaling=capacity_factor"], "scaling, got 'none' and 'capacity_factor'"),
-    (["scaling=none", "min=0.0", "max=2.0"], "scale_min, got None and 0.0"),
-], ids=["minmax", "capacity_factor", "bounds"])
-def test_eval_units_mismatch_is_usage_error(tmp_path, meta, message):
+@pytest.mark.parametrize("hist_meta, gen_meta, message", [
+    (GOOD_META, GOOD_META[:2] + ["scaling=minmax", "min=0.0", "max=2.0"],
+     "scaling, got 'none' and 'minmax'"),
+    (GOOD_META, GOOD_META[:2] + ["scaling=capacity_factor"],
+     "scaling, got 'none' and 'capacity_factor'"),
+    (GOOD_META, GOOD_META[:2] + ["scaling=none", "min=0.0", "max=2.0"],
+     "scale_min, got None and 0.0"),
+    (GOOD_META, ["period_length=4", "interval_minutes=60", "scaling=none"],
+     "interval_minutes, got 360 and 60"),
+    (GOOD_META + ["min=0.0", "max=2.0"], GOOD_META + ["min=0.0", "max=3.0"],
+     "scale_max, got 2.0 and 3.0"),
+], ids=["minmax", "capacity_factor", "bounds", "interval", "scale_max"])
+def test_eval_units_mismatch_is_usage_error(tmp_path, hist_meta, gen_meta, message):
     (tmp_path / "gen").mkdir()
-    hist = write_scenarios(tmp_path, GOOD_ROWS, GOOD_META)
-    gen = write_scenarios(tmp_path / "gen", GOOD_ROWS, GOOD_META[:2] + meta)
+    hist = write_scenarios(tmp_path, GOOD_ROWS, hist_meta)
+    gen = write_scenarios(tmp_path / "gen", GOOD_ROWS, gen_meta)
     code, err = exit_code(["eval", "--historical", str(hist), "--generated", str(gen),
                            "--out-dir", str(tmp_path / "r")])
     assert code == cli.EXIT_USAGE
@@ -909,9 +921,6 @@ def test_overflowing_variance_is_numeric_error_without_warnings(tmp_path, comman
 # malformed-input fuzzing ------------------------------------------------
 
 
-GOOD_ROWS = [",".join(repr(float(v)) for v in row)
-             for row in np.random.default_rng(0).uniform(size=(8, 4))]
-GOOD_META = ["period_length=4", "interval_minutes=360", "scaling=none"]
 CONFIG_KEYS = sorted({a.dest for p in cli.build_parser()._subparsers._group_actions[0]
                       .choices.values() for a in p._actions})
 

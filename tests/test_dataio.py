@@ -800,17 +800,34 @@ def test_split_partitions_exactly(n, frac, seed):
 # persistence ------------------------------------------------------------
 
 
-def test_save_load_roundtrip(tmp_path):
+@pytest.mark.parametrize("integer, real", [(int, float), (np.int64, np.float64)],
+                         ids=["python", "numpy"])
+@pytest.mark.parametrize("scaling, bounds, meta", [
+    ("minmax", (2.0, 9.5), "period_length=24\ninterval_minutes=60\nscaling=minmax\n"
+                           "min=2.0\nmax=9.5\n"),
+    ("none", (None, None), "period_length=24\ninterval_minutes=60\nscaling=none\n"),
+    ("capacity_factor", (None, None),
+     "period_length=24\ninterval_minutes=60\nscaling=capacity_factor\n"),
+    ("none", (-0.1, 1 / 3), "period_length=24\ninterval_minutes=60\nscaling=none\n"
+                            "min=-0.1\nmax=0.3333333333333333\n"),
+], ids=["minmax", "none", "capacity_factor", "none_with_bounds"])
+def test_save_load_roundtrip(tmp_path, scaling, bounds, meta, integer, real):
     rng = np.random.default_rng(4)
-    scenario_set = make_set(rng.uniform(size=(5, 24)), scaling="minmax",
-                            scale_min=2.0, scale_max=9.5)
+    scale_min, scale_max = (None if b is None else real(b) for b in bounds)
+    scenario_set = dataio.ScenarioSet(rng.uniform(size=(5, 24)), period_length=integer(24),
+                                      interval_minutes=integer(60), scaling=scaling,
+                                      scale_min=scale_min, scale_max=scale_max)
     path = tmp_path / "scen.csv"
     dataio.save_scenarios(scenario_set, path)
+    assert (tmp_path / "scen.csv.meta").read_bytes() == meta.encode()
     back = dataio.load_scenarios(path)
     assert np.array_equal(back.data, scenario_set.data)
     assert back.period_length == 24
-    assert back.scaling == "minmax"
-    assert (back.scale_min, back.scale_max) == (2.0, 9.5)
+    assert back.scaling == scaling
+    assert (back.scale_min, back.scale_max) == bounds
+    # the reader's values are Python's, whatever the writer was given
+    assert type(back.period_length) is type(back.interval_minutes) is int
+    assert all(type(b) is float for b in (back.scale_min, back.scale_max) if b is not None)
 
 
 def test_save_with_comment_header(tmp_path):

@@ -91,6 +91,17 @@ def test_kde_grid_and_bandwidth_reject_non_finite_samples(function, bad):
             assert str(caught.value) == "KDE samples must be finite"
 
 
+@pytest.mark.parametrize("samples", [[], [0.5]], ids=["empty", "one"])
+@pytest.mark.parametrize("function", [evaluate.kde_grid, evaluate.silverman_bandwidth])
+def test_kde_grid_and_bandwidth_need_two_samples(function, samples):
+    # as kde_pdf: no NumPy warning, IndexError or ValueError from an empty reduction
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DataError) as caught:
+            function(samples)
+    assert str(caught.value) == "KDE needs at least 2 samples"
+
+
 def test_silverman_formula():
     rng = np.random.default_rng(1)
     samples = rng.normal(size=200)
