@@ -111,7 +111,7 @@ class DenseNet:
         for w, b in zip(weights, biases):
             if b.shape != (w.shape[1],):
                 raise UsageError("bias shape does not match weight columns")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise NumericError("non-finite parameter")
         self.weights = [np.asarray(w, dtype=float) for w in weights]
         self.biases = [np.asarray(b, dtype=float) for b in biases]

@@ -506,23 +506,29 @@ def _read_rows_by_line(fh):
 def _read_rows(path):
     """The data rows of a scenario CSV, as _read_rows_by_line reads them.
 
-    numpy's C parser reads the lines that are not comments. It rejects
-    every spelling float() reads differently (``1_0``, non-ASCII digits,
-    NUL, a ``#`` inside a line, a blank line holding whitespace) and every
-    ragged row. Whatever it rejects, and a file it finds empty, is read
-    again line by line, so each fault keeps its class, message and line.
+    numpy's C parser reads the file after its leading comment lines. It
+    rejects every spelling float() reads differently (``1_0``, non-ASCII
+    digits, NUL, a ``#`` past the leading comment lines, a blank line
+    holding whitespace) and every ragged row. Whatever it rejects, and a
+    file it finds empty, is read again line by line, so each fault keeps
+    its class, message and line.
     """
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            lines = [line for line in fh if not line.strip().startswith("#")]
+            header = 0
+            for line in fh:
+                if not line.strip().startswith("#"):
+                    break
+                header += 1
+            fh.seek(0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # "input contained no data"
-                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+                rows = np.loadtxt(fh, delimiter=",", comments=None, skiprows=header, ndmin=2)
             if rows.size:
                 return rows
         except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
             pass
-    with open(path, encoding="utf-8-sig") as fh:
+        fh.seek(0)
         return _read_rows_by_line(fh)
 
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the memory-size guard that raises one."""
 
 import math
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -46,11 +47,27 @@ class ModelVersionError(ModelFormatError):
     """Model file was written by an incompatible format version."""
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where ``os.sysconf`` does not report it."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
 @contextmanager
 def fitting(message, shapes):
-    """Run a step that allocates float64 arrays of these shapes; too large is a UsageError."""
+    """Run a step that allocates float64 arrays of these shapes; too large is a UsageError.
+
+    Too large is an array numpy refuses (more than intp-max bytes), arrays
+    whose bytes together exceed physical memory, or a MemoryError inside.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    memory = _physical_memory()
     # numpy refuses an array of more than intp-max bytes before allocating
-    if any(math.prod(shape) > np.iinfo(np.intp).max // 8 for shape in shapes):
+    if (any(size > np.iinfo(np.intp).max // 8 for size in sizes)
+            or (memory is not None and 8 * sum(sizes) > memory)):
         raise UsageError(message)
     try:
         yield

@@ -8,8 +8,8 @@ zero to the log-density.
 
 from __future__ import annotations
 
+import io
 import math
-import os
 import struct
 import warnings
 
@@ -18,7 +18,7 @@ import numpy as np
 from . import pca as pca_mod
 from . import conditioner
 from .conditioner import DenseNet
-from .dataio import PROVENANCE, ScenarioSet, provenance_fault, reading
+from .dataio import PROVENANCE, SCALING_MODES, ScenarioSet, provenance_fault, reading
 from .errors import (DataError, ModelFormatError, ModelVersionError, NumericError, UsageError,
                      fitting)
 from .pca import PcaMap
@@ -66,6 +66,15 @@ class Standardizer:
 
     def destandardize(self, z):
         return z * self.scale + self.shift
+
+
+def _pieces(flat, sizes):
+    """Consecutive views of ``flat`` along its last axis, ``sizes`` long: ``np.split``
+    without its per-call cost, which dominates at a model's few small arrays."""
+    stop = 0
+    for size in sizes:
+        start, stop = stop, stop + size
+        yield flat[..., start:stop]
 
 
 class CouplingLayer:
@@ -165,10 +174,10 @@ class CouplingLayer:
         ``backward_inverse`` differentiates; net j's own arrays are the slices W[j] and b[j, 0].
         """
         shapes = [p.shape for p in self.s_net.parameters()]
-        cuts = np.cumsum([math.prod(shape) for shape in shapes[:-1]])
+        sizes = [math.prod(shape) for shape in shapes]
 
         def stack(flat):
-            columns = np.split(flat.reshape(2, -1), cuts, axis=1)
+            columns = _pieces(flat.reshape(2, -1), sizes)
             return [c.reshape(2, -1, shape[-1]) for c, shape in zip(columns, shapes)]
 
         arrays = stack(params)
@@ -249,13 +258,13 @@ class FlowModel:
         # layer re-adopts its block of both, so its stacks and its nets' arrays are views
         self.params = np.concatenate([layer.params for layer in self.layers] or [np.zeros(0)])
         self.grads = np.zeros_like(self.params)
-        cuts = np.cumsum([layer.params.size for layer in self.layers[:-1]])
-        for layer, params, grads in zip(self.layers, np.split(self.params, cuts),
-                                        np.split(self.grads, cuts)):
+        sizes = [layer.params.size for layer in self.layers]
+        for layer, params, grads in zip(self.layers, _pieces(self.params, sizes),
+                                        _pieces(self.grads, sizes)):
             layer.adopt(params, grads)
         views = self.parameters()
-        cuts = np.cumsum([p.size for p in views[:-1]])
-        self._grad_arrays = [g.reshape(p.shape) for g, p in zip(np.split(self.grads, cuts), views)]
+        self._grad_arrays = [g.reshape(p.shape)
+                             for g, p in zip(_pieces(self.grads, [p.size for p in views]), views)]
 
     def parameters(self):
         """Views [W0, b0, W1, b1, ...] into ``params`` of each s-net and t-net, layer by layer."""
@@ -370,8 +379,11 @@ def build_flow(dim, n_layers=5, hidden_dims=None, seed=0, standardizer=None,
     id_dim = dim - dim // 2
     tr_dim = dim - id_dim
     dims = (id_dim, *hidden_dims, tr_dim)
-    too_large = f"hidden widths {list(hidden_dims)} are too large: the nets do not fit in memory"
-    with fitting(too_large, zip(dims, dims[1:])):
+    net_size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+    too_large = (f"hidden widths {list(hidden_dims)} are too large for {n_layers} coupling "
+                 "layers: the nets do not fit in memory")
+    # the whole parameter vector, every layer's s-net and t-net, is sized before any is built
+    with fitting(too_large, [(n_layers, 2, net_size)]):
         if dim == 1:
             warnings.warn(
                 "flow dimension 1: coupling layers cannot act; "
@@ -396,9 +408,6 @@ MAGIC = b"PCFMODEL"
 FORMAT_MAJOR = 1
 FORMAT_MINOR = 0
 
-_SCALING_CODE = {"none": 0, "capacity_factor": 1, "minmax": 2}
-_SCALING_NAME = {v: k for k, v in _SCALING_CODE.items()}
-
 
 def _write_array(fh, arr):
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -413,10 +422,11 @@ def _read(fh, fmt):
 
 
 def _read_array(fh, shape):
-    # the declared size is checked before reading, so a corrupt header that
-    # declares a huge array is a format error, not a huge allocation
+    # the declared size is checked against the bytes left in ``fh``, the file
+    # held in memory, so a corrupt header that declares a huge array is a
+    # format error, not a huge allocation
     size = 8 * math.prod(shape)
-    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+    if size > len(fh.getbuffer()) - fh.tell():
         raise ModelFormatError(f"truncated model file: {shape} array runs past the end")
     return np.frombuffer(fh.read(size), dtype="<f8").astype(float).reshape(shape)
 
@@ -448,7 +458,7 @@ def save_model(model: FlowModel, path):
         flags = 1 if model.pca is not None else 0
         fh.write(struct.pack("<I", flags))
         fh.write(struct.pack("<I", model.interval_minutes))
-        fh.write(struct.pack("<B", _SCALING_CODE[model.scaling]))
+        fh.write(struct.pack("<B", SCALING_MODES.index(model.scaling)))
         fh.write(struct.pack("<dd",
                              nan if model.scale_min is None else model.scale_min,
                              nan if model.scale_max is None else model.scale_max))
@@ -479,20 +489,21 @@ def load_model(path) -> FlowModel:
 
 
 def _read_model(path) -> FlowModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
+    with open(path, "rb") as raw:
+        if raw.read(len(MAGIC)) != MAGIC:
             raise ModelFormatError("not a pcflow model file")
+        data = raw.read()
+    with io.BytesIO(data) as fh:
         major, _minor = _read(fh, "<HH")
         if major != FORMAT_MAJOR:
             raise ModelVersionError(f"format major version {major}, expected {FORMAT_MAJOR}")
         (flags,) = _read(fh, "<I")
         (interval_minutes,) = _read(fh, "<I")
         (scaling_code,) = _read(fh, "<B")
-        if scaling_code not in _SCALING_NAME:
+        if scaling_code >= len(SCALING_MODES):
             raise ModelFormatError(f"unknown scaling code {scaling_code}")
         scale_min, scale_max = _read(fh, "<dd")
-        scaling = _SCALING_NAME[scaling_code]
+        scaling = SCALING_MODES[scaling_code]
         pca_map = None
         if flags & 1:
             d, m = _read(fh, "<II")

@@ -606,6 +606,21 @@ def test_hidden_too_large_for_memory_is_usage_error(prepared, tmp_path, monkeypa
     oversized_hidden_exit(prepared, tmp_path, 10**12)
 
 
+def test_layers_too_many_for_memory_is_usage_error(prepared, tmp_path, monkeypatch):
+    # the guard sizes every layer before the first net; one built past it fails the test
+    def unguarded(*args, **kwargs):
+        raise AssertionError("a conditioner was built before the memory guard")
+
+    monkeypatch.setattr(DenseNet, "create", unguarded)
+    out = tmp_path / "run"
+    layers = 10**11
+    code, err = exit_code(train_args(prepared, out, ["--layers", str(layers)]))
+    assert code == cli.EXIT_USAGE, err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert re.search(rf"hidden widths \[.*\] are too large for {layers} coupling layers", err)
+    assert not out.exists()
+
+
 def test_prepare_non_utf8_raw_file_exits_3(tmp_path):
     raw = tmp_path / "raw.csv"
     raw.write_bytes(b"time,value\n2013-01-01T00:00:00,1.0\n2013-01-01T01:00:00,\xff\n")

@@ -1062,12 +1062,35 @@ def test_load_scenarios_matches_line_loop(tmp_path_factory, file):
     ("0.5,x\n0.75,\udcff\n", 2),  # a malformed row before a byte that is not UTF-8
     ("\ufeff0.5,0.25\n0.75,1.0\n", 2),  # a leading byte-order mark
     ("0.5,0.25\n\ufeff0.75,1.0\n", 2),  # U+FEFF inside the file
+    ("0.5,0.25\n# later\n0.75,1.0\n", 2),  # a comment after the first data row
+    ("\ufeff# generated\n0.5,0.25\n0.75,1.0\n", 2),  # a byte-order mark, then a comment
+    ("# a\r\n# b\r\n# c\r\n0.5,0.25\r\n0.75,1.0\r\n", 2),  # leading comments, CRLF
+    ("# a\r# b\r# c\r0.5,0.25\r0.75,1.0\r", 2),  # leading comments, CR
+    ("\n# generated\n0.5,0.25\n0.75,1.0\n", 2),  # a blank line before a leading comment
 ])
 def test_load_scenarios_matches_line_loop_on_named_inputs(tmp_path, text, width):
     assert_reads_like_reference(tmp_path, text, width)
 
 
-@pytest.mark.parametrize("comment", [None, "generated 2026-01-01T00:00:00+00:00"])
+@pytest.mark.parametrize("text", [
+    "# a\n#\n  # indented\n0.5,0.25\n0.75,1.0\n",
+    "\ufeff# generated\n0.5,0.25\n0.75,1.0\n",
+    "# a\r\n# b\r\n# c\r\n0.5,0.25\r\n0.75,1.0\r\n",
+    "# a\r# b\r# c\r0.5,0.25\r0.75,1.0\r",
+])
+def test_load_scenarios_skips_leading_comments_in_bulk(tmp_path, monkeypatch, text):
+    path = tmp_path / "scen.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+
+    def line_loop(fh):
+        raise AssertionError("leading comment lines fell back to the line loop")
+
+    monkeypatch.setattr(dataio, "_read_rows_by_line", line_loop)
+    assert dataio._read_rows(path).tolist() == [[0.5, 0.25], [0.75, 1.0]]
+
+
+@pytest.mark.parametrize("comment", [None, "generated 2026-01-01T00:00:00+00:00",
+                                     "generated 2026-01-01T00:00:00+00:00\nseed 7\n\nmode fsnf"])
 def test_load_scenarios_reads_saved_files_in_bulk(tmp_path, monkeypatch, comment):
     data = np.random.default_rng(5).uniform(size=(40, 24))
     data[:, :6] = 0.0

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pcflow import dataio, pca
+from pcflow import dataio, errors, pca
 from pcflow.conditioner import DenseNet
 from pcflow.errors import DataError, ModelFormatError, ModelVersionError, NumericError, UsageError
 from pcflow.flow import (
@@ -605,6 +605,43 @@ def test_model_roundtrip_bit_exact_parameters(tmp_path):
     for a, b in zip(model.parameters(), back.parameters()):
         assert np.array_equal(a, b)
     assert back.params.tobytes() == model.params.tobytes()
+
+
+@pytest.mark.parametrize("code, scaling, bounds", [
+    (0, "none", (None, None)), (1, "capacity_factor", (None, None)), (2, "minmax", (-1.0, 4.0)),
+])
+def test_model_scaling_code_round_trips(tmp_path, code, scaling, bounds):
+    # the byte at offset 20 is the mode's position in dataio.SCALING_MODES
+    model = build_flow(2, n_layers=2, seed=23, scaling=scaling,
+                       scale_min=bounds[0], scale_max=bounds[1])
+    path = tmp_path / "m.pcf"
+    save_model(model, path)
+    assert path.read_bytes()[20] == code == dataio.SCALING_MODES.index(scaling)
+    back = load_model(path)
+    assert (back.scaling, back.scale_min, back.scale_max) == (scaling, *bounds)
+
+
+def test_fitting_refuses_what_numpy_or_physical_memory_cannot_hold(monkeypatch):
+    # 4096 pages of 1024 bytes: 2**19 float64 values fit, and nothing is allocated here
+    monkeypatch.setattr(errors.os, "sysconf",
+                        {"SC_PHYS_PAGES": 4096, "SC_PAGE_SIZE": 1024}.__getitem__)
+    with errors.fitting("too large", [(2**18,), (2**9, 2**9)]):
+        pass
+    for shapes in ([(2**19 + 1,)], [(2**18,), (2**9, 2**9), (1,)], [(2**62,)]):
+        with pytest.raises(UsageError, match="too large"), errors.fitting("too large", shapes):
+            raise AssertionError("the step ran")
+
+    def no_such_name(name):
+        raise ValueError("unrecognized configuration name")
+
+    monkeypatch.setattr(errors.os, "sysconf", no_such_name)
+    with errors.fitting("too large", [(2**40,)]):
+        pass  # no memory to compare against
+    with pytest.raises(UsageError, match="too large"), errors.fitting("too large", [(2**62,)]):
+        raise AssertionError("numpy's own limit still holds")
+    # a size that passes both checks and still runs out, as under a memory limit
+    with pytest.raises(UsageError, match="too large"), errors.fitting("too large", [(8,)]):
+        raise MemoryError
 
 
 def test_corrupted_magic(tmp_path):
