@@ -12,6 +12,8 @@ import io
 import logging
 import math
 import numbers
+import os
+import struct
 import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -46,6 +48,13 @@ SIDECAR = (("period_length", "period_length", int),
            ("scaling", "scaling", str),
            ("min", "scale_min", float),
            ("max", "scale_max", float))
+
+# a scenario CSV's binary twin, <file>.f64: this magic, the shape as two
+# little-endian u64, a SHA-256 of the CSV's bytes followed by every other byte
+# of the twin, then the rows as little-endian float64
+TWIN_MAGIC = b"pcflowf8"
+_TWIN_SHAPE = struct.Struct("<QQ")
+_TWIN_HEAD = len(TWIN_MAGIC) + _TWIN_SHAPE.size + 32
 
 # a capacity factor may exceed [0, 1] by at most this much
 SCALE_TOL = 1e-9
@@ -468,10 +477,12 @@ def split(scenario_set: ScenarioSet, validation_fraction: float, seed: int):
 
 
 def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
-    """Write one scenario per row, and each ``SIDECAR`` field that is not None to ``<path>.meta``.
+    """Write one scenario per row, each ``SIDECAR`` field that is not None to
+    ``<path>.meta``, and then the rows' binary twin to ``<path>.f64``.
 
     The rows are formatted ``BLOCK`` at a time, so the Python floats alive at
-    once do not grow with the set.
+    once do not grow with the set. The twin is streamed from the set's own
+    array, without a copy.
     """
     data = scenario_set.data
     with open_output(path, header_comment) as fh:
@@ -481,6 +492,51 @@ def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
         for key, name, kind in SIDECAR:
             if (value := getattr(scenario_set, name)) is not None:
                 fh.write(f"{key}={kind(value)}\n")  # a NumPy scalar as its Python value
+    rows = data.astype("<f8", copy=False)
+    head = TWIN_MAGIC + _TWIN_SHAPE.pack(*rows.shape)
+    digest = _csv_digest(path)
+    digest.update(head)
+    digest.update(rows)
+    with open(f"{path}.f64", "wb") as fh:
+        fh.write(head + digest.digest())
+        fh.write(rows)
+
+
+def _csv_digest(path):
+    """A SHA-256 object fed the bytes of the file at path."""
+    import hashlib  # only a twin needs it, so importing pcflow does not
+
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256")
+
+
+def _read_twin(path):
+    """The rows held in ``<path>.f64``, or None unless the twin is whole and current.
+
+    Whole: the file is exactly as long as its header declares, checked
+    before the payload is read, so memory stays bounded by the file's size.
+    Current: its digest matches the CSV at path. Any fault, a missing CSV
+    included, gives None, and the caller reads the CSV as text.
+    """
+    try:
+        with open(f"{path}.f64", "rb") as fh:
+            head = fh.read(_TWIN_HEAD)
+            if len(head) != _TWIN_HEAD or not head.startswith(TWIN_MAGIC):
+                return None
+            shape = _TWIN_SHAPE.unpack_from(head, len(TWIN_MAGIC))
+            size = 8 * shape[0] * shape[1]
+            # an empty twin is ignored: the text path rejects a file without data rows
+            if not size or _TWIN_HEAD + size != os.fstat(fh.fileno()).st_size:
+                return None
+            rows = np.empty(shape, "<f8")
+            if fh.readinto(rows) != size:
+                return None
+        digest = _csv_digest(path)
+    except OSError:
+        return None
+    digest.update(head[:-32])
+    digest.update(rows)
+    return rows if digest.digest() == head[-32:] else None
 
 
 def _read_rows_by_line(fh):
@@ -550,13 +606,24 @@ def _read_meta(fh):
 def load_scenarios(path) -> ScenarioSet:
     """Read a scenario CSV and its sidecar metadata file.
 
+    The rows come from the binary twin ``<path>.f64`` that save_scenarios
+    wrote, when the twin's size is the one its header declares and its
+    digest matches the CSV's bytes; the CSV then holds exactly these rows.
+    Otherwise, the twin missing, short, long, foreign or stale, they are
+    parsed from the CSV, so every result and error is the text's.
+
     Keys outside ``SIDECAR`` are ignored; an absent key leaves its field at
     the ScenarioSet default. Malformed lines raise ParseError with the line
-    number, a missing key without a default SchemaError, and provenance that
-    ``provenance_fault`` rejects DataError. Every error names the file it blames.
+    number, a file without data rows DataError, a missing key without a
+    default SchemaError, and provenance that ``provenance_fault`` rejects
+    DataError. Every error names the file it blames.
     """
-    with reading(path, _read_rows_by_line):
-        data = _read_rows(path)
+    data = _read_twin(path)
+    if data is None:
+        with reading(path, _read_rows_by_line):
+            data = _read_rows(path)
+            if not len(data):
+                raise DataError("no data rows")
     meta_path = f"{path}.meta"
     with reading(meta_path, _read_meta), open(meta_path, encoding="utf-8-sig") as fh:
         meta, key_lines = _read_meta(fh)

@@ -283,7 +283,12 @@ class FlowModel:
     # an overflow leaves a non-finite value, which the checks report
     @np.errstate(over="ignore", invalid="ignore")
     def log_prob(self, x):
-        """Exact log-density at x; x is (D,) or (n, D)."""
+        """Exact log-density at x; x is (D,) or (n, D).
+
+        For a model with a PCA map this is the density of x's projection, over
+        the M-dimensional subspace: the part of x off the subspace is dropped,
+        so x and x plus any vector orthogonal to the subspace get equal values.
+        """
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise NumericError("non-finite input to log_prob")

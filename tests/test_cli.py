@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import io
 import re
 import shlex
@@ -18,6 +19,7 @@ from pcflow import cli, dataio, toy
 from pcflow.conditioner import DenseNet
 from pcflow.errors import NumericError, PcflowError
 from pcflow.flow import FlowModel, load_model, save_model
+from test_dataio import load_outcome, set_fields
 from test_train import fail_on_call
 
 
@@ -259,7 +261,7 @@ def test_eval_deterministic_outputs(prepared, tmp_path):
 @pytest.mark.parametrize("stamp", [True, False])
 def test_text_outputs_start_with_one_timestamp_line(tmp_path, stamp):
     # every text file the commands write; the .meta sidecars and the binary
-    # model file never carry one
+    # model file and scenario twins never carry one
     flags = [] if stamp else ["--no-timestamp"]
     raw = write_raw_csv(tmp_path / "raw.csv")
     prep, run_dir = tmp_path / "prep" / "scenarios.csv", tmp_path / "run"
@@ -276,7 +278,7 @@ def test_text_outputs_start_with_one_timestamp_line(tmp_path, stamp):
                   "--out-dir", str(tmp_path / "toy")]):
         assert run([*argv, *flags]) == 0
     written = sorted(path for path in tmp_path.rglob("*") if path.is_file()
-                     and path.suffix not in (".meta", ".pcf") and path != Path(raw))
+                     and path.suffix not in (".meta", ".pcf", ".f64") and path != Path(raw))
     assert len(written) == 12, written
     for path in written:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -303,6 +305,26 @@ def test_toy_kite2d_fsnf_quick(tmp_path):
     assert run(["toy", "--shape", "kite2d", "--mode", "fsnf", "--n", "300",
                 "--epochs", "3", "--out-dir", str(out), "--no-timestamp"]) == 0
     assert "diverged=False" in (out / "metrics.txt").read_text()
+
+
+@pytest.mark.parametrize("n, code", [(9, cli.EXIT_USAGE), (10, 0)])
+def test_toy_n_leaves_two_rows_on_each_side_of_the_split(tmp_path, n, code):
+    # at --val-fraction 0.2, n = 9 gives one validation row
+    got, err = exit_code(["toy", "--mode", "fsnf", "--n", str(n), "--epochs", "2",
+                          "--out-dir", str(tmp_path / "toy"), "--no-timestamp"])
+    assert got == code, err
+
+
+def test_toy_samples_are_pinned(tmp_path):
+    # a change to any random stream behind toy shows up here
+    out = tmp_path / "toy"
+    assert run(["toy", "--shape", "curve1d", "--mode", "fsnf", "--n", "40", "--epochs", "2",
+                "--out-dir", str(out), "--no-timestamp"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("samples.csv", "samples.csv.f64")}
+    assert digests == {
+        "samples.csv": "5f25ff0a4e51068274eaaee0d8fc56c578d653292fcfb9427994d89918f5b03d",
+        "samples.csv.f64": "354628546dbd574dce8ad6c67174615073f208e20f3692146f26a8249b073ddc"}
 
 
 def test_toy_shows_the_dimension_one_warning_as_one_line(tmp_path, capsys):
@@ -1396,3 +1418,64 @@ def test_fuzz_config_bytes(edit):
                 "--config", str(cfg), "--out-dir", str(Path(tmp) / "r"), "--no-timestamp"]
         assert_reader_names(lambda p: cli._apply_config_file(cli.build_parser(), argv), cfg, cfg)
         assert_exits_cleanly(argv)
+
+
+def reading_argv(command, path, out):
+    """train or eval reading the scenario CSV at path."""
+    argv = {"train": ["train", "--data", str(path)],
+            "eval": ["eval", "--historical", str(path), "--generated", str(path)]}[command]
+    return [*argv, "--out-dir", str(out), "--no-timestamp"]
+
+
+@pytest.mark.parametrize("text", ["", "\n \t\n\n", "# generated\n# nothing else\n"],
+                         ids=["empty", "blank", "comments"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_scenario_csv_without_data_rows_is_a_data_error(tmp_path, command, text):
+    path = tmp_path / "scen.csv"
+    path.write_text(text, encoding="utf-8")
+    Path(f"{path}.meta").write_text("\n".join(GOOD_META) + "\n", encoding="utf-8")
+    code, err = exit_code(reading_argv(command, path, tmp_path / "out"))
+    assert code == cli.EXIT_DATA, err
+    assert err.strip().splitlines()[-1] == f"error: {path}: no data rows"
+
+
+# a scenario CSV's binary twin changes no outcome: for any edit, the CSV is read as without it
+
+TWIN_SET = dataio.ScenarioSet(np.random.default_rng(1).uniform(size=(8, 4)), period_length=4,
+                              interval_minutes=360)
+
+
+@settings(max_examples=50, deadline=None)
+@given(edit=BYTE_EDIT)
+def test_fuzz_scenario_csv_bytes_with_a_stale_twin(edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scen.csv"
+        dataio.save_scenarios(TWIN_SET, path, header_comment="generated 2026-01-01")
+        path.write_bytes(edited(path.read_bytes(), edit))
+        with_twin = load_outcome(path)
+        Path(f"{path}.f64").unlink()
+        assert with_twin == load_outcome(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(edit=BYTE_EDIT)
+def test_fuzz_twin_bytes(edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scen.csv"
+        dataio.save_scenarios(TWIN_SET, path)
+        twin = Path(f"{path}.f64")
+        twin.write_bytes(edited(twin.read_bytes(), edit))
+        # the CSV is intact, so this is also what the text path reads
+        assert load_outcome(path) == set_fields(TWIN_SET)
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_missing_scenario_csv_beside_its_twin_exits_as_without_it(tmp_path, command):
+    path = tmp_path / "scen.csv"
+    dataio.save_scenarios(TWIN_SET, path)
+    path.unlink()
+    argv = reading_argv(command, path, tmp_path / "out")
+    with_twin = exit_code(argv)
+    Path(f"{path}.f64").unlink()
+    assert with_twin == exit_code(argv)
+    assert with_twin[0] == cli.EXIT_DATA and "No such file or directory" in with_twin[1]

@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, cleaning, scaling, splitting, and persistence."""
 
 import csv
+import hashlib
 import io
 import logging
 import re
@@ -757,6 +758,13 @@ def test_split_deterministic():
     assert np.array_equal(a[1].data, b[1].data)
 
 
+def test_split_draws_pinned_validation_rows():
+    # a change to the split's random stream shows up here
+    scenario_set = make_set(np.arange(40.0).reshape(20, 2))
+    _, val = dataio.split(scenario_set, 0.25, seed=3)
+    assert (val.data[:, 0] / 2).tolist() == [3, 8, 12, 16, 18]
+
+
 def test_split_bad_fraction():
     scenario_set = make_set(np.zeros((10, 2)))
     for bad in (0.0, 1.0, -0.5):
@@ -983,8 +991,10 @@ def assert_reads_like_reference(tmp_path, text, width):
 
     def reference_load(path):
         try:
-            return dataio.ScenarioSet(data=reference_read_rows(path), period_length=width,
-                                      interval_minutes=1).data
+            rows = reference_read_rows(path)
+            if not len(rows):
+                raise DataError("no data rows")
+            return dataio.ScenarioSet(data=rows, period_length=width, interval_minutes=1).data
         except (DataError, ParseError) as exc:
             raise type(exc)(f"{path}: {exc}") from None
         except UnicodeDecodeError:
@@ -1104,3 +1114,115 @@ def test_load_scenarios_reads_saved_files_in_bulk(tmp_path, monkeypatch, comment
     monkeypatch.setattr(dataio, "_read_rows_by_line", line_loop)
     assert dataio.load_scenarios(path).data.tobytes() == data.tobytes()
 
+
+
+# the binary twin ---------------------------------------------------------
+
+# zeros of both signs, subnormals and the extremes of float64
+TWIN_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 1 / 3, -2.5]
+
+
+def saved_twin_set(tmp_path, comment="generated 2026-01-01T00:00:00+00:00"):
+    data = np.random.default_rng(6).normal(size=(7, 4))
+    data.flat[:len(TWIN_VALUES)] = TWIN_VALUES
+    scenario_set = make_set(data, scaling="minmax", scale_min=-1.0, scale_max=2.0)
+    path = tmp_path / "scen.csv"
+    dataio.save_scenarios(scenario_set, path, header_comment=comment)
+    return scenario_set, path
+
+
+def set_fields(scenario_set):
+    """Every field of a set, its rows as dtype, shape and bytes."""
+    data = scenario_set.data
+    return (data.dtype, data.shape, data.tobytes(), data.flags.writeable,
+            scenario_set.period_length, scenario_set.interval_minutes, scenario_set.scaling,
+            scenario_set.scale_min, scenario_set.scale_max)
+
+
+def test_twin_layout(tmp_path):
+    scenario_set, path = saved_twin_set(tmp_path)
+    twin = (tmp_path / "scen.csv.f64").read_bytes()
+    head = b"pcflowf8" + (7).to_bytes(8, "little") + (4).to_bytes(8, "little")
+    payload = scenario_set.data.astype("<f8").tobytes()
+    digest = hashlib.sha256(path.read_bytes() + head + payload).digest()
+    assert twin == head + digest + payload
+
+
+@pytest.mark.parametrize("comment", [None, "generated 2026-01-01T00:00:00+00:00\nseed 7"])
+def test_twin_hit_returns_the_text_paths_set(tmp_path, monkeypatch, comment):
+    scenario_set, path = saved_twin_set(tmp_path, comment)
+    with monkeypatch.context() as patch:
+        def text_path(path):
+            raise AssertionError("a current twin was not used")
+
+        patch.setattr(dataio, "_read_rows", text_path)
+        hit = dataio.load_scenarios(path)
+    (tmp_path / "scen.csv.f64").unlink()
+    assert set_fields(hit) == set_fields(dataio.load_scenarios(path))
+    assert hit.data.tobytes() == scenario_set.data.tobytes()
+
+
+def load_outcome(path):
+    """set_fields of load_scenarios(path), or its exception class and message."""
+    try:
+        return set_fields(dataio.load_scenarios(path))
+    except (PcflowError, OSError) as exc:
+        return type(exc), str(exc)
+
+
+def twin_edits(twin):
+    """Damaged copies of a twin: cut, extended, its shape swapped, 2**60 rows declared."""
+    rows, cols = (int.from_bytes(twin[at:at + 8], "little") for at in (8, 16))
+    shape = (cols.to_bytes(8, "little") + rows.to_bytes(8, "little"),
+             (2**60).to_bytes(8, "little") + twin[16:24],
+             (2**60).to_bytes(8, "little") + (0).to_bytes(8, "little"),
+             (0).to_bytes(8, "little") * 2)
+    return {"empty": b"", "magic only": twin[:8], "header only": twin[:56],
+            "one byte short": twin[:-1], "one byte long": twin + b"\0",
+            "twice": twin + twin, "foreign": b"x" * len(twin),
+            **{f"shape {i}": twin[:8] + s + twin[24:] for i, s in enumerate(shape)},
+            "flipped payload bit": twin[:-1] + bytes([twin[-1] ^ 1]),
+            "flipped digest bit": twin[:24] + bytes([twin[24] ^ 1]) + twin[25:]}
+
+
+@pytest.mark.parametrize("name", list(twin_edits(bytes(64))))
+def test_damaged_twin_is_ignored(tmp_path, name):
+    _, path = saved_twin_set(tmp_path)
+    twin = tmp_path / "scen.csv.f64"
+    text = load_outcome(path)
+    twin.write_bytes(twin_edits(twin.read_bytes())[name])
+    assert load_outcome(path) == text
+    assert dataio._read_twin(path) is None
+
+
+def test_twin_declaring_2_to_the_60_rows_allocates_nothing_large(tmp_path):
+    path = tmp_path / "scen.csv"
+    dataio.save_scenarios(make_set(np.random.default_rng(7).uniform(size=(2000, 24))), path)
+    twin = tmp_path / "scen.csv.f64"
+    data = twin.read_bytes()
+    twin.write_bytes(data[:8] + (2**60).to_bytes(8, "little") + data[16:])
+    tracemalloc.start()
+    try:
+        assert dataio._read_twin(path) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data), peak
+
+
+def test_twin_that_is_a_directory_is_ignored(tmp_path):
+    scenario_set, path = saved_twin_set(tmp_path)
+    (tmp_path / "scen.csv.f64").unlink()
+    (tmp_path / "scen.csv.f64").mkdir()
+    assert dataio.load_scenarios(path).data.tobytes() == scenario_set.data.tobytes()
+
+
+def test_twin_of_another_csv_is_ignored(tmp_path):
+    # one set's twin beside another set's CSV of the same shape
+    _, path = saved_twin_set(tmp_path)
+    other = make_set(np.arange(28.0).reshape(7, 4), scaling="minmax", scale_min=-1.0,
+                     scale_max=2.0)
+    dataio.save_scenarios(other, tmp_path / "other.csv")
+    (tmp_path / "other.csv.f64").write_bytes((tmp_path / "scen.csv.f64").read_bytes())
+    assert dataio.load_scenarios(tmp_path / "other.csv").data.tobytes() == other.data.tobytes()

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pcflow import dataio, errors, pca
+from pcflow import dataio, errors, pca, toy
 from pcflow.conditioner import DenseNet
 from pcflow.errors import DataError, ModelFormatError, ModelVersionError, NumericError, UsageError
 from pcflow.flow import (
@@ -23,6 +23,7 @@ from pcflow.flow import (
     load_model,
     save_model,
 )
+from pcflow.train import TrainConfig, fit_pcf
 
 
 def constant_net(in_dim, out_value):
@@ -170,6 +171,17 @@ def test_log_prob_batched_matches_single():
     lp = model.log_prob(batch)
     for i, row in enumerate(batch):
         assert lp[i] == pytest.approx(model.log_prob(row), abs=1e-12)
+
+
+def test_pcf_log_prob_drops_what_lies_off_the_subspace():
+    # make_pv_like's night columns are constant, so every component is exactly 0 there
+    train, val = dataio.split(toy.make_pv_like(200, seed=0), 0.2, seed=0)
+    model, _ = fit_pcf(train, val, cev_target=0.99, config=TrainConfig(epochs=3, seed=0))
+    night = np.flatnonzero(np.all(model.pca.components == 0.0, axis=1))
+    assert len(night) == 12
+    moved = val.data.copy()
+    moved[:, night] += 1000.0
+    assert model.log_prob(moved).tobytes() == model.log_prob(val.data).tobytes()
 
 
 def test_density_normalizes_by_quadrature():
