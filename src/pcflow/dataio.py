@@ -127,6 +127,8 @@ class ScenarioSet:
         n, d = data.shape
         if d != self.period_length:
             raise DataError(f"rows have {d} entries, expected {self.period_length}")
+        if d == 0:  # written as blank lines, which no reader takes for rows
+            raise DataError("scenario rows must have at least one entry")
         if n < 2:
             raise InsufficientDataError(f"need at least 2 scenarios, got {n}")
         if not np.all(np.isfinite(data)):

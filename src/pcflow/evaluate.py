@@ -7,9 +7,12 @@ cumulative-explained-variance table, and per-time-step marginal moments.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +35,9 @@ KS_MAX_TERMS = 100
 KS_TOL = 1e-12
 # evaluate_sets tabulates the marginals over clock minutes 0 to 240, both included
 MARGINAL_WINDOW = (0, 240)
+# evaluate_sets runs KS and the generated pool's KDE on a second thread once the
+# two pools together hold this many values; below it a thread costs more than it saves
+EVAL_THREAD_MIN_VALUES = 1 << 15
 
 
 # kernel density estimation ---------------------------------------------------
@@ -365,10 +371,55 @@ class EvalReport:
     options: dict
 
 
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _alongside(main, side, threaded):
+    """``(main(), [call() for call in side])``, with ``side`` on a second thread if ``threaded``.
+
+    The thread runs in a copy of the caller's context, so it sees the caller's
+    ``np.errstate``, and is joined before this returns or raises. An error of
+    ``main`` wins over one of ``side``, as when ``main`` runs first.
+    """
+    if not threaded:
+        return main(), [call() for call in side]
+    outcome = []
+
+    def run_side():
+        try:
+            outcome.append([call() for call in side])
+        except BaseException as exc:  # raised again in the caller
+            outcome.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run_side,),
+                              name="pcflow-eval")
+    thread.start()
+    try:
+        first = main()
+    finally:
+        thread.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return first, outcome[0]
+
+
 def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
                   bandwidth=None, segment_length=None, overlap_fraction=0.5,
                   window="hann") -> EvalReport:
-    """Run the full comparison suite on two scenario sets."""
+    """Run the full comparison suite on two scenario sets.
+
+    When the two pools together hold at least EVAL_THREAD_MIN_VALUES values
+    and the process may run on more than one CPU, the KS test and then the
+    generated pool's KDE run on a second thread while this one runs the rest,
+    ending with the historical pool's KDE. The report is the same either way,
+    and so is the error: KS cannot fail on two scenario sets' pools, and the
+    generated pool's KDE comes last in the serial order, so this thread's
+    error is raised first, else the second thread's.
+    """
     for _, name, _ in SIDECAR:  # both sets in the same units
         a, b = getattr(historical, name), getattr(generated, name)
         if a != b:
@@ -379,24 +430,32 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
     h = _bandwidth(bandwidth, hist_pool)
     grid = kde_grid(np.concatenate([hist_pool, gen_pool]), h)
 
-    stat, p_value = ks_two_sample(hist_pool, gen_pool)
-    segment_length = _segment_length(historical.period_length, segment_length)
-    freqs, psd_hist = welch_psd(historical, segment_length, overlap_fraction, window)
-    _, psd_gen = welch_psd(generated, segment_length, overlap_fraction, window)
-    minutes, m_hist, v_hist = marginal_stats(historical, *MARGINAL_WINDOW)
-    _, m_gen, v_gen = marginal_stats(generated, *MARGINAL_WINDOW)
-    cev = cev_report(pca_mod.fit(historical))
-
-    return EvalReport(
-        tables={
-            "kde.csv": {"value": grid, "density_historical": kde_pdf(hist_pool, grid, h),
-                        "density_generated": kde_pdf(gen_pool, grid, h)},
+    def the_rest():
+        segment = _segment_length(historical.period_length, segment_length)
+        freqs, psd_hist = welch_psd(historical, segment, overlap_fraction, window)
+        _, psd_gen = welch_psd(generated, segment, overlap_fraction, window)
+        minutes, m_hist, v_hist = marginal_stats(historical, *MARGINAL_WINDOW)
+        _, m_gen, v_gen = marginal_stats(generated, *MARGINAL_WINDOW)
+        cev = cev_report(pca_mod.fit(historical))
+        return segment, kde_pdf(hist_pool, grid, h), {
             "psd.csv": {"frequency_per_hour": freqs, "power_historical": psd_hist,
                         "power_generated": psd_gen},
             "cev.csv": {"threshold": list(cev), "components": list(cev.values())},
             "marginals.csv": {"minute": minutes, "mean_historical": m_hist,
                               "var_historical": v_hist, "mean_generated": m_gen,
                               "var_generated": v_gen},
+        }
+
+    threaded = hist_pool.size + gen_pool.size >= EVAL_THREAD_MIN_VALUES and _cpu_count() > 1
+    side = [partial(ks_two_sample, hist_pool, gen_pool), partial(kde_pdf, gen_pool, grid, h)]
+    (segment_length, density_hist, tables), ((stat, p_value), density_gen) = _alongside(
+        the_rest, side, threaded)
+
+    return EvalReport(
+        tables={
+            "kde.csv": {"value": grid, "density_historical": density_hist,
+                        "density_generated": density_gen},
+            **tables,
         },
         ks_statistic=stat,
         ks_p_value=p_value,

@@ -732,6 +732,12 @@ def test_scenario_set_rejects_a_bool_period_length():
         make_set([[0.1], [0.2]], period_length=True)
 
 
+def test_scenario_set_rejects_zero_columns():
+    # save_scenarios would write blank lines, and load_scenarios finds no data rows in them
+    with pytest.raises(DataError, match="^scenario rows must have at least one entry$"):
+        dataio.ScenarioSet(np.zeros((3, 0)), period_length=0, interval_minutes=60)
+
+
 # split ------------------------------------------------------------------
 
 

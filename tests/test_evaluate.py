@@ -3,6 +3,10 @@
 import ast
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -825,3 +829,139 @@ def test_evaluate_sets_dimension_mismatch():
     b = make_set(np.ones((3, 12)) * np.arange(12), interval_minutes=120)
     with pytest.raises(UsageError, match="^sets must have equal period_length, got 24 and 12$"):
         evaluate.evaluate_sets(a, b)
+
+
+# the second thread ----------------------------------------------------------
+
+
+def force_path(monkeypatch, threaded):
+    """Make evaluate_sets take its threaded or its serial path, whatever the sets' size.
+
+    Returns the dict in which each kde_pdf call records, under its pool's
+    size, whether it ran on the calling thread.
+    """
+    if threaded:
+        monkeypatch.setattr(evaluate, "EVAL_THREAD_MIN_VALUES", 0)
+    monkeypatch.setattr(evaluate, "_cpu_count", lambda: 2 if threaded else 1)
+    return spy_kde_threads(monkeypatch)
+
+
+def spy_kde_threads(monkeypatch):
+    on_caller = {}
+    caller = threading.get_ident()
+    kde_pdf = evaluate.kde_pdf
+
+    def spy(samples, grid, bandwidth):
+        on_caller[len(samples)] = threading.get_ident() == caller
+        return kde_pdf(samples, grid, bandwidth)
+
+    monkeypatch.setattr(evaluate, "kde_pdf", spy)
+    return on_caller
+
+
+def kde_threads(historical, generated, threaded):
+    """What spy_kde_threads records when only the generated pool's KDE runs on a second
+    thread, or none does; the two pools differ in size."""
+    return {historical.data.size: True, generated.data.size: not threaded}
+
+
+def worker_only_error_pair():
+    # with a subnormal bandwidth the grid's ends are the pooled min and max, and
+    # only the generated pool holds them, so only its density overflows
+    rng = np.random.default_rng(16)
+    hist, gen = rng.uniform(0.2, 0.8, size=(20, 24)), rng.uniform(0.2, 0.8, size=(30, 24))
+    gen[0, 0], gen[1, 1] = 0.0, 1.0
+    return make_set(hist, interval_minutes=60), make_set(gen, interval_minutes=60)
+
+
+THREAD_PAIRS = {
+    # 34,560 pooled values, over a third of them night-time zeros
+    "above_gate": lambda: (toy.make_pv_like(200, 5, period_length=96),
+                           toy.make_pv_like(160, 6, period_length=96)),
+    "below_gate": REPORT_PAIRS["pv_like"],
+    "worker_only_error": worker_only_error_pair,
+}
+
+
+@pytest.mark.parametrize("pair", ["above_gate", "below_gate"])
+def test_report_files_are_the_same_on_both_paths(tmp_path, monkeypatch, pair):
+    historical, generated = THREAD_PAIRS[pair]()
+    pooled = historical.data.size + generated.data.size
+    assert (pooled >= evaluate.EVAL_THREAD_MIN_VALUES) == (pair == "above_gate")
+    files = {}
+    for threaded in (False, True):
+        on_caller = force_path(monkeypatch, threaded)
+        before = threading.active_count()
+        out = tmp_path / str(threaded)
+        evaluate.write_report(evaluate.evaluate_sets(historical, generated), out)
+        assert threading.active_count() == before
+        assert on_caller == kde_threads(historical, generated, threaded)
+        files[threaded] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(files[False]) == 6
+    assert files[True] == files[False]
+
+
+@pytest.mark.parametrize("cpus, pair, threaded", [
+    (2, "above_gate", True), (1, "above_gate", False), (2, "below_gate", False),
+])
+def test_the_gate_counts_pooled_values_and_cpus(monkeypatch, cpus, pair, threaded):
+    monkeypatch.setattr(evaluate, "_cpu_count", lambda: cpus)
+    on_caller = spy_kde_threads(monkeypatch)
+    historical, generated = THREAD_PAIRS[pair]()
+    evaluate.evaluate_sets(historical, generated)
+    assert on_caller == kde_threads(historical, generated, threaded)
+
+
+def test_cpu_count_is_the_processs_affinity():
+    if hasattr(os, "sched_getaffinity"):
+        assert evaluate._cpu_count() == len(os.sched_getaffinity(0))
+    assert evaluate._cpu_count() >= 1
+
+
+@pytest.mark.parametrize("pair, kwargs, error, message", [
+    ("below_gate", {"bandwidth": 1e-320}, NumericError,
+     "bandwidth 1e-320 is too small: the density overflows float64"),
+    ("below_gate", {"window": "bogus"}, UsageError, "unknown window 'bogus'"),
+    # both threads fail: the calling thread's error comes first in the serial order
+    ("below_gate", {"bandwidth": 1e-320, "window": "bogus"}, UsageError, "unknown window 'bogus'"),
+    ("worker_only_error", {"bandwidth": 1e-320}, NumericError,
+     "bandwidth 1e-320 is too small: the density overflows float64"),
+])
+def test_errors_are_the_same_on_both_paths(monkeypatch, pair, kwargs, error, message):
+    historical, generated = THREAD_PAIRS[pair]()
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    for threaded in (False, True):
+        force_path(monkeypatch, threaded)
+        before = threading.active_count()
+        with pytest.raises(error) as info:
+            evaluate.evaluate_sets(historical, generated, **kwargs)
+        assert str(info.value) == message
+        assert threading.active_count() == before
+    assert unhandled == []
+
+
+def test_the_generated_pools_kde_sees_the_callers_errstate(monkeypatch):
+    force_path(monkeypatch, True)
+    seen = {}  # thread -> the divide mode its kde_pdf call saw
+    kde_pdf = evaluate.kde_pdf
+
+    def spy(*args):
+        seen[threading.get_ident()] = np.geterr()["divide"]
+        return kde_pdf(*args)
+
+    monkeypatch.setattr(evaluate, "kde_pdf", spy)
+    with np.errstate(divide="raise"):
+        evaluate.evaluate_sets(*THREAD_PAIRS["below_gate"]())
+    assert list(seen.values()) == ["raise", "raise"]
+
+
+def test_importing_pcflow_loads_neither_concurrent_futures_nor_hashlib():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, pcflow; "
+         "print(sorted({'concurrent.futures', 'hashlib'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout == "[]\n"
