@@ -298,15 +298,24 @@ def _parse_block(rows, line_nos, width, picks):
         raise
 
 
+def _line_breaks(text):
+    r"""How many line ends (``\n``, ``\r\n`` or ``\r``) ``text`` holds."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
 def _read_blocks(reader, width, picks):
-    """Line numbers and parsed columns of the non-blank rows, ``BLOCK`` at a time."""
-    line_no = 2  # of the first row in the block; the header is line 1
+    """First line numbers and parsed columns of the non-blank rows, ``BLOCK`` at a time."""
+    line_no = reader.line_num + 1  # of the first row in the block
     while rows := list(islice(reader, BLOCK)):
         nonblank = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
-        lines = line_no + np.flatnonzero(nonblank)
+        if reader.line_num - line_no + 1 == len(rows):  # every row on one line
+            lines = line_no + np.flatnonzero(nonblank)
+        else:  # a quoted cell spans lines, and holds the line ends it spans
+            spans = 1 + np.fromiter(map(_line_breaks, map("".join, rows)), np.int64, len(rows))
+            lines = (line_no + np.cumsum(spans) - spans)[nonblank]
         if len(lines):
             yield [lines, *_parse_block(list(compress(rows, nonblank)), lines, width, picks)]
-        line_no += len(rows)
+        line_no = reader.line_num + 1
 
 
 def _read_series(fh, time_col, value_col, capacity_col):
@@ -403,8 +412,11 @@ def scale(scenario_set: ScenarioSet, mode: str, capacity=None) -> ScenarioSet:
             raise UsageError("scenario set carries no source indices for capacity lookup")
         capacity = np.asarray(capacity, dtype=float)
         cap = capacity[scenario_set.source_index]
-        if np.any(~np.isfinite(cap)) or np.any(cap <= 0):
-            raise ScalingError("capacity must be positive at every used timestamp")
+        bad = ~(np.isfinite(cap) & (cap > 0))
+        if bad.any():
+            row, step = np.argwhere(bad)[0]
+            raise ScalingError(f"scenario {row}, step {step}: capacity "
+                               f"{float(cap[row, step])!r} is not finite and positive")
         with np.errstate(over="ignore"):  # the check below names the capacity
             scaled = data / cap
         overflow = ~np.isfinite(scaled)

@@ -12,7 +12,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -379,19 +378,19 @@ def _cpu_count():
 
 
 def _alongside(main, side, threaded):
-    """``(main(), [call() for call in side])``, with ``side`` on a second thread if ``threaded``.
+    """``(main(), side())``, with ``side`` on a second thread if ``threaded``.
 
     The thread runs in a copy of the caller's context, so it sees the caller's
     ``np.errstate``, and is joined before this returns or raises. An error of
     ``main`` wins over one of ``side``, as when ``main`` runs first.
     """
     if not threaded:
-        return main(), [call() for call in side]
+        return main(), side()
     outcome = []
 
     def run_side():
         try:
-            outcome.append([call() for call in side])
+            outcome.append(side())
         except BaseException as exc:  # raised again in the caller
             outcome.append(exc)
 
@@ -447,9 +446,9 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
         }
 
     threaded = hist_pool.size + gen_pool.size >= EVAL_THREAD_MIN_VALUES and _cpu_count() > 1
-    side = [partial(ks_two_sample, hist_pool, gen_pool), partial(kde_pdf, gen_pool, grid, h)]
     (segment_length, density_hist, tables), ((stat, p_value), density_gen) = _alongside(
-        the_rest, side, threaded)
+        the_rest, lambda: (ks_two_sample(hist_pool, gen_pool), kde_pdf(gen_pool, grid, h)),
+        threaded)
 
     return EvalReport(
         tables={

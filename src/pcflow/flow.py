@@ -456,17 +456,12 @@ def _read_net(fh) -> DenseNet:
 
 def save_model(model: FlowModel, path):
     """Serialize the model; round-trips are bit-exact on parameters."""
-    nan = float("nan")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<HH", FORMAT_MAJOR, FORMAT_MINOR))
-        flags = 1 if model.pca is not None else 0
-        fh.write(struct.pack("<I", flags))
-        fh.write(struct.pack("<I", model.interval_minutes))
-        fh.write(struct.pack("<B", SCALING_MODES.index(model.scaling)))
-        fh.write(struct.pack("<dd",
-                             nan if model.scale_min is None else model.scale_min,
-                             nan if model.scale_max is None else model.scale_max))
+        fh.write(struct.pack("<HHIIBdd", FORMAT_MAJOR, FORMAT_MINOR, int(model.pca is not None),
+                             model.interval_minutes, SCALING_MODES.index(model.scaling),
+                             math.nan if model.scale_min is None else model.scale_min,
+                             math.nan if model.scale_max is None else model.scale_max))
         if model.pca is not None:
             p = model.pca
             fh.write(struct.pack("<II", p.dim, p.n_components))
@@ -502,13 +497,9 @@ def _read_model(path) -> FlowModel:
         major, _minor = _read(fh, "<HH")
         if major != FORMAT_MAJOR:
             raise ModelVersionError(f"format major version {major}, expected {FORMAT_MAJOR}")
-        (flags,) = _read(fh, "<I")
-        (interval_minutes,) = _read(fh, "<I")
-        (scaling_code,) = _read(fh, "<B")
+        flags, interval_minutes, scaling_code, scale_min, scale_max = _read(fh, "<IIBdd")
         if scaling_code >= len(SCALING_MODES):
             raise ModelFormatError(f"unknown scaling code {scaling_code}")
-        scale_min, scale_max = _read(fh, "<dd")
-        scaling = SCALING_MODES[scaling_code]
         pca_map = None
         if flags & 1:
             d, m = _read(fh, "<II")
@@ -533,7 +524,7 @@ def _read_model(path) -> FlowModel:
             raise ModelFormatError("trailing bytes in model file")
     return FlowModel(
         layers, Standardizer(shift, scale), pca=pca_map,
-        interval_minutes=interval_minutes, scaling=scaling,
+        interval_minutes=interval_minutes, scaling=SCALING_MODES[scaling_code],
         scale_min=None if math.isnan(scale_min) else scale_min,
         scale_max=None if math.isnan(scale_max) else scale_max,
     )

@@ -714,6 +714,33 @@ def test_prepare_repeated_local_hour_exits_3_naming_the_line(tmp_path):
                    "2013-10-27T02:00:00 after 2013-10-27T02:45:00\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('time,value\n2020-01-01T00:00,1.0\n2020-01-01T12:00,"2\n"\n2020-01-02T00:00,1\n'
+     "2020-01-02T12:00,x\n", "line 6: malformed value 'x'"),
+    ('time,value,note\n2020-01-01T00:00,1.0,a\n2020-01-01T12:00,2,"x\n\n\ny"\n'
+     "2020-01-02T00:00,3,b\n2020-01-02T12:00,4,c\n2020-01-01T12:00,5,d\n",
+     "line 9: timestamps not increasing: 2020-01-01T12:00:00 after 2020-01-02T12:00:00"),
+], ids=["value", "timestamps"])
+def test_prepare_counts_the_lines_of_a_quoted_cell(tmp_path, text, message):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(text, encoding="utf-8")
+    code, err = exit_code(["prepare", "--input", str(raw), "--period-length", "2",
+                           "--out-dir", str(tmp_path / "p")])
+    assert code == cli.EXIT_DATA
+    assert err == f"error: {raw}: {message}\n"
+
+
+def test_prepare_infinite_capacity_names_scenario_and_step(tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("\n".join(raw_csv_lines(n_days=3, period_length=4, with_capacity=True)
+                             ).replace(",100.0", ",inf", 4) + "\n", encoding="utf-8")
+    code, err = exit_code(["prepare", "--input", str(raw), "--period-length", "4",
+                           "--scaling", "capacity_factor", "--capacity-col", "cap",
+                           "--out-dir", str(tmp_path / "p")])
+    assert code == cli.EXIT_DATA
+    assert err == "error: scenario 0, step 0: capacity inf is not finite and positive\n"
+
+
 def test_prepare_skips_a_byte_order_mark(prepared, tmp_path):
     # Excel's "CSV UTF-8" export starts the file with one
     raw = tmp_path / "bom.csv"

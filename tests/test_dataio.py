@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import logging
+import math
 import re
 import tracemalloc
 import warnings
@@ -150,6 +151,30 @@ def test_load_csv_repeated_local_hour_names_line_and_stamps(tmp_path):
         dataio.load_csv(path)
 
 
+@pytest.mark.parametrize("header, lines, error", [
+    ("time,value", ["2020-01-01T00:00,1.0", '2020-01-01T12:00,"2', '"', "2020-01-02T00:00,1",
+                    "2020-01-02T12:00,x"], ParseError("line 6: malformed value 'x'")),
+    ("time,value,note", ["2020-01-01T00:00,1.0,a", '2020-01-01T12:00,2,"x', "", "", 'y"',
+                         "2020-01-02T00:00,3,b", "2020-01-02T12:00,4,c", "2020-01-01T12:00,5,d"],
+     DataError("line 9: timestamps not increasing: 2020-01-01T12:00:00 after "
+               "2020-01-02T12:00:00")),
+], ids=["value", "timestamps"])
+def test_load_csv_line_numbers_count_the_lines_of_a_quoted_cell(tmp_path, header, lines, error):
+    path = write_csv(tmp_path / "a.csv", lines, header=header)
+    with pytest.raises(type(error), match=f"^{re.escape(f'{path}: {error}')}$"):
+        dataio.load_csv(path)
+
+
+def test_load_csv_multiline_cell_in_an_ignored_column(tmp_path):
+    rows = [f"2020-01-01T{hour:02d}:00,{hour}.5,note" for hour in range(6)]
+    plain = dataio.load_csv(write_csv(tmp_path / "plain.csv", rows, header="time,value,note"))
+    rows[2] = rows[2].replace("note", '"three\nline\r\nnote"')
+    spanning = dataio.load_csv(write_csv(tmp_path / "lines.csv", rows, header="time,value,note"))
+    assert spanning.timestamps.tobytes() == plain.timestamps.tobytes()
+    assert spanning.values.tobytes() == plain.values.tobytes()
+    assert spanning.line_nos.tolist() == [2, 3, 4, 7, 8, 9]  # the cell fills lines 4 to 6
+
+
 def reference_timestamp(text, line_no):
     """A timestamp as numpy converts the datetime load_csv reads from the cell."""
     dataio._parse_timestamp(text, line_no)  # load_csv's accepted spellings and errors
@@ -186,7 +211,9 @@ def reference_rows(path, time_col, value_col, capacity_col):
             columns[name] = header.index(name)
 
         line_nos, timestamps, values, capacities = [], [], [], []
-        for line_no, row in enumerate(reader, start=2):
+        next_line = reader.line_num + 1
+        for row in reader:  # a quoted cell can span lines: the row starts where the last ended
+            line_no, next_line = next_line, reader.line_num + 1
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < len(header):
@@ -263,7 +290,7 @@ NUMBER_CELLS = st.one_of(
 ROW_EDITS = st.one_of(
     st.tuples(st.just("stamp"), st.sampled_from(sorted(STAMP_SPELLINGS))),
     st.tuples(st.sampled_from(["value", "capacity"]), NUMBER_CELLS),
-    st.tuples(st.just("row"), st.sampled_from(["", ",", " , ,", "\t", "short", "extra",
+    st.tuples(st.just("row"), st.sampled_from(["", ",", " , ,", "\t", "short", "extra", "lines",
                                               "repeat"])),
 )
 
@@ -284,6 +311,8 @@ def render_rows(n_rows, with_capacity, edits):
             del row[1:]
         elif what == "extra":
             row.append("ignored")
+        elif what == "lines":  # an ignored cell that spans four lines
+            row.append('"a\nb\r\nc\rd"')
         elif what == "repeat":
             row[0] = START.isoformat()
         else:
@@ -623,6 +652,20 @@ def test_zero_capacity_rejected(tmp_path):
     scenario_set = dataio.clean_and_slice(series, 24)
     with pytest.raises(ScalingError, match="capacity"):
         dataio.scale(scenario_set, "capacity_factor", capacity=series.capacity)
+
+
+@pytest.mark.parametrize("bad", [math.inf, 0.0, -1.0, math.nan])
+def test_bad_capacity_names_its_scenario_step_and_value(tmp_path, bad):
+    rows = [row for day in ("2013-01-01", "2013-01-02", "2013-01-03")
+            for row in day_rows(day, period_length=24, value=5.0, capacity=100.0)]
+    path = write_csv(tmp_path / "a.csv", rows, header="time,value,cap")
+    series = dataio.load_csv(path, capacity_col="cap")
+    scenario_set = dataio.clean_and_slice(series, 24)
+    capacity = series.capacity.copy()
+    capacity[[2 * 24 + 3, 24 + 7]] = bad  # the first in row order is scenario 1, step 7
+    message = f"scenario 1, step 7: capacity {bad!r} is not finite and positive"
+    with pytest.raises(ScalingError, match=f"^{re.escape(message)}$"):
+        dataio.scale(scenario_set, "capacity_factor", capacity=capacity)
 
 
 def test_tiny_capacity_overflow_names_the_capacity(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for coupling layers, the flow model, densities, sampling, and IO."""
 
+import hashlib
 import itertools
 import math
 import re
@@ -687,10 +688,44 @@ def test_truncated_file(tmp_path):
         load_model(path)
 
 
+def pinned_pcf_model():
+    components = np.array([[0.6, 0.0], [0.8, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    pca_map = pca.PcaMap(mean=np.array([0.25, -0.5, 1.0, 2.0]), components=components,
+                         variances=np.array([4.0, 2.0, 1.0, 0.5]))
+    return build_flow(2, n_layers=3, hidden_dims=(5,), seed=11, pca=pca_map,
+                      standardizer=Standardizer([0.1, -0.2], [1.5, 0.5]), interval_minutes=60,
+                      scaling="minmax", scale_min=-1.0, scale_max=3.0)
+
+
+@pytest.mark.parametrize("make, digest", [
+    (pinned_pcf_model, "02e360708fb3ccbdcc04c5c460f7f85a51b2055fb0c962c65bbcf4ceb7e7fb20"),
+    (lambda: build_flow(3, n_layers=2, seed=12, interval_minutes=15, scaling="capacity_factor"),
+     "ccf2db24dd899575a820eaa323d957b61b5dffb9dfa68651b99cb035535e220b"),
+], ids=["pcf-minmax", "fsnf-no-bounds"])
+def test_saved_model_bytes_are_pinned(tmp_path, make, digest):
+    path = tmp_path / "m.pcf"
+    save_model(make(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_model_file_errors_name_the_file(tmp_path):
     path = tmp_path / "m.pcf"
     path.write_bytes(MAGIC + b"\x01\x00")  # ends inside the version field
     with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: truncated model file$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("length, message", [(None, "unknown scaling code 7"),
+                                             (len(MAGIC) + 25, "truncated model file")])
+def test_unknown_scaling_code_is_read_with_the_header(tmp_path, length, message):
+    # the 29 header bytes after the magic are read at once, so a file cut off
+    # inside the bounds reports the truncation before the scaling code
+    path = tmp_path / "m.pcf"
+    save_model(build_flow(2, n_layers=2, seed=23), path)
+    data = bytearray(path.read_bytes())
+    data[len(MAGIC) + 12] = 7  # the scaling code
+    path.write_bytes(data[:length])
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_model(path)
 
 

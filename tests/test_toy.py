@@ -1,5 +1,6 @@
 """Tests for the synthetic toy datasets and the distance-to-curve oracle."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,17 @@ def test_make_kite2d_covers_all_quadrants():
     for sx in (-1, 1):
         for sy in (-1, 1):
             assert np.any((np.sign(pts[:, 0]) == sx) & (np.sign(pts[:, 1]) == sy))
+
+
+@pytest.mark.parametrize("n, seed, digest", [
+    (1, 0, "ff0b44447e224b7e85368621446f446bf6661b00ebd2ab07c1ace32446a14d72"),
+    (7, 3, "9e105d13a5e4006090f931eb2d45f375591fd7fd3d3bcddc136e999b70654199"),
+    (1000, 42, "e84d31c41b5cc3b7a6c77897e8985a0efa9bd4a58bd559156dd4a48175216908"),
+])
+def test_make_kite2d_bytes_are_pinned(n, seed, digest):
+    # make_kite2d's random draws and arithmetic are fixed to the bit
+    points = np.ascontiguousarray(toy.make_kite2d(n, seed), dtype="<f8")
+    assert hashlib.sha256(points.tobytes()).hexdigest() == digest
 
 
 def test_make_toy_set_metadata():
