@@ -307,11 +307,13 @@ def _read_blocks(reader, width, picks):
     """First line numbers and parsed columns of the non-blank rows, ``BLOCK`` at a time."""
     line_no = reader.line_num + 1  # of the first row in the block
     while rows := list(islice(reader, BLOCK)):
-        nonblank = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
+        joined = list(map("".join, rows))
+        nonblank = np.fromiter(map(bool, map(str.strip, joined)), bool, len(rows))
+        # counting every row's line ends would slow load_csv by a third on one-line rows
         if reader.line_num - line_no + 1 == len(rows):  # every row on one line
             lines = line_no + np.flatnonzero(nonblank)
         else:  # a quoted cell spans lines, and holds the line ends it spans
-            spans = 1 + np.fromiter(map(_line_breaks, map("".join, rows)), np.int64, len(rows))
+            spans = 1 + np.fromiter(map(_line_breaks, joined), np.int64, len(rows))
             lines = (line_no + np.cumsum(spans) - spans)[nonblank]
         if len(lines):
             yield [lines, *_parse_block(list(compress(rows, nonblank)), lines, width, picks)]
