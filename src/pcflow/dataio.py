@@ -298,26 +298,16 @@ def _parse_block(rows, line_nos, width, picks):
         raise
 
 
-def _line_breaks(text):
-    r"""How many line ends (``\n``, ``\r\n`` or ``\r``) ``text`` holds."""
-    return text.count("\n") + text.count("\r") - text.count("\r\n")
-
-
 def _read_blocks(reader, width, picks):
     """First line numbers and parsed columns of the non-blank rows, ``BLOCK`` at a time."""
-    line_no = reader.line_num + 1  # of the first row in the block
-    while rows := list(islice(reader, BLOCK)):
-        joined = list(map("".join, rows))
-        nonblank = np.fromiter(map(bool, map(str.strip, joined)), bool, len(rows))
-        # counting every row's line ends would slow load_csv by a third on one-line rows
-        if reader.line_num - line_no + 1 == len(rows):  # every row on one line
-            lines = line_no + np.flatnonzero(nonblank)
-        else:  # a quoted cell spans lines, and holds the line ends it spans
-            spans = 1 + np.fromiter(map(_line_breaks, joined), np.int64, len(rows))
-            lines = (line_no + np.cumsum(spans) - spans)[nonblank]
+    # each row with the lines read before it, which count a quoted cell's line ends
+    numbered = zip(map(attrgetter("line_num"), repeat(reader)), reader)
+    while block := list(islice(numbered, BLOCK)):
+        rows = list(map(itemgetter(1), block))
+        nonblank = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
+        lines = 1 + np.fromiter(map(itemgetter(0), block), np.int64, len(rows))[nonblank]
         if len(lines):
             yield [lines, *_parse_block(list(compress(rows, nonblank)), lines, width, picks)]
-        line_no = reader.line_num + 1
 
 
 def _read_series(fh, time_col, value_col, capacity_col):
