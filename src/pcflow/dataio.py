@@ -14,8 +14,10 @@ import math
 import numbers
 import os
 import struct
+import sys
+import threading
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from functools import partial
@@ -64,6 +66,10 @@ SCALE_TOL = 1e-9
 # counts 700 new container objects, so reading a 105k-row file runs 1
 # collection instead of 142 at 8192 rows
 BLOCK = 512
+# evaluate_sets runs part of its work on a second thread, and save_scenarios
+# formats part of its rows in a forked child, once the work covers this many
+# values; below it a second thread or process costs more than it saves
+SECOND_CPU_MIN_VALUES = 1 << 15
 # load_csv counts the seconds of each timestamp from here, as datetime64 does
 _EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
@@ -167,6 +173,20 @@ def provenance_fault(interval_minutes, scaling, scale_min, scale_max):
     if not all(b is None or isinstance(b, numbers.Real) and b == b for b in bounds):
         return None, f"scale_min and scale_max must be numbers other than NaN, {got}"
     return None
+
+
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def use_second_cpu(n_values):
+    """Whether work over ``n_values`` values runs partly on a second CPU: it
+    covers at least SECOND_CPU_MIN_VALUES values and the process may run on
+    more than one CPU."""
+    return n_values >= SECOND_CPU_MIN_VALUES and _cpu_count() > 1
 
 
 def as_rows(data):
@@ -298,34 +318,66 @@ def _parse_block(rows, line_nos, width, picks):
         raise
 
 
-def _read_blocks(reader, width, picks):
-    """First line numbers and parsed columns of the non-blank rows, ``BLOCK`` at a time."""
-    # each row with the lines read before it, which count a quoted cell's line ends
-    numbered = zip(map(attrgetter("line_num"), repeat(reader)), reader)
-    while block := list(islice(numbered, BLOCK)):
-        rows = list(map(itemgetter(1), block))
+def _read_blocks(reader, width, picks, cut):
+    """First line numbers and parsed columns of the non-blank rows, ``BLOCK`` at a time.
+
+    A row the strict reader rejects is reported after the rows before it are
+    parsed, so the first fault in the file is the one raised, naming the line
+    its row starts on.
+    """
+    # each row with the lines read once it ends, which count a quoted cell's line ends
+    numbered = zip(reader, map(attrgetter("line_num"), repeat(reader)))
+    end = reader.line_num  # the last line before the next row
+    fault = None
+    while not fault:
+        block = []
+        try:
+            block.extend(islice(numbered, BLOCK))  # keeps the rows read before a fault
+        except csv.Error as exc:
+            fault = exc
+        if not block:
+            break
+        rows = list(map(itemgetter(0), block))
+        ends = np.fromiter(map(itemgetter(1), block), np.int64, len(rows))
         nonblank = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
-        lines = 1 + np.fromiter(map(itemgetter(0), block), np.int64, len(rows))[nonblank]
+        lines = 1 + np.concatenate(([end], ends[:-1]))[nonblank]
+        end = int(ends[-1])
         if len(lines):
             yield [lines, *_parse_block(list(compress(rows, nonblank)), lines, width, picks)]
+    if fault and (error := _strict_fault(fault, end + 1, cut)):
+        raise error
 
 
-def _read_series(fh, time_col, value_col, capacity_col):
-    """The RawSeries of a raw CSV's text stream, or None if it holds no data rows."""
-    reader = csv.reader(fh)
+def _strict_fault(exc, line, cut):
+    """The ParseError for a row the strict csv reader rejects, starting on line; None
+    for a quoted cell still open where a ``cut`` stream ends, as it holds the bad byte."""
+    # csv's message for a quoted cell still open at the end of the stream
+    if not (cut and str(exc) == "unexpected end of data"):
+        return ParseError(f"line {line}: {exc}")
+    return None
+
+
+def _read_series(fh, time_col, value_col, capacity_col, cut=False):
+    """The RawSeries of a raw CSV's text stream, or None if it holds no data rows.
+
+    ``cut`` says the stream ends where a byte that is not UTF-8 begins.
+    """
+    reader = csv.reader(fh, strict=True)
     try:
         header = next(reader, None)
-        if header is None:
-            raise SchemaError("empty file")
-        header = [h.strip() for h in header]
-        picks = []
-        for name in (time_col, value_col) + ((capacity_col,) if capacity_col else ()):
-            if name not in header:
-                raise SchemaError(f"column {name!r} not found in header {header}")
-            picks.append(header.index(name))
-        blocks = list(_read_blocks(reader, len(header), picks))
     except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
+        if error := _strict_fault(exc, 1, cut):
+            raise error from None
+        return None
+    if header is None:
+        raise SchemaError("empty file")
+    header = [h.strip() for h in header]
+    picks = []
+    for name in (time_col, value_col) + ((capacity_col,) if capacity_col else ()):
+        if name not in header:
+            raise SchemaError(f"column {name!r} not found in header {header}")
+        picks.append(header.index(name))
+    blocks = list(_read_blocks(reader, len(header), picks, cut))
     if not blocks:
         return None
     line_nos, stamps, values, *capacity = map(np.concatenate, zip(*blocks))
@@ -342,7 +394,8 @@ def load_csv(path, time_col="time", value_col="value", capacity_col=None):
     """
     parse = partial(_read_series, time_col=time_col, value_col=value_col,
                     capacity_col=capacity_col)
-    with reading(path, parse), open(path, newline="", encoding="utf-8-sig") as fh:
+    with reading(path, partial(parse, cut=True)), \
+            open(path, newline="", encoding="utf-8-sig") as fh:
         series = parse(fh)
         if series is None:
             raise DataError("no data rows")
@@ -487,13 +540,19 @@ def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
     ``<path>.meta``, and then the rows' binary twin to ``<path>.f64``.
 
     The rows are formatted ``BLOCK`` at a time, so the Python floats alive at
-    once do not grow with the set. The twin is streamed from the set's own
-    array, without a copy.
+    once do not grow with the set. When ``use_second_cpu`` says so for the
+    set's size, on Linux and with no other thread running, a forked child
+    formats the second half of the rows while this process writes the first,
+    and its text is appended at the file descriptor level. If the child
+    cannot start or does not exit with 0, this process writes that half
+    itself, so the bytes, results and errors are those of the serial path.
+    The twin is streamed from the set's own array, without a copy.
     """
     data = scenario_set.data
-    with open_output(path, header_comment) as fh:
-        for start in range(0, len(data), BLOCK):
-            write_rows(fh, data[start:start + BLOCK].tolist())
+    with open_output(path, header_comment) as fh, _second_half_in_child(data) as (half, append):
+        _write_blocks(fh, data[:half])
+        if not (append and append(fh)):
+            _write_blocks(fh, data[half:])
     with open(f"{path}.meta", "w", encoding="utf-8") as fh:
         for key, name, kind in SIDECAR:
             if (value := getattr(scenario_set, name)) is not None:
@@ -506,6 +565,68 @@ def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
     with open(f"{path}.f64", "wb") as fh:
         fh.write(head + digest.digest())
         fh.write(rows)
+
+
+def _write_blocks(fh, data):
+    """write_rows of the data's rows, ``BLOCK`` at a time."""
+    for start in range(0, len(data), BLOCK):
+        write_rows(fh, data[start:start + BLOCK].tolist())
+
+
+@contextmanager
+def _second_half_in_child(data):
+    """Format the second half of data's rows in a forked child, into an unnamed temporary file.
+
+    Yields ``(half, append)``: the rows from ``half`` on are the child's, and
+    ``append(fh)`` reaps the child and, if it exited with 0, appends its text
+    to fh by ``os.sendfile`` and returns True; otherwise it returns False and
+    leaves fh as it was. ``append`` is None when no child runs. An exception
+    raised inside, KeyboardInterrupt included, kills the child and reaps it
+    before it propagates.
+    """
+    # os.sendfile appends one file to another only on Linux; fork is unsafe with threads
+    if not (use_second_cpu(data.size) and sys.platform == "linux"
+            and threading.active_count() == 1):
+        yield len(data), None
+        return
+    import signal  # only a forked writer needs these, so importing pcflow does not
+    import tempfile
+
+    half, pid = len(data) // 2, None
+    with ExitStack() as files:
+        try:
+            tmp = files.enter_context(tempfile.TemporaryFile())
+            pid = os.fork()
+        except OSError:  # no file or no child: the caller writes the second half
+            pass
+        if pid == 0:  # the child leaves only here, never through its caller's frames
+            code = 1
+            try:
+                with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as out:
+                    _write_blocks(out, data[half:])
+                code = 0
+            finally:
+                os._exit(code)
+        reaped = pid is None
+
+        def append(fh):
+            nonlocal reaped
+            status = os.waitpid(pid, 0)[1]
+            reaped = True
+            if os.waitstatus_to_exitcode(status):
+                return False
+            fh.flush()
+            offset = 0
+            while sent := os.sendfile(fh.fileno(), tmp.fileno(), offset, 1 << 30):
+                offset += sent
+            return True
+
+        try:
+            yield half, None if pid is None else append
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _csv_digest(path):

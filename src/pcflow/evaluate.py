@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pca as pca_mod
-from .dataio import SIDECAR, ScenarioSet, open_output, write_table
+from .dataio import SIDECAR, ScenarioSet, open_output, use_second_cpu, write_table
 from .errors import DataError, NumericError, UsageError
 
 KDE_GRID_POINTS = 512
@@ -34,9 +34,6 @@ KS_MAX_TERMS = 100
 KS_TOL = 1e-12
 # evaluate_sets tabulates the marginals over clock minutes 0 to 240, both included
 MARGINAL_WINDOW = (0, 240)
-# evaluate_sets runs KS and the generated pool's KDE on a second thread once the
-# two pools together hold this many values; below it a thread costs more than it saves
-EVAL_THREAD_MIN_VALUES = 1 << 15
 
 
 # kernel density estimation ---------------------------------------------------
@@ -370,13 +367,6 @@ class EvalReport:
     options: dict
 
 
-def _cpu_count():
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _alongside(main, side, threaded):
     """``(main(), side())``, with ``side`` on a second thread if ``threaded``.
 
@@ -411,9 +401,9 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
                   window="hann") -> EvalReport:
     """Run the full comparison suite on two scenario sets.
 
-    When the two pools together hold at least EVAL_THREAD_MIN_VALUES values
-    and the process may run on more than one CPU, the KS test and then the
-    generated pool's KDE run on a second thread while this one runs the rest,
+    When ``dataio.use_second_cpu`` says so for the two pools' size, the KS
+    test and then the generated pool's KDE run on a second thread while this
+    one runs the rest,
     ending with the historical pool's KDE. The report is the same either way,
     and so is the error: KS cannot fail on two scenario sets' pools, and the
     generated pool's KDE comes last in the serial order, so this thread's
@@ -445,7 +435,7 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
                               "var_generated": v_gen},
         }
 
-    threaded = hist_pool.size + gen_pool.size >= EVAL_THREAD_MIN_VALUES and _cpu_count() > 1
+    threaded = use_second_cpu(hist_pool.size + gen_pool.size)
     (segment_length, density_hist, tables), ((stat, p_value), density_gen) = _alongside(
         the_rest, lambda: (ks_two_sample(hist_pool, gen_pool), kde_pdf(gen_pool, grid, h)),
         threaded)

@@ -720,7 +720,13 @@ def test_prepare_repeated_local_hour_exits_3_naming_the_line(tmp_path):
     ('time,value,note\n2020-01-01T00:00,1.0,a\n2020-01-01T12:00,2,"x\n\n\ny"\n'
      "2020-01-02T00:00,3,b\n2020-01-02T12:00,4,c\n2020-01-01T12:00,5,d\n",
      "line 9: timestamps not increasing: 2020-01-01T12:00:00 after 2020-01-02T12:00:00"),
-], ids=["value", "timestamps"])
+    # a quote that never closes once swallowed the rest of the file into one cell
+    ('time,value,note\n2020-01-01T00:00,1.0,a\n2020-01-01T12:00,2.0,b\n'
+     '2020-01-02T00:00,3.0,"oops\n2020-01-02T12:00,4.0,c\n2020-01-03T00:00,5.0,d\n'
+     "2020-01-03T12:00,6.0,e\n", "line 4: unexpected end of data"),
+    ('time,value\n2020-01-01T00:00,1.0\n2020-01-01T12:00,"oops\n2020-01-02T00:00,3.0\n'
+     "2020-01-02T12:00,4.0\n", "line 3: unexpected end of data"),
+], ids=["value", "timestamps", "open quote in a note", "open quote in the value"])
 def test_prepare_counts_the_lines_of_a_quoted_cell(tmp_path, text, message):
     raw = tmp_path / "raw.csv"
     raw.write_text(text, encoding="utf-8")

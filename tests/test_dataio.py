@@ -5,7 +5,11 @@ import hashlib
 import io
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -158,7 +162,21 @@ def test_load_csv_repeated_local_hour_names_line_and_stamps(tmp_path):
                          "2020-01-02T00:00,3,b", "2020-01-02T12:00,4,c", "2020-01-01T12:00,5,d"],
      DataError("line 9: timestamps not increasing: 2020-01-01T12:00:00 after "
                "2020-01-02T12:00:00")),
-], ids=["value", "timestamps"])
+    # a quote that never closes once swallowed the rest of the file into one cell
+    ("time,value,note", ["2020-01-01T00:00,1.0,a", "2020-01-01T12:00,2.0,b",
+                         '2020-01-02T00:00,3.0,"oops', "2020-01-02T12:00,4.0,c"],
+     ParseError("line 4: unexpected end of data")),
+    ("time,value", ["2020-01-01T00:00,1.0", '2020-01-01T12:00,"oops', "2020-01-02T00:00,3.0"],
+     ParseError("line 3: unexpected end of data")),
+    # once read as xy
+    ("time,value,note", ['2020-01-01T00:00,1.0,"a', 'b",c', '2020-01-01T12:00,2.0,"x"y'],
+     ParseError("line 4: ',' expected after '\"'")),
+    ('time,value,"note', ["2020-01-01T00:00,1.0,a"], ParseError("line 1: unexpected end of data")),
+    # the rows before the quote, in the same block, are parsed first
+    ("time,value,note", ["2020-01-01T00:00,x,a", '2020-01-01T12:00,2.0,"oops'],
+     ParseError("line 2: malformed value 'x'")),
+], ids=["value", "timestamps", "open quote in a note", "open quote in the value",
+        "text after a closing quote", "open quote in the header", "after a malformed value"])
 def test_load_csv_line_numbers_count_the_lines_of_a_quoted_cell(tmp_path, header, lines, error):
     path = write_csv(tmp_path / "a.csv", lines, header=header)
     with pytest.raises(type(error), match=f"^{re.escape(f'{path}: {error}')}$"):
@@ -173,6 +191,19 @@ def test_load_csv_multiline_cell_in_an_ignored_column(tmp_path):
     assert spanning.timestamps.tobytes() == plain.timestamps.tobytes()
     assert spanning.values.tobytes() == plain.values.tobytes()
     assert spanning.line_nos.tolist() == [2, 3, 4, 7, 8, 9]  # the cell fills lines 4 to 6
+
+
+@pytest.mark.parametrize("text, line", [
+    (b'time,value,note\n2020-01-01T00:00,1.0,"a\nb\xff\nc"\n2020-01-01T12:00,2.0,d\n', 3),
+    (b'time,value,"no\nt\xffe"\n2020-01-01T00:00,1.0,a\n', 2),
+], ids=["row", "header"])
+def test_load_csv_bad_byte_inside_a_quoted_cell_is_reported_as_the_byte(tmp_path, text, line):
+    # the lines before the bad byte end inside the cell, which closes after it
+    path = tmp_path / "a.csv"
+    path.write_bytes(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}: not utf-8 "
+                                         r"\(byte 0xff\)$"):
+        dataio.load_csv(path)
 
 
 def reference_timestamp(text, line_no):
@@ -198,11 +229,13 @@ def reference_load_csv(path, time_col="time", value_col="value", capacity_col=No
 
 def reference_rows(path, time_col, value_col, capacity_col):
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError("empty file") from None
+        except csv.Error as exc:
+            raise ParseError(f"line 1: {exc}") from None
         header = [h.strip() for h in header]
         columns = {}
         for name in (time_col, value_col) + ((capacity_col,) if capacity_col else ()):
@@ -212,8 +245,15 @@ def reference_rows(path, time_col, value_col, capacity_col):
 
         line_nos, timestamps, values, capacities = [], [], [], []
         next_line = reader.line_num + 1
-        for row in reader:  # a quoted cell can span lines: the row starts where the last ended
-            line_no, next_line = next_line, reader.line_num + 1
+        while True:  # a quoted cell can span lines: the row starts where the last ended
+            line_no = next_line
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:  # strict: a quote left open, or text after a closing one
+                raise ParseError(f"line {line_no}: {exc}") from None
+            next_line = reader.line_num + 1
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < len(header):
@@ -291,7 +331,7 @@ ROW_EDITS = st.one_of(
     st.tuples(st.just("stamp"), st.sampled_from(sorted(STAMP_SPELLINGS))),
     st.tuples(st.sampled_from(["value", "capacity"]), NUMBER_CELLS),
     st.tuples(st.just("row"), st.sampled_from(["", ",", " , ,", "\t", "short", "extra", "lines",
-                                              "repeat"])),
+                                              "repeat", "open quote", "after quote"])),
 )
 
 
@@ -315,6 +355,10 @@ def render_rows(n_rows, with_capacity, edits):
             row.append('"a\nb\r\nc\rd"')
         elif what == "repeat":
             row[0] = START.isoformat()
+        elif what == "open quote":  # an ignored cell whose quote never closes
+            row.append('"oops')
+        elif what == "after quote":  # text after a closing quote, in an ignored cell
+            row.append('"x"y')
         else:
             row[:] = [what]
     return [",".join(row) for row in rows]
@@ -910,12 +954,15 @@ def test_save_writes_each_comment_line_as_a_comment(tmp_path, comment, lines):
     assert dataio.load_scenarios(path).data.tobytes() == scenario_set.data.tobytes()
 
 
+# zeros of both signs, subnormals and large values; a set holds no NaN or inf
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, -2.5, 0.1, 1 / 3]
+
+
 def test_save_writes_the_repr_of_every_value_across_blocks(tmp_path):
-    # zeros of both signs, subnormals and large values, in the first and the last block
-    special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, -2.5, 0.1, 1 / 3]
+    # the special values in the first and the last block
     data = np.random.default_rng(8).normal(scale=1e3, size=(2 * dataio.BLOCK + 1, 3))
-    data.flat[:len(special)] = special
-    data.flat[-len(special):] = special
+    data.flat[:len(SPECIAL)] = SPECIAL
+    data.flat[-len(SPECIAL):] = SPECIAL
     path = tmp_path / "scen.csv"
     dataio.save_scenarios(make_set(data), path)
     expected = "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
@@ -935,6 +982,116 @@ def test_save_memory_does_not_grow_with_the_set(tmp_path):
         tracemalloc.stop()
     # one Python float per value would be about 4x the array
     assert peak < scenario_set.data.nbytes, peak
+
+
+def force_writer(monkeypatch, forked):
+    """Make save_scenarios fork its child or not, whatever the set's size.
+
+    Returns the list to which each os.fork call appends the pid that made it.
+    """
+    monkeypatch.setattr(dataio, "SECOND_CPU_MIN_VALUES", 0 if forked else 1 << 62)
+    monkeypatch.setattr(dataio, "_cpu_count", lambda: 2)
+    calls = []
+    fork = os.fork
+
+    def spy():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
+def saved_files(path, scenario_set, header_comment=None):
+    dataio.save_scenarios(scenario_set, path, header_comment=header_comment)
+    return [path.with_name(path.name + ext).read_bytes() for ext in ("", ".meta", ".f64")]
+
+
+@pytest.mark.parametrize("n_rows, comment", [
+    (2, None), (3, "run 7\nseed 3"), (2 * dataio.BLOCK + 1, "hello"), (2 * dataio.BLOCK + 2, None),
+])
+def test_save_writes_the_same_bytes_with_and_without_the_child(tmp_path, monkeypatch,
+                                                               n_rows, comment):
+    data = np.random.default_rng(n_rows).normal(scale=1e3, size=(n_rows, 5))
+    data.flat[:len(SPECIAL)] = SPECIAL
+    data.flat[-len(SPECIAL):] = SPECIAL
+    scenario_set = make_set(data, scaling="minmax", scale_min=-1.5, scale_max=2.0)
+    files = {}
+    for forked in (False, True):
+        forks = force_writer(monkeypatch, forked)
+        files[forked] = saved_files(tmp_path / f"{forked}.csv", scenario_set, comment)
+        assert len(forks) == forked
+    assert files[True] == files[False]
+    expected = "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
+    assert files[True][0].decode().endswith(expected)
+
+
+def test_save_writes_the_childs_rows_itself_when_the_child_fails(tmp_path, monkeypatch):
+    scenario_set = make_set(np.random.default_rng(3).uniform(size=(101, 7)))
+    expected = saved_files(tmp_path / "serial.csv", scenario_set)
+    forks = force_writer(monkeypatch, True)
+    parent, write_rows = os.getpid(), dataio.write_rows
+
+    def fail_in_the_child(fh, rows):
+        if os.getpid() != parent:
+            raise RuntimeError("the child fails")
+        write_rows(fh, rows)
+
+    monkeypatch.setattr(dataio, "write_rows", fail_in_the_child)
+    assert saved_files(tmp_path / "forked.csv", scenario_set) == expected
+    assert forks == [parent]
+
+
+def test_an_interrupt_in_the_parent_leaves_no_child(tmp_path, monkeypatch):
+    forks = force_writer(monkeypatch, True)
+    parent, write_rows = os.getpid(), dataio.write_rows
+
+    def interrupt_the_parent(fh, rows):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        write_rows(fh, rows)
+
+    monkeypatch.setattr(dataio, "write_rows", interrupt_the_parent)
+    with pytest.raises(KeyboardInterrupt):
+        dataio.save_scenarios(make_set(np.zeros((4, 3))), tmp_path / "scen.csv")
+    assert forks == [parent]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_save_does_not_fork_while_another_thread_runs(tmp_path, monkeypatch):
+    scenario_set = make_set(np.random.default_rng(4).uniform(size=(9, 4)))
+    expected = saved_files(tmp_path / "serial.csv", scenario_set)
+    forks = force_writer(monkeypatch, True)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        assert saved_files(tmp_path / "threaded.csv", scenario_set) == expected
+    finally:
+        stop.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+def test_save_memory_does_not_grow_on_the_forked_path(tmp_path, monkeypatch):
+    forks = force_writer(monkeypatch, True)
+    test_save_memory_does_not_grow_with_the_set(tmp_path)
+    assert len(forks) == 1
+
+
+def test_importing_pcflow_adds_neither_signal_nor_tempfile():
+    # only the forked writer needs them; numpy 2 loads tempfile itself, so the
+    # check counts what importing pcflow adds to importing numpy
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; before = set(sys.modules); import pcflow; "
+         "print(sorted({'signal', 'tempfile'} & set(sys.modules) - before))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_write_table_writes_the_header_then_reprs_row_by_row():

@@ -841,8 +841,8 @@ def force_path(monkeypatch, threaded):
     size, whether it ran on the calling thread.
     """
     if threaded:
-        monkeypatch.setattr(evaluate, "EVAL_THREAD_MIN_VALUES", 0)
-    monkeypatch.setattr(evaluate, "_cpu_count", lambda: 2 if threaded else 1)
+        monkeypatch.setattr(dataio, "SECOND_CPU_MIN_VALUES", 0)
+    monkeypatch.setattr(dataio, "_cpu_count", lambda: 2 if threaded else 1)
     return spy_kde_threads(monkeypatch)
 
 
@@ -887,7 +887,7 @@ THREAD_PAIRS = {
 def test_report_files_are_the_same_on_both_paths(tmp_path, monkeypatch, pair):
     historical, generated = THREAD_PAIRS[pair]()
     pooled = historical.data.size + generated.data.size
-    assert (pooled >= evaluate.EVAL_THREAD_MIN_VALUES) == (pair == "above_gate")
+    assert (pooled >= dataio.SECOND_CPU_MIN_VALUES) == (pair == "above_gate")
     files = {}
     for threaded in (False, True):
         on_caller = force_path(monkeypatch, threaded)
@@ -905,7 +905,7 @@ def test_report_files_are_the_same_on_both_paths(tmp_path, monkeypatch, pair):
     (2, "above_gate", True), (1, "above_gate", False), (2, "below_gate", False),
 ])
 def test_the_gate_counts_pooled_values_and_cpus(monkeypatch, cpus, pair, threaded):
-    monkeypatch.setattr(evaluate, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(dataio, "_cpu_count", lambda: cpus)
     on_caller = spy_kde_threads(monkeypatch)
     historical, generated = THREAD_PAIRS[pair]()
     evaluate.evaluate_sets(historical, generated)
@@ -914,8 +914,8 @@ def test_the_gate_counts_pooled_values_and_cpus(monkeypatch, cpus, pair, threade
 
 def test_cpu_count_is_the_processs_affinity():
     if hasattr(os, "sched_getaffinity"):
-        assert evaluate._cpu_count() == len(os.sched_getaffinity(0))
-    assert evaluate._cpu_count() >= 1
+        assert dataio._cpu_count() == len(os.sched_getaffinity(0))
+    assert dataio._cpu_count() >= 1
 
 
 @pytest.mark.parametrize("pair, kwargs, error, message", [
