@@ -403,11 +403,10 @@ def evaluate_sets(historical: ScenarioSet, generated: ScenarioSet,
 
     When ``dataio.use_second_cpu`` says so for the two pools' size, the KS
     test and then the generated pool's KDE run on a second thread while this
-    one runs the rest,
-    ending with the historical pool's KDE. The report is the same either way,
-    and so is the error: KS cannot fail on two scenario sets' pools, and the
-    generated pool's KDE comes last in the serial order, so this thread's
-    error is raised first, else the second thread's.
+    one runs the rest, ending with the historical pool's KDE. The report is
+    the same either way, and so is the error: KS cannot fail on two scenario
+    sets' pools, and the generated pool's KDE comes last in the serial order,
+    so this thread's error is raised first, else the second thread's.
     """
     for _, name, _ in SIDECAR:  # both sets in the same units
         a, b = getattr(historical, name), getattr(generated, name)
