@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dataio, evaluate, toy
 from .errors import NumericError, PcflowError, UsageError, fitting
-from .flow import load_model, save_model
+from .flow import check_scenario_count, load_model, save_model
 from .train import TrainConfig, fit_fsnf, fit_pcf
 
 EXIT_USAGE = 2
@@ -33,16 +33,21 @@ def _rows_of(n, width):
                    [(n, width)])
 
 
-def _fit(args, full, cev_target, n_components=None, hidden_dims=None):
-    """Split the set, then train the flow that --mode names."""
-    train_set, val_set = dataio.split(full, args.val_fraction, args.seed)
-    config = TrainConfig(
+def _train_config(args):
+    """The TrainConfig of the training flags, checked with --val-fraction before any read."""
+    dataio.check_validation_fraction(args.val_fraction)
+    return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         seed=args.seed,
         early_stop_patience=args.patience,
     )
+
+
+def _fit(args, full, config, cev_target, n_components=None, hidden_dims=None):
+    """Split the set, then train the flow that --mode names."""
+    train_set, val_set = dataio.split(full, args.val_fraction, args.seed)
     if args.mode == "pcf":
         return fit_pcf(train_set, val_set, cev_target=cev_target, n_components=n_components,
                        n_layers=args.layers, hidden_dims=hidden_dims, config=config)
@@ -53,6 +58,7 @@ def _fit(args, full, cev_target, n_components=None, hidden_dims=None):
 def cmd_prepare(args):
     if args.scaling == "capacity_factor" and not args.capacity_col:
         raise UsageError("capacity_factor scaling requires --capacity-col")
+    dataio.check_period_length(args.period_length)
     series = dataio.load_csv(
         args.input, time_col=args.time_col, value_col=args.value_col,
         capacity_col=args.capacity_col,
@@ -70,9 +76,10 @@ def cmd_prepare(args):
 def cmd_train(args):
     if args.cev is not None and args.components is not None:
         raise UsageError("--cev and --components are mutually exclusive")
+    config = _train_config(args)
     full = dataio.load_scenarios(args.data)
     cev = args.cev if (args.cev is not None or args.components is not None) else 0.99
-    model, log = _fit(args, full, cev, args.components, args.hidden)
+    model, log = _fit(args, full, config, cev, args.components, args.hidden)
 
     os.makedirs(args.out_dir, exist_ok=True)
     model_path = os.path.join(args.out_dir, "model.pcf")
@@ -92,6 +99,7 @@ def cmd_train(args):
 
 
 def cmd_sample(args):
+    check_scenario_count(args.n)
     model = load_model(args.model)
     if args.original_units and model.scaling != "minmax":
         raise UsageError("only minmax scaling can be inverted without a capacity series")
@@ -121,9 +129,10 @@ def cmd_eval(args):
 
 
 def cmd_toy(args):
+    config = _train_config(args)
     with _rows_of(args.n, 2):  # both toy shapes are planar
         full = toy.make_toy_set(args.shape, args.n, args.seed + 2)
-        model, log = _fit(args, full, args.cev)
+        model, log = _fit(args, full, config, args.cev)
         samples = model.sample(args.n, args.seed + 2)
     os.makedirs(args.out_dir, exist_ok=True)
     comment = _timestamp_comment(args)

@@ -21,7 +21,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from functools import partial
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, itemgetter, sub
 
 import numpy as np
@@ -67,9 +67,13 @@ SCALE_TOL = 1e-9
 # collection instead of 142 at 8192 rows
 BLOCK = 512
 # evaluate_sets runs part of its work on a second thread, and save_scenarios
-# formats part of its rows in a forked child, once the work covers this many
-# values; below it a second thread or process costs more than it saves
+# and load_csv hand the second half of theirs to a forked child, once the work
+# covers this many values; below it a second thread or process costs more than
+# it saves
 SECOND_CPU_MIN_VALUES = 1 << 15
+# load_csv's child writes, and the parent reads, these columns one after
+# another: line numbers, seconds since 1970, values and, if read, capacity
+_CHILD_COLUMNS = ("<i8", "<i8", "<f8", "<f8")
 # load_csv counts the seconds of each timestamp from here, as datetime64 does
 _EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
@@ -187,6 +191,62 @@ def use_second_cpu(n_values):
     covers at least SECOND_CPU_MIN_VALUES values and the process may run on
     more than one CPU."""
     return n_values >= SECOND_CPU_MIN_VALUES and _cpu_count() > 1
+
+
+def _may_fork(n_values):
+    """Whether work over ``n_values`` values may give its second half to a
+    forked child: use_second_cpu says so, on Linux, with no other thread."""
+    # os.sendfile appends one file to another only on Linux; fork is unsafe with threads
+    return use_second_cpu(n_values) and sys.platform == "linux" and threading.active_count() == 1
+
+
+@contextmanager
+def _second_half_in_child(work):
+    """Run ``work(fd)`` in a forked child, fd an unnamed temporary file, while
+    the caller does the first half of the work.
+
+    Yields ``result``: ``result()`` reaps the child and returns fd if the
+    child exited with 0. Otherwise, and when ``work`` is None or the
+    temporary file or the fork fails, it returns None, and the caller does
+    the second half itself. An exception raised inside, KeyboardInterrupt
+    included, kills the child and reaps it before it propagates.
+    """
+    if work is None:
+        yield lambda: None
+        return
+    import signal  # only a forked child needs these, so importing pcflow does not
+    import tempfile
+
+    pid = None
+    with ExitStack() as files:
+        try:
+            fd = files.enter_context(tempfile.TemporaryFile()).fileno()
+            pid = os.fork()
+        except OSError:  # no file or no child: the caller does the second half
+            pass
+        if pid == 0:  # the child leaves only here, never through its caller's frames
+            code = 1
+            try:
+                work(fd)
+                code = 0
+            finally:
+                os._exit(code)
+        reaped = pid is None
+
+        def result():
+            nonlocal reaped
+            if reaped:
+                return None
+            status = os.waitpid(pid, 0)[1]
+            reaped = True
+            return None if os.waitstatus_to_exitcode(status) else fd
+
+        try:
+            yield result
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def as_rows(data):
@@ -357,12 +417,26 @@ def _strict_fault(exc, line, cut):
     return None
 
 
-def _read_series(fh, time_col, value_col, capacity_col, cut=False):
+def _read_series(fh, time_col, value_col, capacity_col, cut=False, path=None):
     """The RawSeries of a raw CSV's text stream, or None if it holds no data rows.
 
     ``cut`` says the stream ends where a byte that is not UTF-8 begins.
+    ``path``, the stream's file, lets a forked child parse the lines after
+    ``_middle_line`` while this process parses those before it. If the child
+    does not exit with 0, this process reads the rest of the stream itself,
+    so the result and every error are those of the serial path.
     """
-    reader = csv.reader(fh, strict=True)
+    middle = None if path is None else _middle_line(path)
+    from_child = []  # the second half's columns, when the child parsed them
+
+    def second_half():  # what the reader reads after the first half's lines
+        if (fd := child()) is None:
+            yield from fh
+        elif columns := _read_columns(fd, len(picks) + 1):
+            from_child.append(columns)
+
+    reader = csv.reader(chain(islice(fh, middle[1]), second_half()) if middle else fh,
+                        strict=True)
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -377,7 +451,10 @@ def _read_series(fh, time_col, value_col, capacity_col, cut=False):
         if name not in header:
             raise SchemaError(f"column {name!r} not found in header {header}")
         picks.append(header.index(name))
-    blocks = list(_read_blocks(reader, len(header), picks, cut))
+    work = partial(_parse_into, path, *middle, len(header), picks) if middle else None
+    with _second_half_in_child(work) as child:
+        blocks = list(_read_blocks(reader, len(header), picks, cut))
+    blocks += from_child
     if not blocks:
         return None
     line_nos, stamps, values, *capacity = map(np.concatenate, zip(*blocks))
@@ -385,21 +462,90 @@ def _read_series(fh, time_col, value_col, capacity_col, cut=False):
                      capacity=capacity[0] if capacity else None, line_nos=line_nos)
 
 
+def _line_ends(data, end):
+    """The lines a text stream reads in ``data[:end]``, which ends with a line end;
+    \\r, \\n and \\r\\n each end one."""
+    return data.count(b"\n", 0, end) + data.count(b"\r", 0, end) - data.count(b"\r\n", 0, end)
+
+
+def _middle_line(path):
+    """``(start, lines)``: the byte just past the last \\n before the middle of
+    the raw CSV at path, and the lines a text stream reads before it.
+
+    None when the file is too small for ``_may_fork``, counting one value per
+    16 bytes, when no \\n ends a line before the middle, and when the file
+    holds a quote: a quoted cell may hold a line end, so a row may span it.
+    """
+    size = os.stat(path).st_size
+    if not _may_fork(size // 16):
+        return None
+    start = lines = 0
+    found = None
+    with open(path, "rb") as raw:
+        # each chunk ends a line, so no \r\n pair straddles two chunks
+        while chunk := raw.read(1 << 20) + raw.readline():
+            if b'"' in chunk:
+                return None
+            if found is None and start + len(chunk) > size // 2:
+                end = chunk.rfind(b"\n", 0, size // 2 - start) + 1
+                found = start + end, lines + _line_ends(chunk, end)
+            elif found is None:
+                lines += _line_ends(chunk, len(chunk))
+            start += len(chunk)
+    return found if found and found[1] else None
+
+
+def _parse_into(path, start, lines, width, picks, fd):
+    """Parse the raw CSV at path from byte ``start``, which follows ``lines``
+    lines, and write the ``_CHILD_COLUMNS`` of its non-blank rows to fd."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        fh.buffer.seek(start)  # nothing is decoded yet
+        blocks = list(_read_blocks(csv.reader(fh, strict=True), width, picks, False))
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    if columns:
+        columns[0] += lines
+    with open(fd, "wb", closefd=False) as out:
+        for column, kind in zip(columns, _CHILD_COLUMNS):
+            out.write(column.astype(kind, copy=False))
+
+
+def _read_columns(fd, n_columns):
+    """The columns ``_parse_into`` wrote to fd, or [] if it found no rows."""
+    with open(fd, "rb", closefd=False) as fh:
+        fh.seek(0)
+        data = fh.read()
+    n = len(data) // (8 * n_columns)
+    if not n:
+        return []
+    return [np.frombuffer(data, kind, n, 8 * n * i)
+            for i, kind in enumerate(_CHILD_COLUMNS[:n_columns])]
+
+
 def load_csv(path, time_col="time", value_col="value", capacity_col=None):
     """Read a UTF-8 CSV with a header row into a RawSeries; a byte-order mark is skipped.
 
     Empty cells and the usual NaN spellings become missing markers. Rows
     are parsed ``BLOCK`` at a time, so memory stays bounded. Every
-    error names the file.
+    error names the file. A large file without quotes is parsed on two
+    CPUs, a forked child taking the lines after its middle; the series and
+    every error are those of the one-process parse.
     """
     parse = partial(_read_series, time_col=time_col, value_col=value_col,
                     capacity_col=capacity_col)
     with reading(path, partial(parse, cut=True)), \
             open(path, newline="", encoding="utf-8-sig") as fh:
-        series = parse(fh)
+        series = parse(fh, path=path)
         if series is None:
             raise DataError("no data rows")
         return series
+
+
+def check_period_length(period_length):
+    """Raise UsageError unless period_length cuts a day into at least 2 equal steps."""
+    if period_length < 2:
+        raise UsageError("period_length must be >= 2")
+    if (24 * 60) % period_length != 0:
+        raise UsageError(f"period_length {period_length} does not divide a whole day")
 
 
 def clean_and_slice(series: RawSeries, period_length: int) -> ScenarioSet:
@@ -408,10 +554,7 @@ def clean_and_slice(series: RawSeries, period_length: int) -> ScenarioSet:
     A day survives only if it has exactly ``period_length`` samples sitting
     on the nominal midnight-aligned grid and none of them is missing.
     """
-    if period_length < 2:
-        raise UsageError("period_length must be >= 2")
-    if (24 * 60) % period_length != 0:
-        raise UsageError(f"period_length {period_length} does not divide a whole day")
+    check_period_length(period_length)
     interval = (24 * 60) // period_length
 
     ts = series.timestamps
@@ -504,14 +647,19 @@ def unscale(scenario_set: ScenarioSet, capacity=None) -> ScenarioSet:
     return replace(scenario_set, data=scenario_set.data * cap, scaling="none")
 
 
+def check_validation_fraction(validation_fraction):
+    """Raise UsageError unless the fraction lies in (0, 1)."""
+    if not 0.0 < validation_fraction < 1.0:
+        raise UsageError("validation_fraction must lie in (0, 1)")
+
+
 def split(scenario_set: ScenarioSet, validation_fraction: float, seed: int):
     """Deterministic random split into (train, validation) by scenario.
 
     The validation size is the floor of fraction * N, so train + validation
     always partition the input rows exactly.
     """
-    if not 0.0 < validation_fraction < 1.0:
-        raise UsageError("validation_fraction must lie in (0, 1)")
+    check_validation_fraction(validation_fraction)
     n = scenario_set.n_scenarios
     n_val = int(math.floor(validation_fraction * n))
     if n_val < 2:
@@ -549,10 +697,17 @@ def save_scenarios(scenario_set: ScenarioSet, path, header_comment=None):
     The twin is streamed from the set's own array, without a copy.
     """
     data = scenario_set.data
-    with open_output(path, header_comment) as fh, _second_half_in_child(data) as (half, append):
+    half = len(data) // 2
+    work = partial(_write_rows_into, data[half:]) if _may_fork(data.size) else None
+    with open_output(path, header_comment) as fh, _second_half_in_child(work) as child:
         _write_blocks(fh, data[:half])
-        if not (append and append(fh)):
+        if (fd := child()) is None:
             _write_blocks(fh, data[half:])
+        else:  # append the child's text at the file descriptor level
+            fh.flush()
+            offset = 0
+            while sent := os.sendfile(fh.fileno(), fd, offset, 1 << 30):
+                offset += sent
     with open(f"{path}.meta", "w", encoding="utf-8") as fh:
         for key, name, kind in SIDECAR:
             if (value := getattr(scenario_set, name)) is not None:
@@ -573,60 +728,10 @@ def _write_blocks(fh, data):
         write_rows(fh, data[start:start + BLOCK].tolist())
 
 
-@contextmanager
-def _second_half_in_child(data):
-    """Format the second half of data's rows in a forked child, into an unnamed temporary file.
-
-    Yields ``(half, append)``: the rows from ``half`` on are the child's, and
-    ``append(fh)`` reaps the child and, if it exited with 0, appends its text
-    to fh by ``os.sendfile`` and returns True; otherwise it returns False and
-    leaves fh as it was. ``append`` is None when no child runs. An exception
-    raised inside, KeyboardInterrupt included, kills the child and reaps it
-    before it propagates.
-    """
-    # os.sendfile appends one file to another only on Linux; fork is unsafe with threads
-    if not (use_second_cpu(data.size) and sys.platform == "linux"
-            and threading.active_count() == 1):
-        yield len(data), None
-        return
-    import signal  # only a forked writer needs these, so importing pcflow does not
-    import tempfile
-
-    half, pid = len(data) // 2, None
-    with ExitStack() as files:
-        try:
-            tmp = files.enter_context(tempfile.TemporaryFile())
-            pid = os.fork()
-        except OSError:  # no file or no child: the caller writes the second half
-            pass
-        if pid == 0:  # the child leaves only here, never through its caller's frames
-            code = 1
-            try:
-                with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as out:
-                    _write_blocks(out, data[half:])
-                code = 0
-            finally:
-                os._exit(code)
-        reaped = pid is None
-
-        def append(fh):
-            nonlocal reaped
-            status = os.waitpid(pid, 0)[1]
-            reaped = True
-            if os.waitstatus_to_exitcode(status):
-                return False
-            fh.flush()
-            offset = 0
-            while sent := os.sendfile(fh.fileno(), tmp.fileno(), offset, 1 << 30):
-                offset += sent
-            return True
-
-        try:
-            yield half, None if pid is None else append
-        finally:
-            if not reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+def _write_rows_into(data, fd):
+    """_write_blocks of data's rows into the file open at fd, as UTF-8 text."""
+    with open(fd, "w", encoding="utf-8", closefd=False) as out:
+        _write_blocks(out, data)
 
 
 def _csv_digest(path):

@@ -357,11 +357,16 @@ class FlowModel:
         return x
 
     def sample(self, n, seed) -> ScenarioSet:
-        if n < 2:  # a ScenarioSet holds at least two scenarios
-            raise UsageError(f"n must be >= 2 to draw a scenario set, got {n}")
+        check_scenario_count(n)
         data = self.sample_array(n, seed)
         return ScenarioSet(data=data, period_length=data.shape[1],
                            **{key: getattr(self, key) for key in PROVENANCE})
+
+
+def check_scenario_count(n):
+    """Raise UsageError unless n scenarios make a set: a ScenarioSet holds at least two."""
+    if n < 2:
+        raise UsageError(f"n must be >= 2 to draw a scenario set, got {n}")
 
 
 def build_flow(dim, n_layers=5, hidden_dims=None, seed=0, standardizer=None,

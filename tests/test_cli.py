@@ -89,6 +89,21 @@ def test_prepare_missing_file_is_data_error(tmp_path):
                 "--out-dir", str(tmp_path / "o")]) == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("prepare", ["--period-length", "0"], "period_length must be >= 2"),
+    ("prepare", ["--period-length", "7"], "period_length 7 does not divide a whole day"),
+    ("sample", ["--n", "1"], "n must be >= 2 to draw a scenario set, got 1"),
+    ("train", ["--val-fraction", "2"], "validation_fraction must lie in (0, 1)"),
+    ("train", ["--epochs", "0"], "epochs and batch_size must be >= 1"),
+])
+def test_bad_flag_is_usage_error_before_any_file_is_read(tmp_path, command, flags, message):
+    source = {"prepare": "--input", "sample": "--model", "train": "--data"}[command]
+    code, err = exit_code([command, source, str(tmp_path / "missing"), *flags,
+                           "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_USAGE
+    assert err == f"error: {message}\n"
+
+
 def test_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         run(["prepare"])

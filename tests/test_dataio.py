@@ -364,27 +364,45 @@ def render_rows(n_rows, with_capacity, edits):
     return [",".join(row) for row in rows]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    n_rows=st.integers(1, 30),
-    with_capacity=st.booleans(),
-    edits=st.lists(st.tuples(st.integers(0, 10**6), ROW_EDITS), max_size=4),
-    block=st.sampled_from([1, 2, 3, 7, dataio.BLOCK]),
-)
-@example(n_rows=2, with_capacity=False, edits=[(0, ("stamp", "before 1970"))], block=2)
-@example(n_rows=2, with_capacity=False, block=2,
-         edits=[(0, ("stamp", "first second")), (1, ("stamp", "last second"))])
-def test_load_csv_matches_per_row_reference(tmp_path_factory, n_rows, with_capacity, edits,
-                                            block):
+RAW_CSV_CASES = {
+    "n_rows": st.integers(1, 30),
+    "with_capacity": st.booleans(),
+    "edits": st.lists(st.tuples(st.integers(0, 10**6), ROW_EDITS), max_size=4),
+    "block": st.sampled_from([1, 2, 3, 7, dataio.BLOCK]),
+}
+
+
+def assert_raw_csv_loads_like_reference(directory, n_rows, with_capacity, edits, block):
     rows = render_rows(n_rows, with_capacity, edits)
     header = "time,value,capacity" if with_capacity else "time,value"
-    path = write_csv(tmp_path_factory.mktemp("csv") / "a.csv", rows, header=header)
+    path = write_csv(directory / "a.csv", rows, header=header)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataio, "BLOCK", block)
         assert_loads_like_reference(path, "capacity" if with_capacity else None)
 
 
-@pytest.mark.parametrize("edits, error", [
+@settings(max_examples=200, deadline=None)
+@given(**RAW_CSV_CASES)
+@example(n_rows=2, with_capacity=False, edits=[(0, ("stamp", "before 1970"))], block=2)
+@example(n_rows=2, with_capacity=False, block=2,
+         edits=[(0, ("stamp", "first second")), (1, ("stamp", "last second"))])
+def test_load_csv_matches_per_row_reference(tmp_path_factory, n_rows, with_capacity, edits,
+                                            block):
+    assert_raw_csv_loads_like_reference(tmp_path_factory.mktemp("csv"), n_rows, with_capacity,
+                                        edits, block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**RAW_CSV_CASES)
+def test_load_csv_on_two_cpus_matches_per_row_reference(tmp_path_factory, n_rows,
+                                                        with_capacity, edits, block):
+    with pytest.MonkeyPatch.context() as patch:
+        force_fork(patch, True)
+        assert_raw_csv_loads_like_reference(tmp_path_factory.mktemp("csv"), n_rows,
+                                            with_capacity, edits, block)
+
+
+PAST_FIRST_BLOCK = [
     ([], None),
     ([(50, ("value", "abc"))], "line +52: malformed value 'abc'"),
     ([(90, ("stamp", "zulu")), (95, ("capacity", "NULL"))], None),
@@ -393,7 +411,10 @@ def test_load_csv_matches_per_row_reference(tmp_path_factory, n_rows, with_capac
     ([(80, ("row", "short")), (85, ("stamp", "year"))], "line +82: expected 3 fields, got 1"),
     ([(20, ("stamp", "year")), (20, ("value", "1.0.0"))], "line +22: malformed timestamp"),
     ([(40, ("row", "repeat"))], "timestamps not increasing"),
-])
+]
+
+
+@pytest.mark.parametrize("edits, error", PAST_FIRST_BLOCK)
 def test_load_csv_matches_reference_past_first_block(tmp_path, edits, error):
     # every edit lands in the second block; "at" counts from its first row,
     # and "line +k" is line BLOCK + k (the header is line 1)
@@ -408,6 +429,14 @@ def test_load_csv_matches_reference_past_first_block(tmp_path, edits, error):
         expected = re.sub(r"line \+(\d+)", lambda m: f"line {dataio.BLOCK + int(m[1])}",
                           error)
         assert expected in result[1]
+
+
+@pytest.mark.parametrize("edits, error", PAST_FIRST_BLOCK)
+def test_load_csv_on_two_cpus_matches_reference_past_first_block(tmp_path, monkeypatch, edits,
+                                                                 error):
+    forks = force_fork(monkeypatch, True)
+    test_load_csv_matches_reference_past_first_block(tmp_path, edits, error)
+    assert len(forks) == 1
 
 
 def timestamps_outcome(parse, cells, line_nos):
@@ -483,6 +512,172 @@ def test_load_csv_memory_stays_bounded(tmp_path):
         tracemalloc.stop()
     assert len(series) == n_rows
     assert peak < 30e6, peak
+
+
+def series_outcome(path):
+    """The bytes and dtype of every array load_csv returns, line numbers included, or its
+    exception class and message."""
+    try:
+        series = dataio.load_csv(path, capacity_col="capacity")
+    except PcflowError as exc:
+        return type(exc), str(exc)
+    return [(a.dtype.str, a.tobytes())
+            for a in (series.line_nos, series.timestamps, series.values, series.capacity)]
+
+
+def parent_rows(monkeypatch):
+    """The list to which each _parse_block call in this process appends its row count."""
+    parent, parse_block = os.getpid(), dataio._parse_block
+    counts = []
+
+    def spy(rows, *args):
+        if os.getpid() == parent:
+            counts.append(len(rows))
+        return parse_block(rows, *args)
+
+    monkeypatch.setattr(dataio, "_parse_block", spy)
+    return counts
+
+
+# the two-CPU reader's files: rows of one length, so an edit that keeps a
+# line's length keeps the cut where it was
+N_SPLIT_ROWS = 3 * dataio.BLOCK
+BLANK_RUN = [b"", b"   ", b",,", b"\t", b" , ", b""] * 8  # rows that are blank or whitespace
+
+
+def split_csv_lines(newline, blank_run):
+    """A header and N_SPLIT_ROWS rows 15 minutes apart, as byte lines each with its line end.
+
+    ``newline`` "cr then lf" ends the first 40% of the lines with a lone \\r and
+    the rest with \\n; ``blank_run`` puts BLANK_RUN in the middle of the rows.
+    """
+    rows = [f"{(START + timedelta(minutes=15 * i)).isoformat()},{i % 1000:07.3f},40.0".encode()
+            for i in range(N_SPLIT_ROWS)]
+    if blank_run:
+        rows[N_SPLIT_ROWS // 2:N_SPLIT_ROWS // 2] = BLANK_RUN
+    lines = [b"time,value,capacity", *rows]
+    ends = {"lf": [b"\n"] * len(lines), "crlf": [b"\r\n"] * len(lines),
+            "cr then lf": [b"\r"] * (len(lines) * 2 // 5) + [b"\n"] * len(lines)}[newline]
+    return [line + end for line, end in zip(lines, ends)]
+
+
+def edit_line(lines, i, edit):
+    """Apply edit to line i, keeping its length."""
+    line = lines[i].rstrip(b"\r\n")
+    end = lines[i][len(line):]
+    lines[i] = {
+        "malformed value": lambda: line.replace(b".", b"x", 1),
+        "short row": lambda: line.replace(b",", b";", 1),
+        "nul": lambda: line.replace(b".", b"\0", 1),
+        "not utf-8": lambda: line.replace(b".", b"\xff", 1),
+        "decreasing timestamp": lambda: lines[1][:19] + line[19:],  # the first row's stamp
+        # a row the BOM-skipping codec would read, the capacity 40.0 shortened to 4
+        "bom": lambda: b"\xef\xbb\xbf" + line[:-3],
+    }[edit]() + end
+
+
+@pytest.mark.parametrize("newline", ["lf", "crlf", "cr then lf"])
+@pytest.mark.parametrize("name", ["clean", "leading bom", "blank rows at the cut"])
+def test_load_csv_on_two_cpus_reads_what_one_reads(tmp_path, monkeypatch, name, newline):
+    lines = split_csv_lines(newline, name == "blank rows at the cut")
+    data = (b"\xef\xbb\xbf" if name == "leading bom" else b"") + b"".join(lines)
+    path = tmp_path / "raw.csv"
+    path.write_bytes(data)
+    force_fork(monkeypatch, False)
+    expected = series_outcome(path)
+    assert len(expected[0][1]) == 8 * N_SPLIT_ROWS
+    forks = force_fork(monkeypatch, True)
+    start, before = dataio._middle_line(path)
+    assert data[start - 1:start] == b"\n" and len(data) // 2 - 40 < start <= len(data) // 2
+    if name == "blank rows at the cut":  # blank rows on both sides of it
+        first = 2 + N_SPLIT_ROWS // 2
+        assert first + 2 < before < first + len(BLANK_RUN) - 2
+    counts = parent_rows(monkeypatch)
+    assert series_outcome(path) == expected
+    assert len(forks) == 1
+    # the child parsed the rows after the cut: this process, those before it
+    assert sum(counts) == sum(1 for line in lines[1:before] if line.strip(b" ,\t\r\n"))
+
+
+@pytest.mark.parametrize("where", ["before", "after", "late"])
+@pytest.mark.parametrize("edit", ["malformed value", "short row", "nul", "not utf-8",
+                                  "decreasing timestamp", "bom"])
+@pytest.mark.parametrize("newline", ["lf", "crlf", "cr then lf"])
+def test_load_csv_on_two_cpus_reports_the_fault_one_reports(tmp_path, monkeypatch, newline,
+                                                            edit, where):
+    path = tmp_path / "raw.csv"
+    lines = split_csv_lines(newline, False)
+    path.write_bytes(b"".join(lines))
+    forks = force_fork(monkeypatch, True)
+    middle = dataio._middle_line(path)
+    # the last line before the cut, the first after it, or the last line
+    edit_line(lines, {"before": middle[1] - 1, "after": middle[1], "late": -1}[where], edit)
+    path.write_bytes(b"".join(lines))
+    assert dataio._middle_line(path) == middle
+    got = series_outcome(path)
+    assert len(forks) == 1
+    force_fork(monkeypatch, False)
+    expected = series_outcome(path)
+    assert got == expected
+    line = {"before": middle[1], "after": middle[1] + 1, "late": len(lines)}[where]
+    assert expected[0] in (ParseError, DataError) and f"line {line}: " in expected[1]
+
+
+def test_load_csv_with_a_quote_does_not_fork(tmp_path, monkeypatch):
+    lines = split_csv_lines("lf", False)
+    lines[-1] = lines[-1].replace(b"40.0", b'"40"')
+    path = tmp_path / "raw.csv"
+    path.write_bytes(b"".join(lines))
+    forks = force_fork(monkeypatch, True)
+    assert dataio._middle_line(path) is None
+    assert dataio.load_csv(path, capacity_col="capacity").capacity[-1] == 40.0
+    assert forks == []
+
+
+@pytest.mark.parametrize("failure", ["fork", "child"])
+def test_load_csv_parses_the_childs_half_itself_when_the_child_fails(tmp_path, monkeypatch,
+                                                                     failure):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(b"".join(split_csv_lines("lf", False)))
+    expected = series_outcome(path)
+    forks = force_fork(monkeypatch, True)
+    parent, parse_block = os.getpid(), dataio._parse_block
+    if failure == "fork":
+        def fork():
+            forks.append(os.getpid())
+            raise OSError("no child")
+
+        monkeypatch.setattr(os, "fork", fork)
+    else:
+        def fail_in_the_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("the child fails")
+            return parse_block(*args)
+
+        monkeypatch.setattr(dataio, "_parse_block", fail_in_the_child)
+    counts = parent_rows(monkeypatch)
+    assert series_outcome(path) == expected
+    assert forks == [parent]
+    assert sum(counts) == N_SPLIT_ROWS
+
+
+def test_an_interrupt_in_the_parents_half_of_the_parse_leaves_no_child(tmp_path, monkeypatch):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(b"".join(split_csv_lines("lf", False)))
+    forks = force_fork(monkeypatch, True)
+    parent, parse_block = os.getpid(), dataio._parse_block
+
+    def interrupt_the_parent(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return parse_block(*args)
+
+    monkeypatch.setattr(dataio, "_parse_block", interrupt_the_parent)
+    with pytest.raises(KeyboardInterrupt):
+        dataio.load_csv(path, capacity_col="capacity")
+    assert forks == [parent]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # clean_and_slice --------------------------------------------------------
@@ -984,8 +1179,8 @@ def test_save_memory_does_not_grow_with_the_set(tmp_path):
     assert peak < scenario_set.data.nbytes, peak
 
 
-def force_writer(monkeypatch, forked):
-    """Make save_scenarios fork its child or not, whatever the set's size.
+def force_fork(monkeypatch, forked):
+    """Make save_scenarios and load_csv fork their child or not, whatever the size.
 
     Returns the list to which each os.fork call appends the pid that made it.
     """
@@ -1018,7 +1213,7 @@ def test_save_writes_the_same_bytes_with_and_without_the_child(tmp_path, monkeyp
     scenario_set = make_set(data, scaling="minmax", scale_min=-1.5, scale_max=2.0)
     files = {}
     for forked in (False, True):
-        forks = force_writer(monkeypatch, forked)
+        forks = force_fork(monkeypatch, forked)
         files[forked] = saved_files(tmp_path / f"{forked}.csv", scenario_set, comment)
         assert len(forks) == forked
     assert files[True] == files[False]
@@ -1029,7 +1224,7 @@ def test_save_writes_the_same_bytes_with_and_without_the_child(tmp_path, monkeyp
 def test_save_writes_the_childs_rows_itself_when_the_child_fails(tmp_path, monkeypatch):
     scenario_set = make_set(np.random.default_rng(3).uniform(size=(101, 7)))
     expected = saved_files(tmp_path / "serial.csv", scenario_set)
-    forks = force_writer(monkeypatch, True)
+    forks = force_fork(monkeypatch, True)
     parent, write_rows = os.getpid(), dataio.write_rows
 
     def fail_in_the_child(fh, rows):
@@ -1043,7 +1238,7 @@ def test_save_writes_the_childs_rows_itself_when_the_child_fails(tmp_path, monke
 
 
 def test_an_interrupt_in_the_parent_leaves_no_child(tmp_path, monkeypatch):
-    forks = force_writer(monkeypatch, True)
+    forks = force_fork(monkeypatch, True)
     parent, write_rows = os.getpid(), dataio.write_rows
 
     def interrupt_the_parent(fh, rows):
@@ -1062,7 +1257,7 @@ def test_an_interrupt_in_the_parent_leaves_no_child(tmp_path, monkeypatch):
 def test_save_does_not_fork_while_another_thread_runs(tmp_path, monkeypatch):
     scenario_set = make_set(np.random.default_rng(4).uniform(size=(9, 4)))
     expected = saved_files(tmp_path / "serial.csv", scenario_set)
-    forks = force_writer(monkeypatch, True)
+    forks = force_fork(monkeypatch, True)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait, args=(60,))
     thread.start()
@@ -1076,7 +1271,7 @@ def test_save_does_not_fork_while_another_thread_runs(tmp_path, monkeypatch):
 
 
 def test_save_memory_does_not_grow_on_the_forked_path(tmp_path, monkeypatch):
-    forks = force_writer(monkeypatch, True)
+    forks = force_fork(monkeypatch, True)
     test_save_memory_does_not_grow_with_the_set(tmp_path)
     assert len(forks) == 1
 
