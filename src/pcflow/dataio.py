@@ -355,6 +355,14 @@ def _parse_values(cells):
         return np.fromiter(map(_to_float, cells), float, len(cells))
 
 
+def _parse_columns(rows, width, picks):
+    """One array per picked column of the rows, each column parsed at once."""
+    if min(map(len, rows)) < width:
+        raise IndexError("short row")
+    cells = [list(map(itemgetter(i), rows)) for i in picks]
+    return [_parse_timestamps(cells[0]), *map(_parse_values, cells[1:])]
+
+
 def _parse_block(rows, line_nos, width, picks):
     """Parse non-blank rows into one array per picked column.
 
@@ -363,10 +371,7 @@ def _parse_block(rows, line_nos, width, picks):
     the first in file order and names its line.
     """
     try:
-        if min(map(len, rows)) < width:
-            raise IndexError("short row")
-        cells = [list(map(itemgetter(i), rows)) for i in picks]
-        return [_parse_timestamps(cells[0]), *map(_parse_values, cells[1:])]
+        return _parse_columns(rows, width, picks)
     except (IndexError, ValueError, OverflowError):
         for line_no, row in zip(line_nos.tolist(), rows):
             if len(row) < width:
@@ -381,29 +386,39 @@ def _parse_block(rows, line_nos, width, picks):
 def _read_blocks(reader, width, picks, cut):
     """First line numbers and parsed columns of the non-blank rows, ``BLOCK`` at a time.
 
-    A row the strict reader rejects is reported after the rows before it are
-    parsed, so the first fault in the file is the one raised, naming the line
-    its row starts on.
+    When a block's rows took as many lines as there are rows, each filled
+    one. Otherwise a row spans one line more than the line ends its cells
+    hold. A blank row fails the parse of its whole block, as its time cell
+    is empty or missing, so only such a block is parsed again without its
+    blank rows. A row the strict reader rejects is reported after the rows
+    before it are parsed, so the first fault in the file is the one raised,
+    naming the line its row starts on.
     """
-    # each row with the lines read once it ends, which count a quoted cell's line ends
-    numbered = zip(reader, map(attrgetter("line_num"), repeat(reader)))
-    end = reader.line_num  # the last line before the next row
+    end = reader.line_num  # the last line of the last row read
     fault = None
     while not fault:
-        block = []
+        rows = []
         try:
-            block.extend(islice(numbered, BLOCK))  # keeps the rows read before a fault
+            rows.extend(islice(reader, BLOCK))  # keeps the rows read before a fault
         except csv.Error as exc:
             fault = exc
-        if not block:
+        if not rows:
             break
-        rows = list(map(itemgetter(0), block))
-        ends = np.fromiter(map(itemgetter(1), block), np.int64, len(rows))
-        nonblank = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
-        lines = 1 + np.concatenate(([end], ends[:-1]))[nonblank]
-        end = int(ends[-1])
-        if len(lines):
-            yield [lines, *_parse_block(list(compress(rows, nonblank)), lines, width, picks)]
+        spans = np.ones(len(rows), np.int64)
+        if reader.line_num - end != len(rows):  # a cell spans lines, or a row was rejected
+            # a comma keeps a \r ending one cell and a \n starting the next apart
+            spans += [_line_ends(cells, len(cells)) for cells in map(",".join, rows)]
+        lines = end + 1 + np.cumsum(spans) - spans
+        end += int(spans.sum())
+        try:
+            columns = _parse_columns(rows, width, picks)
+        except (IndexError, ValueError, OverflowError):  # a blank row, or a fault
+            nonblank = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
+            rows, lines = list(compress(rows, nonblank)), lines[nonblank]
+            if not rows:
+                continue
+            columns = _parse_block(rows, lines, width, picks)
+        yield [lines, *columns]
     if fault and (error := _strict_fault(fault, end + 1, cut)):
         raise error
 
@@ -463,9 +478,12 @@ def _read_series(fh, time_col, value_col, capacity_col, cut=False, path=None):
 
 
 def _line_ends(data, end):
-    """The lines a text stream reads in ``data[:end]``, which ends with a line end;
-    \\r, \\n and \\r\\n each end one."""
-    return data.count(b"\n", 0, end) + data.count(b"\r", 0, end) - data.count(b"\r\n", 0, end)
+    """The line ends in ``data[:end]``, bytes or str, as a text stream counts them:
+    \\r, \\n and \\r\\n each end one line. No \\r\\n may straddle ``end``."""
+    lf, cr = ("\n", "\r") if isinstance(data, str) else (b"\n", b"\r")
+    if data.find(cr, 0, end) < 0:
+        return data.count(lf, 0, end)
+    return data.count(lf, 0, end) + data.count(cr, 0, end) - data.count(cr + lf, 0, end)
 
 
 def _middle_line(path):
@@ -562,15 +580,19 @@ def clean_and_slice(series: RawSeries, period_length: int) -> ScenarioSet:
     offsets = (ts - days) / np.timedelta64(1, "m")
     expected = np.arange(period_length) * float(interval)
 
-    # timestamps increase strictly, so each day's rows are contiguous
-    unique_days, starts, counts = np.unique(days, return_index=True, return_counts=True)
+    # timestamps increase strictly, so each day's rows are contiguous, and a
+    # day starts wherever the day changes
+    new_day = np.ones(len(days), bool)
+    new_day[1:] = days[1:] != days[:-1]
+    starts = np.flatnonzero(new_day)
+    counts = np.diff(starts, append=len(days))
     index = starts[counts == period_length, None] + np.arange(period_length)
     ok = np.all(offsets[index] == expected, axis=1) & np.all(
         np.isfinite(series.values[index]), axis=1)
     index = index[ok]
-    dropped = len(unique_days) - len(index)
+    dropped = len(starts) - len(index)
     if dropped:
-        logger.info("dropped %d of %d days (missing values or irregular grid)", dropped, len(unique_days))
+        logger.info("dropped %d of %d days (missing values or irregular grid)", dropped, len(starts))
     if len(index) < 2:
         raise InsufficientDataError(
             f"only {len(index)} complete days survive cleaning; need at least 2"

@@ -276,17 +276,20 @@ def reference_rows(path, time_col, value_col, capacity_col):
         timestamps=ts,
         values=np.array(values),
         capacity=np.array(capacities) if capacity_col else None,
+        line_nos=np.array(line_nos, dtype=np.int64),
     )
 
 
 def outcome(load, path, capacity_col):
-    """The bytes of every array load returns, or its exception class and message."""
+    """The bytes of every array load returns, line numbers included, or its exception class
+    and message."""
     try:
         series = load(path, capacity_col=capacity_col)
     except PcflowError as exc:
         return type(exc), str(exc)
     capacity = None if series.capacity is None else series.capacity.tobytes()
-    return series.timestamps.tobytes(), series.values.tobytes(), capacity
+    return (series.timestamps.tobytes(), series.values.tobytes(), capacity,
+            series.line_nos.tobytes())
 
 
 def assert_loads_like_reference(path, capacity_col=None):
@@ -526,16 +529,18 @@ def series_outcome(path):
 
 
 def parent_rows(monkeypatch):
-    """The list to which each _parse_block call in this process appends its row count."""
-    parent, parse_block = os.getpid(), dataio._parse_block
+    """The list to which each _parse_columns call in this process that returns appends its
+    row count; a block holding a blank row is parsed again without it."""
+    parent, parse_columns = os.getpid(), dataio._parse_columns
     counts = []
 
     def spy(rows, *args):
+        columns = parse_columns(rows, *args)
         if os.getpid() == parent:
             counts.append(len(rows))
-        return parse_block(rows, *args)
+        return columns
 
-    monkeypatch.setattr(dataio, "_parse_block", spy)
+    monkeypatch.setattr(dataio, "_parse_columns", spy)
     return counts
 
 
@@ -634,6 +639,37 @@ def test_load_csv_with_a_quote_does_not_fork(tmp_path, monkeypatch):
     assert forks == []
 
 
+def test_load_csv_with_lone_cr_line_ends_does_not_fork(tmp_path, monkeypatch):
+    # the cut follows a \n, and no line ends in one
+    path = tmp_path / "raw.csv"
+    path.write_bytes(b"".join(line.replace(b"\n", b"\r") for line in split_csv_lines("lf", False)))
+    forks = force_fork(monkeypatch, True)
+    assert dataio._middle_line(path) is None
+    assert dataio.load_csv(path).line_nos.tolist() == list(range(2, N_SPLIT_ROWS + 2))
+    assert forks == []
+
+
+def test_load_csv_on_two_cpus_with_only_blank_lines_after_the_cut(tmp_path, monkeypatch):
+    rows = split_csv_lines("lf", False)[:41]  # the header and 40 rows
+    path = tmp_path / "raw.csv"
+    path.write_bytes(b"".join(rows + [b" , ,\n", b"\n", b"\t\r\n", b",,\n"] * 200))
+    force_fork(monkeypatch, False)
+    expected = series_outcome(path)
+    forks = force_fork(monkeypatch, True)
+    start, before = dataio._middle_line(path)
+    assert before > len(rows) and not path.read_bytes()[start:].strip(b" ,\t\r\n")
+    read_columns, handed_back = dataio._read_columns, []
+
+    def spy(*args):  # the child's columns, as this process reads them
+        handed_back.append(read_columns(*args))
+        return handed_back[-1]
+
+    monkeypatch.setattr(dataio, "_read_columns", spy)
+    assert series_outcome(path) == expected
+    assert len(forks) == 1 and handed_back == [[]]
+    assert np.frombuffer(expected[0][1], np.int64).tolist() == list(range(2, len(rows) + 1))
+
+
 @pytest.mark.parametrize("failure", ["fork", "child"])
 def test_load_csv_parses_the_childs_half_itself_when_the_child_fails(tmp_path, monkeypatch,
                                                                      failure):
@@ -641,7 +677,7 @@ def test_load_csv_parses_the_childs_half_itself_when_the_child_fails(tmp_path, m
     path.write_bytes(b"".join(split_csv_lines("lf", False)))
     expected = series_outcome(path)
     forks = force_fork(monkeypatch, True)
-    parent, parse_block = os.getpid(), dataio._parse_block
+    parent, parse_columns = os.getpid(), dataio._parse_columns
     if failure == "fork":
         def fork():
             forks.append(os.getpid())
@@ -652,9 +688,9 @@ def test_load_csv_parses_the_childs_half_itself_when_the_child_fails(tmp_path, m
         def fail_in_the_child(*args):
             if os.getpid() != parent:
                 raise RuntimeError("the child fails")
-            return parse_block(*args)
+            return parse_columns(*args)
 
-        monkeypatch.setattr(dataio, "_parse_block", fail_in_the_child)
+        monkeypatch.setattr(dataio, "_parse_columns", fail_in_the_child)
     counts = parent_rows(monkeypatch)
     assert series_outcome(path) == expected
     assert forks == [parent]
@@ -665,14 +701,14 @@ def test_an_interrupt_in_the_parents_half_of_the_parse_leaves_no_child(tmp_path,
     path = tmp_path / "raw.csv"
     path.write_bytes(b"".join(split_csv_lines("lf", False)))
     forks = force_fork(monkeypatch, True)
-    parent, parse_block = os.getpid(), dataio._parse_block
+    parent, parse_columns = os.getpid(), dataio._parse_columns
 
     def interrupt_the_parent(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return parse_block(*args)
+        return parse_columns(*args)
 
-    monkeypatch.setattr(dataio, "_parse_block", interrupt_the_parent)
+    monkeypatch.setattr(dataio, "_parse_columns", interrupt_the_parent)
     with pytest.raises(KeyboardInterrupt):
         dataio.load_csv(path, capacity_col="capacity")
     assert forks == [parent]
@@ -711,6 +747,28 @@ def test_slice_single_day_insufficient(tmp_path):
     series = dataio.load_csv(write_csv(tmp_path / "a.csv", day_rows("2013-01-01")))
     with pytest.raises(InsufficientDataError):
         dataio.clean_and_slice(series, 96)
+
+
+def quarter_hours(start, n):
+    """A RawSeries of n samples 15 minutes apart from start, valued 0, 1, 2, ..."""
+    stamps = np.datetime64(start, "s") + np.arange(n) * np.timedelta64(15, "m")
+    return dataio.RawSeries(timestamps=stamps, values=np.arange(n, dtype=float))
+
+
+@pytest.mark.parametrize("n, complete", [(0, 0), (96, 1)], ids=["empty", "one day"])
+def test_slice_too_few_days_is_insufficient(n, complete):
+    message = f"only {complete} complete days survive cleaning; need at least 2"
+    with pytest.raises(InsufficientDataError, match=f"^{message}$"):
+        dataio.clean_and_slice(quarter_hours("2013-01-01T00:00", n), 96)
+
+
+def test_slice_drops_partial_first_and_last_days():
+    # noon on 1 January to 11:45 on 4 January: two half days around two whole ones
+    series = quarter_hours("2013-01-01T12:00", 3 * 96)
+    data, index, _, messages = slice_outcome(dataio.clean_and_slice, series, 96)
+    expected = np.arange(48, 48 + 2 * 96).reshape(2, 96)
+    assert data == expected.astype(float).tobytes() and index == expected.tobytes()
+    assert messages == ["dropped 2 of 4 days (missing values or irregular grid)"]
 
 
 def test_slice_preserves_values_bit_exactly(tmp_path):
